@@ -43,6 +43,7 @@ from .pressure import (
     expansion_small_k,
     expansion_small_width,
     pressure_1d,
+    pressure_columns,
     pressure_profile,
 )
 from .probability import (
@@ -52,6 +53,7 @@ from .probability import (
     beta_from_energy,
     beta_from_fit,
     normalization_constant,
+    probability_columns,
     probability_interval,
     probability_pressure_derivative,
     probability_small_beta,
@@ -59,12 +61,15 @@ from .probability import (
 )
 from .spectrum import (
     BoundState,
+    GroundStates,
     WellConfig,
     WellStrength,
     energy_exact,
     energy_ratio,
+    ground_states,
     hydrogen_well,
     solve_even_root,
+    solve_ground_roots,
     well_strength,
 )
 from .units import (

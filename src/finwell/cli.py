@@ -18,7 +18,6 @@ Columns that do not apply stay empty; flags are semicolon-separated.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ from .errors import (
     DomainError,
     MalformedNumber,
     NumericalError,
-    PoleSingularity,
-    FitOutOfRange,
     UnknownUnit,
 )
 from .fitseries import (
@@ -51,9 +48,10 @@ from .pressure import (
     expansion_small_k,
     expansion_small_width,
     pressure_1d,
+    pressure_columns,
 )
-from .probability import beta_from_fit, probability_interval
-from .spectrum import WellConfig, energy_exact, hydrogen_well, well_strength
+from .probability import probability_columns
+from .spectrum import WellConfig, energy_exact, ground_states, hydrogen_well, well_strength
 from .units import (
     CONSTANTS,
     Dimension,
@@ -351,59 +349,94 @@ def _load_sweep_coeffs(args: argparse.Namespace) -> FitCoefficients:
     return PAPER_FIT
 
 
+@dataclass(frozen=True)
+class SweepTable:
+    """Sweep output as columns: one list per CSV column, None for an empty cell."""
+
+    columns: dict[str, list]  # CSV_HEADER[:-1] -> values
+    flags: list[tuple[str, ...]]
+
+    def __len__(self) -> int:
+        return len(self.flags)
+
+
+# (near_pole, fit_out_of_range) -> the row's flags
+_ROW_FLAGS = {
+    (False, False): (),
+    (True, False): ("near_pole",),
+    (False, True): ("fit_out_of_range",),
+    (True, True): ("near_pole", "fit_out_of_range"),
+}
+
+
 def _sweep_rows(
     spec: SweepSpec,
     base: dict[str, float | None],
     gamma: float | None,
     coeffs: FitCoefficients,
     variant: str,
-) -> list[dict]:
-    rows = []
-    for value in spec.values():
-        a = base["width"]
-        V0 = base["depth"]
-        m = base["mass"]
-        g = gamma
-        if spec.parameter == "width":
-            a = float(value)
-        elif spec.parameter == "depth":
-            V0 = float(value)
-        elif spec.parameter == "mass":
-            m = float(value)
+) -> SweepTable:
+    values = spec.values()
+    steps = len(values)
+    params = {**base, "gamma": gamma, spec.parameter: values}
+    a, V0, m, g = (None if params[k] is None else
+                   np.broadcast_to(np.asarray(params[k], dtype=float), (steps,))
+                   for k in ("width", "depth", "mass", "gamma"))
+    states = ground_states(a, V0, m)
+    K = states.characteristic_length
+    p, dedp, near_pole = pressure_columns(a, K, coeffs, V0, variant)
+    if g is None:
+        R, out_of_range = None, np.zeros(steps, dtype=bool)
+    else:
+        R, out_of_range = probability_columns(a, K, coeffs, m, V0, g)
+
+    def cells(column: np.ndarray | None, empty: np.ndarray) -> list:
+        if column is None:
+            return [None] * steps
+        if not empty.any():
+            return column.tolist()
+        return [None if e else v for v, e in zip(column.tolist(), empty.tolist())]
+
+    return SweepTable(
+        columns={
+            "param": values.tolist(),
+            "a_m": a.tolist(),
+            "n": states.strength.tolist(),
+            "K_m": K.tolist(),
+            "xi": states.xi.tolist(),
+            "E_J": states.energy.tolist(),
+            "E_over_V0": (states.energy / V0).tolist(),
+            "P_N": p.tolist(),
+            "dEdP_m": cells(dedp, near_pole),
+            "R": cells(R, out_of_range),
+        },
+        flags=[_ROW_FLAGS[k] for k in zip(near_pole.tolist(), out_of_range.tolist())],
+    )
+
+
+def _render_csv(table: SweepTable, out) -> None:
+    """CSV written one row at a time: repr of each value, empty for None."""
+    columns = list(table.columns.values())
+    fields = []
+    for i, column in enumerate(columns):
+        if None in column:
+            columns[i] = ["" if v is None else repr(v) for v in column]
+            fields.append("{}")
         else:
-            g = float(value)
-        flags: list[str] = []
-        cfg = WellConfig(half_width=a, depth=V0, mass=m)
-        strength = well_strength(cfg)
-        K = strength.characteristic_length
-        state = energy_exact(cfg)
-        p = pressure_1d(a, K, coeffs, V0)
-        dedp = None
-        try:
-            dedp = denergy_dpressure(a, K, coeffs, variant)
-        except PoleSingularity:
-            flags.append("near_pole")
-        r = None
-        if g is not None:
-            try:
-                beta = beta_from_fit(a, K, coeffs, m, V0)
-                r = probability_interval(a, beta, g).probability
-            except FitOutOfRange:
-                flags.append("fit_out_of_range")
-        rows.append({
-            "param": float(value),
-            "a_m": a,
-            "n": strength.strength,
-            "K_m": K,
-            "xi": state.xi,
-            "E_J": state.energy,
-            "E_over_V0": state.energy / V0,
-            "P_N": p,
-            "dEdP_m": dedp,
-            "R": r,
-            "flags": flags,
-        })
-    return rows
+            fields.append("{!r}")
+    row_format = ",".join(fields) + ",{}\n"
+    out.write(",".join(CSV_HEADER) + "\n")
+    for row in zip(*columns, map(";".join, table.flags)):
+        out.write(row_format.format(*row))
+
+
+def _render_json(table: SweepTable, out) -> None:
+    """The {"rows": [...]} document, written one row at a time."""
+    names = [*table.columns, "flags"]
+    out.write('{"rows": [')
+    for i, row in enumerate(zip(*table.columns.values(), table.flags)):
+        out.write((", " if i else "") + json.dumps(dict(zip(names, row))))
+    out.write("]}\n")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -437,20 +470,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
 
     coeffs = _load_sweep_coeffs(args)
-    rows = _sweep_rows(spec, base, gamma, coeffs, args.variant)
-
-    if args.json:
-        print(json.dumps({"rows": rows}))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([
-                *(("" if row[k] is None else repr(row[k])) for k in CSV_HEADER[:-1]),
-                ";".join(row["flags"]),
-            ])
-    failed = sum(1 for row in rows if row["flags"])
-    return EXIT_NUMERICAL if failed == len(rows) and rows else EXIT_OK
+    table = _sweep_rows(spec, base, gamma, coeffs, args.variant)
+    (_render_json if args.json else _render_csv)(table, sys.stdout)
+    return EXIT_NUMERICAL if all(table.flags) else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

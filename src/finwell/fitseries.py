@@ -140,15 +140,20 @@ def refit(grid: FitGrid = DEFAULT_GRID) -> FitCoefficients:
     return fit_inverse_poly(sample_energies(grid), grid=grid)
 
 
+def _series_value(c, n):
+    # sum_i c_i / n^i by Horner in 1/n; floats or arrays.
+    u = 1.0 / n
+    acc = 0.0
+    for ci in reversed(c):
+        acc = acc * u + ci
+    return acc
+
+
 def eval_fit(coeffs: FitCoefficients, n: float) -> float:
     """Series value E/V0 at strength n (Horner evaluation in 1/n)."""
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"strength n must be positive, got {n}")
-    u = 1.0 / n
-    acc = 0.0
-    for ci in reversed(coeffs.c):
-        acc = acc * u + ci
-    return acc
+    return _series_value(coeffs.c, n)
 
 
 def dump_coefficients(coeffs: FitCoefficients, path: str) -> None:

@@ -29,7 +29,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, NoRoot, PoleSingularity
+import numpy as np
+
+from .errors import DomainError, NoRoot, NumericalError, PoleSingularity
 from .fitseries import FitCoefficients
 
 POLE_RTOL = 1e-12          # |denominator| below this times its largest term -> pole
@@ -83,14 +85,8 @@ def _check_positive(**values: float) -> None:
             raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
-def pressure_1d(a: float, K: float, coeffs: FitCoefficients, V0: float) -> float:
-    """P = V0 * sum_{i=1..5} i c_i K^i / a^(i+1)  [N].
-
-    The V0 factor missing from the printed series is restored; dimensional
-    analysis of E = V0 * sum c_i (K/a)^i forces it.
-    """
-    _check_positive(a=a, K=K, V0=V0)
-    c = coeffs.c
+def _pressure(a, K, c, V0):
+    # V0 * sum_i i c_i K^i / a^(i+1) by Horner in K/a; floats or arrays.
     u = K / a
     acc = 0.0
     for i in range(5, 0, -1):
@@ -98,24 +94,62 @@ def pressure_1d(a: float, K: float, coeffs: FitCoefficients, V0: float) -> float
     return V0 * acc / a
 
 
+def pressure_1d(a: float, K: float, coeffs: FitCoefficients, V0: float) -> float:
+    """P = V0 * sum_{i=1..5} i c_i K^i / a^(i+1)  [N].
+
+    The V0 factor missing from the printed series is restored; dimensional
+    analysis of E = V0 * sum c_i (K/a)^i forces it.  Raises NumericalError
+    when P leaves the float range (a far below K).
+    """
+    _check_positive(a=a, K=K, V0=V0)
+    p = _pressure(a, K, coeffs.c, V0)
+    if not math.isfinite(p):
+        raise NumericalError(f"pressure overflows at a/K = {a / K:.6g}")
+    return p
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("printed", "consistent"):
+        raise DomainError(f"variant must be 'printed' or 'consistent', got {variant!r}")
+
+
+def _rational_terms(t, c, variant: str) -> tuple[tuple, tuple]:
+    # Numerator and denominator terms of dE/dP in t = a/K; floats or arrays.
+    # Powers by multiplication: numpy's ** may round differently from libm.
+    lead = 2.0 * c[1] if variant == "printed" else c[1]
+    t2 = t * t
+    t3, t4 = t2 * t, t2 * t2
+    num_terms = (5.0 * c[5], 4.0 * c[4] * t, 3.0 * c[3] * t2, 2.0 * c[2] * t3, c[1] * t4)
+    den_terms = (15.0 * c[5], 10.0 * c[4] * t, 6.0 * c[3] * t2, 3.0 * c[2] * t3, lead * t4)
+    return num_terms, den_terms
+
+
 def _rational_parts(
     a: float, K: float, coeffs: FitCoefficients, variant: str
 ) -> tuple[float, float, float]:
     """(numerator, denominator, denominator scale) of dE/dP in t = a/K."""
-    if variant not in ("printed", "consistent"):
-        raise DomainError(f"variant must be 'printed' or 'consistent', got {variant!r}")
-    c = coeffs.c
-    t = a / K
-    lead = 2.0 * c[1] if variant == "printed" else c[1]
-    num_terms = (5.0 * c[5], 4.0 * c[4] * t, 3.0 * c[3] * t * t,
-                 2.0 * c[2] * t ** 3, c[1] * t ** 4)
-    den_terms = (15.0 * c[5], 10.0 * c[4] * t, 6.0 * c[3] * t * t,
-                 3.0 * c[2] * t ** 3, lead * t ** 4)
+    _check_variant(variant)
+    num_terms, den_terms = _rational_terms(a / K, coeffs.c, variant)
+    if not all(map(math.isfinite, num_terms + den_terms)):
+        raise NumericalError(f"dE/dP overflows at a/K = {a / K:.6g}")
     return (
         math.fsum(num_terms),
         math.fsum(den_terms),
         max(abs(term) for term in den_terms),
     )
+
+
+def _neumaier_sum(terms: tuple) -> np.ndarray:
+    # Neumaier's compensated sum of scalar or array terms; it keeps the
+    # accuracy of math.fsum where they cancel, next to the zero and the pole
+    # of dE/dP, where a plain sum is off by 3e-7 at 1e-9 from the pole.
+    total = np.zeros(np.broadcast(*terms).shape)
+    carry = np.zeros_like(total)
+    for term in terms:
+        s = total + term
+        carry += np.where(np.abs(total) >= np.abs(term), (total - s) + term, (term - s) + total)
+        total = s
+    return total + carry
 
 
 def denergy_dpressure(
@@ -135,6 +169,37 @@ def denergy_dpressure(
             f"dE/dP denominator vanishes near a/K = {a / K:.6g} ({variant} form)"
         )
     return 0.5 * a * num / den
+
+
+def pressure_columns(
+    a: np.ndarray, K: np.ndarray, coeffs: FitCoefficients, V0: np.ndarray,
+    variant: str = "consistent",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, dE/dP, near_pole) for equal-length arrays of a, K and V0.
+
+    The array counterpart of pressure_1d and denergy_dpressure: the same
+    formulas and pole rule, with dE/dP NaN where near_pole is set.  Raises
+    NumericalError when a row's P or dE/dP leaves the float range.
+    """
+    _check_variant(variant)
+    c = coeffs.c
+    t = a / K
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Rows that overflow are reported below.
+        pressure = _pressure(a, K, c, V0)
+        num_terms, den_terms = _rational_terms(t, c, variant)
+        num, den = _neumaier_sum(num_terms), _neumaier_sum(den_terms)
+    for name, finite in (("pressure", np.isfinite(pressure)),
+                         ("dE/dP", np.isfinite(num) & np.isfinite(den))):
+        bad = np.flatnonzero(~finite)
+        if bad.size:
+            raise NumericalError(f"{name} overflows at a/K = {t[bad[0]]:.6g}")
+    scale = np.abs(np.broadcast_arrays(*den_terms)).max(axis=0)
+    near_pole = (np.abs(den) < POLE_RTOL * scale) | (den == 0.0)
+    dedp = np.full_like(t, math.nan)
+    ok = ~near_pole
+    dedp[ok] = 0.5 * a[ok] * num[ok] / den[ok]
+    return pressure, dedp, near_pole
 
 
 def expansion_small_width(a: float, K: float, coeffs: FitCoefficients) -> float:

@@ -11,7 +11,9 @@ and the probability of |x| <= gamma*a (0 <= gamma <= 1) reduces to
 
 beta -> 0 is a meaningful physical limit (energy near the top of the well),
 so sinh(z)/z and (z + sinh z) expressions carry Taylor guards below |z| =
-1e-4 to avoid 0/0.  The small-beta expansion of R,
+1e-4 to avoid 0/0.  Above z = 700, where sinh(z) nears overflow, both are
+rewritten with exp(-z) so that R and C stay finite for every z.  The
+small-beta expansion of R,
 
     R = gamma * (1 + (a beta)^2 (gamma^2 - 1) / 3),
 
@@ -27,13 +29,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, FitOutOfRange, PoleSingularity
-from .fitseries import FitCoefficients, eval_fit
+import numpy as np
+
+from .errors import DomainError, FitOutOfRange, NumericalError, PoleSingularity
+from .fitseries import FitCoefficients, _series_value, eval_fit
 from .pressure import pressure_1d
 from .spectrum import WellConfig, well_strength
 from .units import CONSTANTS
 
 _TAYLOR_Z = 1e-4   # |2 a beta| below this switches to series forms
+_EXP_Z = 700.0     # 2 a beta above this switches to exp(-z) forms
 _FD_STEP = 1e-6    # relative step for the numerical dR/dP
 _DPDA_RTOL = 1e-12
 
@@ -66,6 +71,28 @@ def _sinhc(z: float) -> float:
         z2 = z * z
         return 1.0 + z2 / 6.0 + z2 * z2 / 120.0
     return math.sinh(z) / z
+
+
+def _r_series(z, gamma):
+    # (z g + sinh(z g)) / (z + sinh z) via the series of sinh
+    zg = z * gamma
+    num = gamma * (2.0 + zg * zg / 6.0 + zg ** 4 / 120.0)
+    den = 2.0 + z * z / 6.0 + z ** 4 / 120.0
+    return num / den
+
+
+def _r_sinh(z, gamma, xp):
+    # xp is math for floats, numpy for arrays
+    return (z * gamma + xp.sinh(z * gamma)) / (z + xp.sinh(z))
+
+
+def _r_exp(z, gamma, xp):
+    # _r_sinh with top and bottom times 2 exp(-z); no term overflows, and
+    # gamma = 1 gives top == bottom exactly.
+    zez = z * xp.exp(-z)
+    num = 2.0 * zez * gamma - xp.exp(z * gamma - z) * xp.expm1(-2.0 * z * gamma)
+    den = 2.0 * zez - xp.expm1(-2.0 * z)
+    return num / den
 
 
 def beta_from_energy(E: float, m: float, V0: float) -> float:
@@ -101,9 +128,14 @@ def normalization_constant(a: float, beta: float) -> WavefunctionNorm:
         raise DomainError(f"half-width must be positive, got {a}")
     if not math.isfinite(beta) or beta < 0.0:
         raise DomainError(f"decay constant must be non-negative, got {beta}")
-    bracket = 1.0 + _sinhc(2.0 * a * beta)
-    return WavefunctionNorm(C=1.0 / (2.0 * math.sqrt(a) * math.sqrt(bracket)),
-                            beta=beta, a=a)
+    z = 2.0 * a * beta
+    if z > _EXP_Z:
+        # 1 + sinh(z)/z = exp(z) * (exp(-z) - expm1(-2z)/(2z))
+        tail = math.exp(-z) - math.expm1(-2.0 * z) / (2.0 * z)
+        C = math.exp(-0.5 * z) / (2.0 * math.sqrt(a) * math.sqrt(tail))
+    else:
+        C = 1.0 / (2.0 * math.sqrt(a) * math.sqrt(1.0 + _sinhc(z)))
+    return WavefunctionNorm(C=C, beta=beta, a=a)
 
 
 def wavefunction(x: float, norm: WavefunctionNorm) -> float:
@@ -127,15 +159,54 @@ def probability_interval(a: float, beta: float, gamma: float) -> ProbabilityResu
         raise DomainError(f"decay constant must be non-negative, got {beta}")
     z = 2.0 * a * beta
     if z < _TAYLOR_Z:
-        # (z g + sinh(z g)) / (z + sinh z) via the series of sinh
-        zg = z * gamma
-        num = gamma * (2.0 + zg * zg / 6.0 + zg ** 4 / 120.0)
-        den = 2.0 + z * z / 6.0 + z ** 4 / 120.0
-        r = num / den
+        r = _r_series(z, gamma)
+    elif z <= _EXP_Z:
+        r = _r_sinh(z, gamma, math)
     else:
-        r = (z * gamma + math.sinh(z * gamma)) / (z + math.sinh(z))
+        r = _r_exp(z, gamma, math)
     return ProbabilityResult(probability=r, gamma=gamma,
                              method=ProbabilityMethod.CLOSED_FORM)
+
+
+def probability_columns(
+    a: np.ndarray, K: np.ndarray, coeffs: FitCoefficients,
+    m: np.ndarray, V0: np.ndarray, gamma: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, fit_out_of_range) for equal-length arrays, beta from the fit.
+
+    The array counterpart of beta_from_fit plus probability_interval.  Rows
+    where the fit predicts E > V0 are flagged instead of raising and their
+    R is NaN; the other rows get the closed form and the same domain checks.
+    """
+    n = a / K
+    bad = np.flatnonzero(~(np.isfinite(n) & (n > 0.0)))
+    if bad.size:
+        raise DomainError(f"strength n must be positive, got {n[bad[0]]}")
+    with np.errstate(over="ignore"):
+        # An overflowing series is out of range or caught below.
+        bracket = 1.0 - _series_value(coeffs.c, n)
+    out_of_range = bracket < 0.0
+    rows = np.flatnonzero(~out_of_range)
+    g = gamma[rows]
+    bad = np.flatnonzero(~((0.0 <= g) & (g <= 1.0)))
+    if bad.size:
+        raise DomainError(f"gamma must lie in [0, 1], got {g[bad[0]]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A non-finite bracket or beta makes R non-finite, reported below.
+        beta = np.sqrt(2.0 * m[rows] * V0[rows] * bracket[rows]) / CONSTANTS.hbar
+        z = 2.0 * a[rows] * beta
+        r = np.empty_like(z)
+        series, exp = z < _TAYLOR_Z, z > _EXP_Z
+        closed = ~(series | exp)
+        r[series] = _r_series(z[series], g[series])
+        r[closed] = _r_sinh(z[closed], g[closed], np)
+        r[exp] = _r_exp(z[exp], g[exp], np)
+    bad = np.flatnonzero(~np.isfinite(r))
+    if bad.size:
+        raise NumericalError(f"R is not finite at a/K = {n[rows[bad[0]]]:.6g}")
+    R = np.full_like(n, math.nan)
+    R[rows] = r
+    return R, out_of_range
 
 
 def probability_small_beta(a: float, beta: float, gamma: float) -> ProbabilityResult:

@@ -1,7 +1,8 @@
 """Independent numerical oracles for the test suite.
 
 Deliberately primitive implementations, sharing no code with the package:
-plain bisection, recursive adaptive Simpson, central differences.  These are
+plain bisection, recursive adaptive Simpson, central differences, and
+decimal arithmetic where doubles would overflow.  These are
 the reference against which production closed forms are validated; keep them
 boring.
 """
@@ -9,6 +10,7 @@ boring.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from typing import Callable
 
 
@@ -44,6 +46,38 @@ def even_root_oracle(n: float) -> float:
         return x * math.sin(x) - math.cos(x) * math.sqrt(max(n * n - x * x, 0.0))
 
     return bisect_root(g, 1e-300, min(0.5 * math.pi, n))
+
+
+def branch_root_oracle(n: float, branch: int) -> float:
+    """Root on branch k >= 1 by bisection of the cos-multiplied form over
+    (k*pi, min(k*pi + pi/2, n))."""
+
+    def g(x: float) -> float:
+        return x * math.sin(x) - math.cos(x) * math.sqrt(max(n * n - x * x, 0.0))
+
+    lo = branch * math.pi
+    return bisect_root(g, lo, min(lo + 0.5 * math.pi, n))
+
+
+def _decimal_sinh(z: Decimal) -> Decimal:
+    return (z.exp() - (-z).exp()) / 2
+
+
+def interval_probability_oracle(z: float, gamma: float) -> float:
+    """(z g + sinh(z g)) / (z + sinh z) in 60-digit decimal arithmetic, which
+    does not overflow for any double z."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        zd, zg = Decimal(z), Decimal(z) * Decimal(gamma)
+        return float((zg + _decimal_sinh(zg)) / (zd + _decimal_sinh(zd)))
+
+
+def normalization_oracle(a: float, beta: float) -> float:
+    """C = 1/(2 sqrt(a) sqrt(1 + sinh(z)/z)), z = 2 a beta, in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        z = 2 * Decimal(a) * Decimal(beta)
+        return float(1 / (2 * Decimal(a).sqrt() * (1 + _decimal_sinh(z) / z).sqrt()))
 
 
 def adaptive_simpson(

@@ -235,6 +235,27 @@ class TestSweep:
         rows = out.strip().splitlines()[1:]
         assert all("fit_out_of_range" in row for row in rows)
 
+    def test_large_2a_beta_rows(self, capsys):
+        # 2 a beta reaches ~1e3 here; sinh alone would overflow.
+        code, out, _ = run(capsys, [
+            "sweep", "--param", "width", "--from", "1e-9m", "--to", "1e-8m", "--steps", "3",
+            "--depth", "1000eV", "--mass", "me", "--gamma", "0.5",
+        ])
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert 0.0 <= float(row.split(",")[9]) <= 0.5
+
+    def test_overflowing_pressure_is_a_numerical_error(self, capsys):
+        code, out, err = run(capsys, [
+            "sweep", "--param", "width", "--from", "1e-250m", "--to", "1e-10m", "--steps", "3",
+            "--depth", "13.6058eV", "--mass", "me",
+        ])
+        assert code == 2
+        assert "numerical failure" in err and "pressure" in err
+        assert out == ""
+
     def test_missing_coeffs_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, self.width_args() + ["--coeffs", str(tmp_path / "absent.json")]

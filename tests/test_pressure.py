@@ -7,6 +7,7 @@ from finwell import (
     DomainError,
     FitCoefficients,
     NoRoot,
+    NumericalError,
     PAPER_FIT,
     PoleSingularity,
     Response,
@@ -17,6 +18,7 @@ from finwell import (
     expansion_small_k,
     expansion_small_width,
     pressure_1d,
+    pressure_columns,
     pressure_profile,
 )
 
@@ -59,6 +61,10 @@ class TestPressure1d:
         with pytest.raises(DomainError):
             pressure_1d(a, K, PAPER_FIT, V0)
 
+    def test_overflow_raises(self):
+        with pytest.raises(NumericalError):
+            pressure_1d(1e-200, 1.0, PAPER_FIT, 1.0)
+
 
 class TestDenergyDpressure:
     def test_small_k_limits(self):
@@ -96,6 +102,48 @@ class TestDenergyDpressure:
     def test_bad_variant(self):
         with pytest.raises(DomainError):
             denergy_dpressure(1.0, 1.0, PAPER_FIT, "extrapolated")
+
+    def test_overflow_raises(self):
+        with pytest.raises(NumericalError):
+            denergy_dpressure(1e100, 1.0, PAPER_FIT)
+
+
+class TestPressureColumns:
+    @pytest.mark.parametrize("variant", ["consistent", "printed"])
+    def test_match_scalar(self, variant, hydrogen_scale):
+        K, V0, _ = hydrogen_scale
+        a = np.geomspace(0.01, 1e3, 500) * K
+        ones = np.ones_like(a)
+        p, dedp, near = pressure_columns(a, K * ones, PAPER_FIT, V0 * ones, variant)
+        assert not near.any()
+        for i, ai in enumerate(a.tolist()):
+            assert p[i] == pressure_1d(ai, K, PAPER_FIT, V0)
+            assert dedp[i] == denergy_dpressure(ai, K, PAPER_FIT, variant)
+
+    def test_within_1e9_of_the_pole(self):
+        # Compensated sums keep what math.fsum gives; a plain sum is 3e-7 off
+        # at 1e-9 relative distance and 3e-5 off at 1e-11.
+        t_pole = critical_width(1.0, PAPER_FIT, "numeric").pole_location
+        t = t_pole * (1.0 + np.array([-1e-9, -1e-10, -1e-11, 1e-11, 1e-10, 1e-9]))
+        ones = np.ones_like(t)
+        _, dedp, near = pressure_columns(t, ones, PAPER_FIT, ones)
+        assert not near.any()
+        for ti, got in zip(t.tolist(), dedp.tolist()):
+            assert got == denergy_dpressure(ti, 1.0, PAPER_FIT)
+
+    def test_pole_is_flagged(self):
+        t_pole = critical_width(1.0, PAPER_FIT, "numeric").pole_location
+        t = np.array([1.0, t_pole, 2.0])
+        ones = np.ones_like(t)
+        _, dedp, near = pressure_columns(t, ones, PAPER_FIT, ones)
+        assert near.tolist() == [False, True, False]
+        assert math.isnan(dedp[1]) and np.isfinite(dedp[[0, 2]]).all()
+
+    @pytest.mark.parametrize("t", [1e-200, 1e100])
+    def test_overflow_raises(self, t):
+        ones = np.ones(2)
+        with pytest.raises(NumericalError):
+            pressure_columns(np.array([1.0, t]), ones, PAPER_FIT, ones)
 
 
 class TestSmallWidthExpansion:

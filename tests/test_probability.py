@@ -20,6 +20,7 @@ from finwell import (
     eval_fit,
     normalization_constant,
     pressure_1d,
+    probability_columns,
     probability_interval,
     probability_pressure_derivative,
     probability_small_beta,
@@ -27,7 +28,16 @@ from finwell import (
     well_strength,
 )
 
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, interval_probability_oracle, normalization_oracle
+
+EPS = 2.0 ** -52
+# 2 a beta from the Taylor band through the sinh/exp switch at 700 up to 1e4
+LARGE_Z = [1e-5, 1e-3, 0.5, 10.0, 200.0, 699.0, 700.0, 701.0, 710.0, 712.0, 1400.0, 1e4]
+
+
+def z_rtol(z: float) -> float:
+    # exp(z g - z) inherits the rounding of z*g: relative error ~ z eps
+    return 8 * EPS * max(1.0, z)
 
 
 def density(norm):
@@ -171,6 +181,61 @@ class TestProbabilityInterval:
     def test_gamma_domain(self, gamma):
         with pytest.raises(DomainError):
             probability_interval(1.0, 1.0, gamma)
+
+
+class TestOverflowSafeForms:
+    @pytest.mark.parametrize("z", LARGE_Z)
+    def test_interval_against_decimal_oracle(self, z):
+        for gamma in (0.0, 0.1, 0.37, 0.5, 0.9, 0.999, 1.0):
+            got = probability_interval(1.0, z / 2.0, gamma).probability
+            want = interval_probability_oracle(z, gamma)
+            assert abs(got - want) <= z_rtol(z) * want
+            assert 0.0 <= got <= gamma
+
+    @pytest.mark.parametrize("z", LARGE_Z)
+    def test_exact_endpoints(self, z):
+        assert probability_interval(1.0, z / 2.0, 0.0).probability == 0.0
+        assert probability_interval(1.0, z / 2.0, 1.0).probability == 1.0
+
+    def test_published_overflow_case(self):
+        r = probability_interval(1.0, 356.0, 0.5).probability
+        assert r == pytest.approx(interval_probability_oracle(712.0, 0.5), rel=1e-13)
+
+    @pytest.mark.parametrize("z", LARGE_Z)
+    def test_normalization_against_decimal_oracle(self, z):
+        for a in (1e-10, 1.0):
+            got = normalization_constant(a, z / (2.0 * a)).C
+            assert got == pytest.approx(normalization_oracle(a, z / (2.0 * a)), rel=z_rtol(z))
+
+    def test_columns_match_scalar(self, hydrogen_scale):
+        K, V0, m = hydrogen_scale
+        a = np.geomspace(0.7, 2e4, 400) * K
+        rng = np.random.default_rng(5)
+        gamma = rng.uniform(0.0, 1.0, a.size)
+        gamma[:2] = (0.0, 1.0)
+        ones = np.ones_like(a)
+        R, out = probability_columns(a, K * ones, PAPER_FIT, m * ones, V0 * ones, gamma)
+        assert not out.any()
+        for i, (ai, gi) in enumerate(zip(a.tolist(), gamma.tolist())):
+            beta = beta_from_fit(ai, K, PAPER_FIT, m, V0)
+            want = probability_interval(ai, beta, gi).probability
+            assert abs(R[i] - want) <= 8 * math.ulp(want), (ai / K, gi)
+        assert R[0] == 0.0 and R[1] == 1.0
+
+    def test_columns_flag_out_of_range(self, hydrogen_scale):
+        K, V0, m = hydrogen_scale
+        above_one = FitCoefficients(c=(2.0, 0, 0, 0, 0, 0), sigma=0.0, source="refit")
+        ones = np.ones(3)
+        R, out = probability_columns(ones * K, ones * K, above_one, ones * m, ones * V0, ones * 0.5)
+        assert out.all()
+        assert np.isnan(R).all()
+
+    def test_columns_gamma_domain(self, hydrogen_scale):
+        K, V0, m = hydrogen_scale
+        ones = np.ones(2)
+        with pytest.raises(DomainError, match="gamma"):
+            probability_columns(ones * K, ones * K, PAPER_FIT, ones * m, ones * V0,
+                                np.array([0.5, 1.5]))
 
 
 class TestProbabilitySmallBeta:

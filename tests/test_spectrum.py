@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finwell import (
     CONSTANTS,
@@ -10,12 +12,15 @@ from finwell import (
     WellConfig,
     energy_exact,
     energy_ratio,
+    ground_states,
     hydrogen_well,
     solve_even_root,
+    solve_ground_roots,
     well_strength,
 )
+from finwell.cli import main
 
-from oracles import even_root_oracle
+from oracles import branch_root_oracle, even_root_oracle
 
 # frozen from the bisection oracle
 XI_N2 = 1.0298665293222586
@@ -123,6 +128,77 @@ class TestSolveEvenRoot:
     def test_negative_branch(self):
         with pytest.raises(DomainError):
             solve_even_root(2.0, branch=-1)
+
+
+class TestRootAcceptance:
+    """Roots the former xi*tan(xi) residual test rejected, against the oracles."""
+
+    def test_deep_wells(self):
+        for n in np.geomspace(1.0, 1e8, 401).tolist():
+            xi = solve_even_root(n)
+            assert abs(xi - even_root_oracle(n)) <= 2 * math.ulp(xi), n
+
+    @pytest.mark.parametrize("k", range(1, 40))
+    def test_just_above_branch_threshold(self, k):
+        for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.1):
+            n = k * math.pi + eps
+            xi = solve_even_root(n, k)
+            assert abs(xi - branch_root_oracle(n, k)) <= 2 * math.ulp(xi), (n, k)
+
+    @pytest.mark.parametrize("n", [1e-300, 1e-100, 1e-9])
+    def test_tiny_strength(self, n):
+        assert solve_even_root(n) == n
+        assert energy_ratio(n) == 1.0
+
+    @pytest.mark.parametrize("n", [1e-8, 1e-5, 9.99e-4, 1e-3])
+    def test_series_meets_iteration(self, n):
+        assert abs(solve_even_root(n) - even_root_oracle(n)) <= 2 * math.ulp(n)
+
+    def test_huge_strength_is_half_pi(self):
+        for n in (1e20, 1e200, 1.7e308):
+            assert solve_even_root(n) == 0.5 * math.pi
+        assert solve_ground_roots(np.array([1e20, 1e200, 1.7e308])).tolist() == [0.5 * math.pi] * 3
+
+    def test_deep_well_cli(self, capsys):
+        assert main(["spectrum", "--width", "1e-3m", "--depth", "1eV", "--mass", "me"]) == 0
+        capsys.readouterr()
+
+
+class TestBatchedRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(math.log(1e-12), math.log(1e12)), min_size=1, max_size=40))
+    def test_matches_scalar_solver(self, logs):
+        n = np.exp(np.array(logs))
+        xi = solve_ground_roots(n)
+        for ni, got in zip(n.tolist(), xi.tolist()):
+            want = solve_even_root(ni)
+            assert abs(got - want) <= 2 * math.ulp(want), ni
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_strength(self, bad):
+        with pytest.raises(DomainError):
+            solve_ground_roots(np.array([1.0, bad]))
+
+    def test_ground_states_match_energy_exact(self, hydrogen_scale):
+        K, V0, m = hydrogen_scale
+        a = np.geomspace(0.05, 200.0, 300) * K
+        states = ground_states(a, np.full_like(a, V0), np.full_like(a, m))
+        for i, width in enumerate(a.tolist()):
+            cfg = WellConfig(width, V0, m)
+            strength = well_strength(cfg)
+            state = energy_exact(cfg)
+            assert states.strength[i] == strength.strength
+            assert states.characteristic_length[i] == strength.characteristic_length
+            assert abs(states.xi[i] - state.xi) <= 2 * math.ulp(state.xi)
+            assert abs(states.energy[i] - state.energy) <= 8 * math.ulp(state.energy)
+
+    @pytest.mark.parametrize("field", ["half_width", "depth", "mass"])
+    def test_ground_states_domain(self, field):
+        cols = {"half_width": np.ones(3) * 1e-10, "depth": np.ones(3) * 1e-18,
+                "mass": np.ones(3) * 1e-30}
+        cols[field] = np.array([1.0, -2.0, 0.0]) * cols[field]
+        with pytest.raises(DomainError, match=f"{field} must be positive and finite, got -"):
+            ground_states(**cols)
 
 
 class TestEnergyExact:
