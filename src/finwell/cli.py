@@ -22,8 +22,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DomainError,
     MalformedNumber,
@@ -126,6 +124,7 @@ class SweepSpec:
             raise DomainError("log scale requires a positive start")
 
     def values(self) -> np.ndarray:
+        import numpy as np
         if self.scale == "log":
             return np.geomspace(self.start.value, self.stop.value, self.steps)
         return np.linspace(self.start.value, self.stop.value, self.steps)
@@ -376,6 +375,7 @@ def _sweep_rows(
     coeffs: FitCoefficients,
     variant: str,
 ) -> SweepTable:
+    import numpy as np
     values = spec.values()
     steps = len(values)
     params = {**base, "gamma": gamma, spec.parameter: values}

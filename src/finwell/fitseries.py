@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, SingularSystem
 from .spectrum import energy_ratio
 
@@ -52,6 +50,7 @@ class FitGrid:
             )
 
     def points(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(self.n_start, self.n_stop, self.n_count)
 
 
@@ -115,6 +114,7 @@ def fit_inverse_poly(
     equations; the system is ill-conditioned near n = 1.  sigma is the RMS
     residual over the input points.
     """
+    import numpy as np
     if len(points) < 2 * N_COEFFS:
         raise DomainError(f"need at least {2 * N_COEFFS} points, got {len(points)}")
     ns = np.array([p[0] for p in points], dtype=float)

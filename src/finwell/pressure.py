@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, NoRoot, NumericalError, PoleSingularity
 from .fitseries import FitCoefficients
 
@@ -113,15 +111,30 @@ def _check_variant(variant: str) -> None:
         raise DomainError(f"variant must be 'printed' or 'consistent', got {variant!r}")
 
 
+def _rational_coefficients(c, variant: str = "consistent") -> tuple[tuple, tuple]:
+    # Ascending coefficients in t = a/K of the dE/dP numerator and denominator.
+    lead = 2.0 * c[1] if variant == "printed" else c[1]
+    return (
+        (5.0 * c[5], 4.0 * c[4], 3.0 * c[3], 2.0 * c[2], c[1]),
+        (15.0 * c[5], 10.0 * c[4], 6.0 * c[3], 3.0 * c[2], lead),
+    )
+
+
 def _rational_terms(t, c, variant: str) -> tuple[tuple, tuple]:
     # Numerator and denominator terms of dE/dP in t = a/K; floats or arrays.
     # Powers by multiplication: numpy's ** may round differently from libm.
-    lead = 2.0 * c[1] if variant == "printed" else c[1]
+    num, den = _rational_coefficients(c, variant)
     t2 = t * t
     t3, t4 = t2 * t, t2 * t2
-    num_terms = (5.0 * c[5], 4.0 * c[4] * t, 3.0 * c[3] * t2, 2.0 * c[2] * t3, c[1] * t4)
-    den_terms = (15.0 * c[5], 10.0 * c[4] * t, 6.0 * c[3] * t2, 3.0 * c[2] * t3, lead * t4)
-    return num_terms, den_terms
+    return (
+        (num[0], num[1] * t, num[2] * t2, num[3] * t3, num[4] * t4),
+        (den[0], den[1] * t, den[2] * t2, den[3] * t3, den[4] * t4),
+    )
+
+
+def _small_width_zero(c, K: float) -> float | None:
+    # a0 = -7.5 (c5/c4) K, the zero of the small-width expansion; None if c4 = 0.
+    return None if c[4] == 0.0 else -7.5 * (c[5] / c[4]) * K
 
 
 def _rational_parts(
@@ -143,6 +156,7 @@ def _neumaier_sum(terms: tuple) -> np.ndarray:
     # Neumaier's compensated sum of scalar or array terms; it keeps the
     # accuracy of math.fsum where they cancel, next to the zero and the pole
     # of dE/dP, where a plain sum is off by 3e-7 at 1e-9 from the pole.
+    import numpy as np
     total = np.zeros(np.broadcast(*terms).shape)
     carry = np.zeros_like(total)
     for term in terms:
@@ -181,6 +195,7 @@ def pressure_columns(
     formulas and pole rule, with dE/dP NaN where near_pole is set.  Raises
     NumericalError when a row's P or dE/dP leaves the float range.
     """
+    import numpy as np
     _check_variant(variant)
     c = coeffs.c
     t = a / K
@@ -223,8 +238,7 @@ def expansion_small_k(
     _check_positive(a=a)
     if not math.isfinite(K) or K < 0.0:
         raise DomainError(f"K must be non-negative and finite, got {K}")
-    if variant not in ("printed", "consistent"):
-        raise DomainError(f"variant must be 'printed' or 'consistent', got {variant!r}")
+    _check_variant(variant)
     c = coeffs.c
     if c[1] == 0.0:
         raise DomainError("small-K expansion needs c1 != 0")
@@ -285,10 +299,7 @@ def critical_width(
     both are reported, neither is silently preferred.
     """
     _check_positive(K=K)
-    c = coeffs.c
-    a0_paper = None
-    if c[4] != 0.0:
-        a0_paper = -7.5 * (c[5] / c[4]) * K
+    a0_paper = _small_width_zero(coeffs.c, K)
     if method == "paper":
         if a0_paper is None:
             raise DomainError("paper-method critical width needs c4 != 0")
@@ -301,8 +312,7 @@ def critical_width(
     if method != "numeric":
         raise DomainError(f"method must be 'paper' or 'numeric', got {method!r}")
 
-    numerator = (5.0 * c[5], 4.0 * c[4], 3.0 * c[3], 2.0 * c[2], c[1])
-    denominator = (15.0 * c[5], 10.0 * c[4], 6.0 * c[3], 3.0 * c[2], c[1])
+    numerator, denominator = _rational_coefficients(coeffs.c)
     t_zero = _scan_smallest_root(numerator)
     if t_zero is None:
         raise NoRoot(f"dE/dP numerator has no root in t = a/K on (0, {_SCAN_MAX_T}]")
@@ -323,9 +333,9 @@ def classify_response(a: float, K: float, coeffs: FitCoefficients) -> ResponseRe
     inequality.
     """
     _check_positive(a=a, K=K)
-    if coeffs.c[4] == 0.0:
+    a0 = _small_width_zero(coeffs.c, K)
+    if a0 is None:
         raise DomainError("classification needs c4 != 0")
-    a0 = -7.5 * (coeffs.c[5] / coeffs.c[4]) * K
     at_boundary = abs(a - a0) <= TIE_RTOL * max(abs(a), abs(a0))
     if a < a0 and not at_boundary:
         outcome = Response.IONIZES

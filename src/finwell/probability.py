@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, FitOutOfRange, NumericalError, PoleSingularity
 from .fitseries import FitCoefficients, _series_value, eval_fit
 from .pressure import pressure_1d
@@ -122,16 +120,28 @@ def beta_from_fit(
     return math.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar
 
 
-def normalization_constant(a: float, beta: float) -> WavefunctionNorm:
-    """C such that the interval probability over the whole well is one."""
+def _well_z(a: float, beta: float) -> float:
+    """z = 2 a beta, after the domain checks on a and beta."""
     if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"half-width must be positive, got {a}")
+        raise DomainError(f"half-width must be positive and finite, got {a}")
     if not math.isfinite(beta) or beta < 0.0:
-        raise DomainError(f"decay constant must be non-negative, got {beta}")
+        raise DomainError(f"decay constant must be non-negative and finite, got {beta}")
     z = 2.0 * a * beta
+    if z == math.inf:
+        raise NumericalError(f"2 a beta overflows at a = {a:.6g} m, beta = {beta:.6g} 1/m")
+    return z
+
+
+def normalization_constant(a: float, beta: float) -> WavefunctionNorm:
+    """C such that the interval probability over the whole well is one.
+
+    C underflows to 0.0 from 2 a beta of about 1490 upwards, as it should.
+    """
+    z = _well_z(a, beta)
     if z > _EXP_Z:
-        # 1 + sinh(z)/z = exp(z) * (exp(-z) - expm1(-2z)/(2z))
-        tail = math.exp(-z) - math.expm1(-2.0 * z) / (2.0 * z)
+        # 1 + sinh(z)/z = exp(z) * (exp(-z) - expm1(-2z)/(2z)); halving
+        # before dividing by z keeps the term finite where 2z overflows.
+        tail = math.exp(-z) - 0.5 * math.expm1(-2.0 * z) / z
         C = math.exp(-0.5 * z) / (2.0 * math.sqrt(a) * math.sqrt(tail))
     else:
         C = 1.0 / (2.0 * math.sqrt(a) * math.sqrt(1.0 + _sinhc(z)))
@@ -139,10 +149,20 @@ def normalization_constant(a: float, beta: float) -> WavefunctionNorm:
 
 
 def wavefunction(x: float, norm: WavefunctionNorm) -> float:
-    """u(x) = 2 C cosh(beta x)  [m^-1/2], defined on |x| <= a."""
-    if abs(x) > norm.a:
+    """u(x) = 2 C cosh(beta x)  [m^-1/2], defined on |x| <= a.
+
+    Raises NumericalError when u leaves the float range.
+    """
+    if not abs(x) <= norm.a:
         raise DomainError(f"|x| = {abs(x):.6g} outside the well half-width {norm.a:.6g}")
-    return 2.0 * norm.C * math.cosh(norm.beta * x)
+    try:
+        cosh = math.cosh(norm.beta * x)
+    except OverflowError:
+        cosh = math.inf
+    u = 2.0 * norm.C * cosh
+    if not math.isfinite(u):
+        raise NumericalError(f"u(x) overflows at beta*x = {norm.beta * x:.6g}")
+    return u
 
 
 def _check_gamma(gamma: float) -> None:
@@ -153,11 +173,7 @@ def _check_gamma(gamma: float) -> None:
 def probability_interval(a: float, beta: float, gamma: float) -> ProbabilityResult:
     """Closed-form probability of |x| <= gamma*a."""
     _check_gamma(gamma)
-    if a <= 0.0:
-        raise DomainError(f"half-width must be positive, got {a}")
-    if beta < 0.0:
-        raise DomainError(f"decay constant must be non-negative, got {beta}")
-    z = 2.0 * a * beta
+    z = _well_z(a, beta)
     if z < _TAYLOR_Z:
         r = _r_series(z, gamma)
     elif z <= _EXP_Z:
@@ -178,6 +194,7 @@ def probability_columns(
     where the fit predicts E > V0 are flagged instead of raising and their
     R is NaN; the other rows get the closed form and the same domain checks.
     """
+    import numpy as np
     n = a / K
     bad = np.flatnonzero(~(np.isfinite(n) & (n > 0.0)))
     if bad.size:
@@ -212,12 +229,10 @@ def probability_columns(
 def probability_small_beta(a: float, beta: float, gamma: float) -> ProbabilityResult:
     """Small-beta expansion R = gamma (1 + (a beta)^2 (gamma^2 - 1)/3)."""
     _check_gamma(gamma)
-    if a <= 0.0:
-        raise DomainError(f"half-width must be positive, got {a}")
-    if beta < 0.0:
-        raise DomainError(f"decay constant must be non-negative, got {beta}")
-    ab = a * beta
+    ab = 0.5 * _well_z(a, beta)
     r = gamma * (1.0 + ab * ab * (gamma * gamma - 1.0) / 3.0)
+    if not math.isfinite(r):
+        raise NumericalError(f"small-beta expansion overflows at a*beta = {ab:.6g}")
     return ProbabilityResult(probability=r, gamma=gamma,
                              method=ProbabilityMethod.SMALL_BETA)
 

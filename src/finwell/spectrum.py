@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceFailure, DomainError, NoSuchBranch
 from .units import CONSTANTS, HYDROGEN_DEPTH, HYDROGEN_HALF_WIDTH, HYDROGEN_MASS
 
@@ -213,6 +211,7 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     backward error), or a bracket of at most ROOT_ULPS_BRACKET ulps.  Below
     SERIES_STRENGTH the root comes from its series, as in solve_even_root.
     """
+    import numpy as np
     n = np.asarray(n, dtype=float)
     bad = ~(np.isfinite(n) & (n > 0.0))
     if bad.any():
@@ -277,6 +276,7 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
 
 def _check_positive_columns(**columns: np.ndarray) -> None:
     # The WellConfig check, reporting the first offending row.
+    import numpy as np
     bad = [~(np.isfinite(v) & (v > 0.0)) for v in columns.values()]
     rows = np.flatnonzero(np.logical_or.reduce(bad))
     if rows.size:
@@ -294,6 +294,7 @@ def ground_states(
     The array counterpart of well_strength plus energy_exact: the same
     domain checks and formulas, with one batched root solve.
     """
+    import numpy as np
     _check_positive_columns(half_width=half_width, depth=depth, mass=mass)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         # 2 m V0 may leave the float range; n then fails the domain check

@@ -1,0 +1,54 @@
+"""The scalar commands run without importing numpy.
+
+Only the array paths (the sweep and the least-squares refit) import numpy,
+inside the functions that build arrays; a module-level `import numpy` in any
+finwell module would load it for every command and double the start-up time.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import finwell
+
+SRC = str(Path(finwell.__file__).resolve().parent.parent)
+
+
+def cli_call(*argv: str) -> str:
+    return f"from finwell.cli import main; assert main({list(argv)!r}) == 0"
+
+
+NUMPY_FREE = {
+    "import finwell": "import finwell",
+    "import finwell.cli": "import finwell.cli",
+    "hydrogen": cli_call("hydrogen"),
+    "verify": cli_call("verify"),
+    "fit --paper": cli_call("fit", "--paper"),
+    "spectrum --preset": cli_call("spectrum", "--preset", "hydrogen"),
+    "spectrum --branch 1": cli_call(
+        "spectrum", "--branch", "1", "--width", "2e-9m", "--depth", "20eV", "--mass", "me"
+    ),
+}
+
+
+def numpy_loaded_after(code: str) -> bool:
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("code", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+def test_scalar_path_does_not_import_numpy(code):
+    assert not numpy_loaded_after(code)
+
+
+def test_array_commands_still_run():
+    sweep = ("sweep", "--param", "width", "--from", "1e-10m", "--to", "2e-10m",
+             "--steps", "3", "--depth", "13.6eV", "--mass", "me", "--gamma", "0.5")
+    assert numpy_loaded_after(f"{cli_call('fit')}\n{cli_call(*sweep)}")

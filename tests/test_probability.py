@@ -8,6 +8,7 @@ from finwell import (
     DomainError,
     FitCoefficients,
     FitOutOfRange,
+    NumericalError,
     PAPER_FIT,
     PoleSingularity,
     ProbabilityMethod,
@@ -181,6 +182,46 @@ class TestProbabilityInterval:
     def test_gamma_domain(self, gamma):
         with pytest.raises(DomainError):
             probability_interval(1.0, 1.0, gamma)
+
+
+class TestNonFiniteInputs:
+    # Each of these returned nan or -inf, or raised a raw Python error.
+    @pytest.mark.parametrize("call", [
+        lambda: probability_interval(1.0, math.nan, 0.5),
+        lambda: probability_interval(math.inf, 1.0, 0.5),
+        lambda: probability_small_beta(1.0, math.inf, 0.5),
+        lambda: probability_small_beta(math.nan, 1.0, 0.5),
+    ])
+    def test_non_finite_input_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: probability_interval(1.0, 1e308, 0.5),
+        lambda: probability_small_beta(1.0, 1e308, 0.5),
+        lambda: normalization_constant(1.0, 1e308),
+    ])
+    def test_overflowing_2_a_beta_is_a_numerical_error(self, call):
+        with pytest.raises(NumericalError, match="overflows"):
+            call()
+
+    def test_small_beta_square_overflow(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            probability_small_beta(1.0, 1e160, 0.5)
+
+    def test_normalization_underflows_where_2z_overflows(self):
+        # 2 a beta = 1.2e308 is finite, twice it is not; C rounds to zero.
+        assert normalization_constant(1.0, 6e307).C == 0.0
+
+    def test_wavefunction_overflow(self):
+        norm = normalization_constant(1.0, 1000.0)
+        assert norm.C == 0.0  # exp(-1000) underflows: correct rounding
+        with pytest.raises(NumericalError, match="overflows"):
+            wavefunction(1.0, norm)
+
+    def test_wavefunction_nan_position(self):
+        with pytest.raises(DomainError):
+            wavefunction(math.nan, normalization_constant(1.0, 1.0))
 
 
 class TestOverflowSafeForms:
