@@ -18,6 +18,7 @@ Columns that do not apply stay empty; flags are semicolon-separated.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -359,12 +360,11 @@ class SweepTable:
         return len(self.flags)
 
 
-# (near_pole, fit_out_of_range) -> the row's flags
+_FLAG_NAMES = ("overflow", "near_pole", "fit_out_of_range")
+# A row's flags, keyed by its value of each mask named in _FLAG_NAMES.
 _ROW_FLAGS = {
-    (False, False): (),
-    (True, False): ("near_pole",),
-    (False, True): ("fit_out_of_range",),
-    (True, True): ("near_pole", "fit_out_of_range"),
+    key: tuple(name for name, on in zip(_FLAG_NAMES, key) if on)
+    for key in itertools.product((False, True), repeat=len(_FLAG_NAMES))
 }
 
 
@@ -384,7 +384,7 @@ def _sweep_rows(
                    for k in ("width", "depth", "mass", "gamma"))
     states = ground_states(a, V0, m)
     K = states.characteristic_length
-    p, dedp, near_pole = pressure_columns(a, K, coeffs, V0, variant)
+    p, dedp, near_pole, overflow = pressure_columns(a, K, coeffs, V0, variant)
     if g is None:
         R, out_of_range = None, np.zeros(steps, dtype=bool)
     else:
@@ -406,11 +406,12 @@ def _sweep_rows(
             "xi": states.xi.tolist(),
             "E_J": states.energy.tolist(),
             "E_over_V0": (states.energy / V0).tolist(),
-            "P_N": p.tolist(),
-            "dEdP_m": cells(dedp, near_pole),
+            "P_N": cells(p, overflow),
+            "dEdP_m": cells(dedp, near_pole | overflow),
             "R": cells(R, out_of_range),
         },
-        flags=[_ROW_FLAGS[k] for k in zip(near_pole.tolist(), out_of_range.tolist())],
+        flags=[_ROW_FLAGS[k] for k in zip(
+            overflow.tolist(), near_pole.tolist(), out_of_range.tolist())],
     )
 
 

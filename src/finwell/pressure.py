@@ -188,33 +188,31 @@ def denergy_dpressure(
 def pressure_columns(
     a: np.ndarray, K: np.ndarray, coeffs: FitCoefficients, V0: np.ndarray,
     variant: str = "consistent",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P, dE/dP, near_pole) for equal-length arrays of a, K and V0.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(P, dE/dP, near_pole, overflow) for equal-length arrays of a, K and V0.
 
     The array counterpart of pressure_1d and denergy_dpressure: the same
-    formulas and pole rule, with dE/dP NaN where near_pole is set.  Raises
-    NumericalError when a row's P or dE/dP leaves the float range.
+    formulas and pole rule, with dE/dP NaN where near_pole is set.  Where a
+    row's P or dE/dP leaves the float range, overflow is set instead of
+    raising, and both values are NaN.
     """
     import numpy as np
     _check_variant(variant)
     c = coeffs.c
     t = a / K
     with np.errstate(over="ignore", invalid="ignore"):
-        # Rows that overflow are reported below.
+        # Rows that overflow are flagged below.
         pressure = _pressure(a, K, c, V0)
         num_terms, den_terms = _rational_terms(t, c, variant)
         num, den = _neumaier_sum(num_terms), _neumaier_sum(den_terms)
-    for name, finite in (("pressure", np.isfinite(pressure)),
-                         ("dE/dP", np.isfinite(num) & np.isfinite(den))):
-        bad = np.flatnonzero(~finite)
-        if bad.size:
-            raise NumericalError(f"{name} overflows at a/K = {t[bad[0]]:.6g}")
-    scale = np.abs(np.broadcast_arrays(*den_terms)).max(axis=0)
-    near_pole = (np.abs(den) < POLE_RTOL * scale) | (den == 0.0)
+        scale = np.abs(np.broadcast_arrays(*den_terms)).max(axis=0)
+    overflow = ~(np.isfinite(pressure) & np.isfinite(num) & np.isfinite(den))
+    near_pole = ~overflow & ((np.abs(den) < POLE_RTOL * scale) | (den == 0.0))
     dedp = np.full_like(t, math.nan)
-    ok = ~near_pole
+    ok = ~(near_pole | overflow)
     dedp[ok] = 0.5 * a[ok] * num[ok] / den[ok]
-    return pressure, dedp, near_pole
+    pressure[overflow] = math.nan
+    return pressure, dedp, near_pole, overflow
 
 
 def expansion_small_width(a: float, K: float, coeffs: FitCoefficients) -> float:

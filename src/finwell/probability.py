@@ -132,6 +132,12 @@ def _well_z(a: float, beta: float) -> float:
     return z
 
 
+def _exp_tail(z: float) -> float:
+    # 1 + sinh(z)/z = exp(z) * (exp(-z) - expm1(-2z)/(2z)); halving before
+    # dividing by z keeps the term finite where 2z overflows.
+    return math.exp(-z) - 0.5 * math.expm1(-2.0 * z) / z
+
+
 def normalization_constant(a: float, beta: float) -> WavefunctionNorm:
     """C such that the interval probability over the whole well is one.
 
@@ -139,10 +145,7 @@ def normalization_constant(a: float, beta: float) -> WavefunctionNorm:
     """
     z = _well_z(a, beta)
     if z > _EXP_Z:
-        # 1 + sinh(z)/z = exp(z) * (exp(-z) - expm1(-2z)/(2z)); halving
-        # before dividing by z keeps the term finite where 2z overflows.
-        tail = math.exp(-z) - 0.5 * math.expm1(-2.0 * z) / z
-        C = math.exp(-0.5 * z) / (2.0 * math.sqrt(a) * math.sqrt(tail))
+        C = math.exp(-0.5 * z) / (2.0 * math.sqrt(a) * math.sqrt(_exp_tail(z)))
     else:
         C = 1.0 / (2.0 * math.sqrt(a) * math.sqrt(1.0 + _sinhc(z)))
     return WavefunctionNorm(C=C, beta=beta, a=a)
@@ -151,17 +154,26 @@ def normalization_constant(a: float, beta: float) -> WavefunctionNorm:
 def wavefunction(x: float, norm: WavefunctionNorm) -> float:
     """u(x) = 2 C cosh(beta x)  [m^-1/2], defined on |x| <= a.
 
-    Raises NumericalError when u leaves the float range.
+    Above 2 a beta = 700 u is evaluated from a and beta in exp(-z) form, so
+    it stays finite and does not underflow with C.  Raises NumericalError
+    when u leaves the float range.
     """
     if not abs(x) <= norm.a:
         raise DomainError(f"|x| = {abs(x):.6g} outside the well half-width {norm.a:.6g}")
+    a, beta = norm.a, norm.beta
+    z = _well_z(a, beta)
+    if z > _EXP_Z:
+        # 2 cosh(beta x) exp(-a beta) over the rest of C; no exponent is positive.
+        ax = abs(x)
+        return (math.exp(beta * (ax - a)) + math.exp(-beta * (ax + a))) / (
+            2.0 * math.sqrt(a) * math.sqrt(_exp_tail(z)))
     try:
-        cosh = math.cosh(norm.beta * x)
+        cosh = math.cosh(beta * x)
     except OverflowError:
         cosh = math.inf
     u = 2.0 * norm.C * cosh
     if not math.isfinite(u):
-        raise NumericalError(f"u(x) overflows at beta*x = {norm.beta * x:.6g}")
+        raise NumericalError(f"u(x) overflows at beta*x = {beta * x:.6g}")
     return u
 
 
@@ -180,7 +192,8 @@ def probability_interval(a: float, beta: float, gamma: float) -> ProbabilityResu
         r = _r_sinh(z, gamma, math)
     else:
         r = _r_exp(z, gamma, math)
-    return ProbabilityResult(probability=r, gamma=gamma,
+    # R <= gamma holds exactly; next to gamma = 1 rounding can put R an ulp above.
+    return ProbabilityResult(probability=min(r, gamma), gamma=gamma,
                              method=ProbabilityMethod.CLOSED_FORM)
 
 
@@ -218,6 +231,7 @@ def probability_columns(
         r[series] = _r_series(z[series], g[series])
         r[closed] = _r_sinh(z[closed], g[closed], np)
         r[exp] = _r_exp(z[exp], g[exp], np)
+        r = np.minimum(r, g)  # as in probability_interval
     bad = np.flatnonzero(~np.isfinite(r))
     if bad.size:
         raise NumericalError(f"R is not finite at a/K = {n[rows[bad[0]]]:.6g}")

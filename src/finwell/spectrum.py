@@ -113,6 +113,7 @@ def _branch_bracket(n: float, branch: int) -> tuple[float, float]:
 def _stable_residual(xi: float, n: float) -> float:
     # cos(xi) * (xi*tan(xi) - sqrt(n^2 - xi^2)): same roots, no tan pole.
     # sqrt(n - xi) * sqrt(n + xi) neither cancels near xi = n nor overflows.
+    # Evaluated at the bracket ends, where xi = n leaves _newton_step undefined.
     return xi * math.sin(xi) - math.cos(xi) * math.sqrt(n - xi) * math.sqrt(n + xi)
 
 
@@ -121,29 +122,47 @@ def _series_root(n):
     return n - n * n * n * (0.5 - 13.0 / 24.0 * n * n)
 
 
+def _newton_step(x, n, xp):
+    # (f, f/f') of the pole-free residual f = x sin x - cos x sqrt(n^2 - x^2),
+    # for x < n; xp is math for floats, numpy for arrays.
+    sin, cos = xp.sin(x), xp.cos(x)
+    eta = xp.sqrt(n - x) * xp.sqrt(n + x)
+    f = x * sin - cos * eta
+    return f, f / (sin * (1.0 + eta) + x * cos * (1.0 + 1.0 / eta))
+
+
 def _backward_error(xi: float, n: float) -> float:
     """|f|/|f'| of the pole-free residual: how far xi is from its root."""
-    sin, cos = math.sin(xi), math.cos(xi)
-    eta = math.sqrt(n - xi) * math.sqrt(n + xi)
-    if eta == 0.0:
+    if xi == n:
         return 0.0  # f' is infinite where xi meets n
-    slope = sin * (1.0 + eta) + xi * cos * (1.0 + 1.0 / eta)
-    return abs(xi * sin - cos * eta) / abs(slope)
+    return abs(_newton_step(xi, n, math)[1])
 
 
 def _accepted(xi: float, n: float) -> bool:
     return _backward_error(xi, n) <= ROOT_ULPS_BACKWARD * math.ulp(xi)
 
 
+def _convergence_failure(
+    reason: str, n: float, branch: int, iterations: int, lo: float, hi: float, xi: float
+) -> ConvergenceFailure:
+    return ConvergenceFailure(
+        f"{reason} for n={n}, branch={branch}: {iterations} iterations, bracket "
+        f"width {hi - lo:.3e}, backward error {_backward_error(xi, n):.3e} at xi={xi!r}"
+    )
+
+
 def solve_even_root(n: float, branch: int = 0) -> float:
     """Root xi of the even-parity condition on the given branch.
 
-    Bracketed bisection with a safeguarded secant step, applied to the
-    pole-free form xi*sin(xi) - cos(xi)*sqrt(n^2 - xi^2).  The bracket
-    (k*pi, min(k*pi + pi/2, n)) contains exactly one root, at which the
-    residual changes sign monotonically.  A root is accepted by its backward
-    error or its final bracket width (ROOT_ULPS_BACKWARD, ROOT_ULPS_BRACKET);
-    below SERIES_STRENGTH the ground root comes from its series in n.
+    Newton's method on the pole-free form xi*sin(xi) - cos(xi)*sqrt(n^2 - xi^2),
+    kept inside the bracket (k*pi, min(k*pi + pi/2, n)) by bisection.  The
+    bracket contains exactly one root, at which the residual changes sign
+    monotonically.  Branch 0 starts from min(pi/2 * n/(n+1), n/sqrt(1+n)),
+    higher branches from the bracket midpoint.  A root is accepted when its
+    Newton step (the backward error) is at most ROOT_ULPS_BACKWARD ulps or
+    its bracket at most ROOT_ULPS_BRACKET ulps; below SERIES_STRENGTH the
+    ground root comes from its series in n.  solve_ground_roots runs the
+    same iteration on arrays.
     """
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"strength n must be positive, got {n}")
@@ -164,52 +183,47 @@ def solve_even_root(n: float, branch: int = 0) -> float:
         for end in (hi, lo):
             if _accepted(end, n):
                 return end
-        raise ConvergenceFailure(
-            f"no sign change on ({lo!r}, {hi!r}) for n={n}, branch={branch}"
+        raise _convergence_failure(
+            f"no sign change on ({lo!r}, {hi!r})", n, branch, 0, lo, hi,
+            lo if abs(f_lo) < abs(f_hi) else hi,
         )
 
-    x0, f0 = lo, f_lo
-    x1, f1 = hi, f_hi
-    root = 0.5 * (lo + hi)
+    # The residual rises through the root on even branches, falls on odd ones.
+    rising = f_lo < 0.0
+    if branch == 0:
+        x = min(0.5 * math.pi * (n / (n + 1.0)), n / math.sqrt(1.0 + n))
+    else:
+        x = 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
-        # Secant proposal from the two most recent points, guarded to stay
-        # strictly inside the current bracket; otherwise bisect.
-        if f1 != f0:
-            candidate = x1 - f1 * (x1 - x0) / (f1 - f0)
+        f, step = _newton_step(x, n, math)
+        if (f < 0.0) == rising:
+            lo, f_lo = x, f
         else:
-            candidate = 0.5 * (lo + hi)
-        if not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        f_cand = _stable_residual(candidate, n)
-        x0, f0 = x1, f1
-        x1, f1 = candidate, f_cand
-        root = candidate
-        if f_cand == 0.0:
-            break
-        if (f_cand > 0.0) == (f_hi > 0.0):
-            hi, f_hi = candidate, f_cand
-        else:
-            lo, f_lo = candidate, f_cand
-        if hi - lo <= ROOT_ULPS_BRACKET * math.ulp(hi):
+            hi, f_hi = x, f
+        newton = x - step
+        inside = lo < newton < hi
+        if abs(step) <= ROOT_ULPS_BACKWARD * math.ulp(x):
+            if inside:
+                return newton
+            # Just above a branch threshold the root rounds onto xi = n, where
+            # f ~ sqrt(n - xi) makes each step overshoot twice over, so a point
+            # 4 ulp short passes the step test: take the better bracket end.
             return lo if abs(f_lo) < abs(f_hi) else hi
-
-    if not _accepted(root, n):
-        raise ConvergenceFailure(
-            f"backward error {_backward_error(root, n):.3e} of xi={root!r} exceeds "
-            f"{ROOT_ULPS_BACKWARD:g} ulp for n={n}, branch={branch}"
-        )
-    return root
+        if hi - lo <= ROOT_ULPS_BRACKET * math.ulp(hi):
+            return x
+        x = newton if inside else 0.5 * (lo + hi)
+    raise _convergence_failure("root unresolved", n, branch, _MAX_ITER, lo, hi, x)
 
 
 def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     """Branch-0 roots xi for an array of strengths, all solved at once.
 
-    Newton's method on the pole-free residual, kept inside each row's
-    bracket (0, min(pi/2, n)) by bisection, from the start
-    min(pi/2 * n/(n+1), n/sqrt(1+n)).  A row is accepted by the rule of
-    solve_even_root: a Newton step of at most ROOT_ULPS_BACKWARD ulps (the
-    backward error), or a bracket of at most ROOT_ULPS_BRACKET ulps.  Below
-    SERIES_STRENGTH the root comes from its series, as in solve_even_root.
+    The iteration of solve_even_root on every row together: Newton's method
+    on the pole-free residual, kept inside each row's bracket
+    (0, min(pi/2, n)) by bisection, from the start
+    min(pi/2 * n/(n+1), n/sqrt(1+n)), with the same acceptance rule.  Where
+    an accepted Newton point leaves its bracket the row keeps its last
+    iterate.  Below SERIES_STRENGTH the root comes from its series.
     """
     import numpy as np
     n = np.asarray(n, dtype=float)
@@ -227,10 +241,7 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     for _ in range(_MAX_ITER):
         if rows.size == 0:
             return xi
-        sin, cos = np.sin(x), np.cos(x)
-        eta = np.sqrt(m - x) * np.sqrt(m + x)
-        f = x * sin - cos * eta
-        step = f / (sin * (1.0 + eta) + x * cos * (1.0 + 1.0 / eta))
+        f, step = _newton_step(x, m, np)
         below = f < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
@@ -244,9 +255,9 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
         x = np.where(inside, newton, 0.5 * (lo + hi))[keep]
         rows, m, lo, hi = rows[keep], m[keep], lo[keep], hi[keep]
     if rows.size:
-        raise ConvergenceFailure(
-            f"{rows.size} ground roots unresolved after {_MAX_ITER} steps, "
-            f"first at n={n[rows[0]]}"
+        raise _convergence_failure(
+            f"{rows.size} ground roots unresolved, the first", float(m[0]), 0,
+            _MAX_ITER, float(lo[0]), float(hi[0]), float(x[0]),
         )
     return xi
 

@@ -4,7 +4,16 @@ import sys
 
 import pytest
 
-from finwell import PAPER_FIT, critical_width, load_coefficients, well_strength, hydrogen_well
+from finwell import (
+    PAPER_FIT,
+    NumericalError,
+    critical_width,
+    denergy_dpressure,
+    hydrogen_well,
+    load_coefficients,
+    pressure_1d,
+    well_strength,
+)
 from finwell.cli import CSV_HEADER, main
 
 HYDROGEN_FLAGS = ["--width", "0.529angstrom", "--depth", "13.6058eV", "--mass", "me"]
@@ -248,13 +257,36 @@ class TestSweep:
             assert 0.0 <= float(row.split(",")[9]) <= 0.5
 
     def test_overflowing_pressure_is_a_numerical_error(self, capsys):
+        # P overflows in the first row only: that row is flagged and the rest print.
         code, out, err = run(capsys, [
             "sweep", "--param", "width", "--from", "1e-250m", "--to", "1e-10m", "--steps", "3",
             "--depth", "13.6058eV", "--mass", "me",
         ])
+        assert code == 0
+        assert err == ""
+        rows = [dict(zip(CSV_HEADER, line.split(","))) for line in out.strip().splitlines()[1:]]
+        assert [row["flags"] for row in rows] == ["overflow", "", ""]
+        assert rows[0]["P_N"] == rows[0]["dEdP_m"] == ""
+        V0 = hydrogen_well().depth
+        for row in rows[1:]:
+            a, K = float(row["a_m"]), float(row["K_m"])
+            assert row["P_N"] == repr(pressure_1d(a, K, PAPER_FIT, V0))
+            assert row["dEdP_m"] == repr(denergy_dpressure(a, K, PAPER_FIT))
+        with pytest.raises(NumericalError):
+            pressure_1d(float(rows[0]["a_m"]), float(rows[0]["K_m"]), PAPER_FIT, V0)
+
+    def test_every_row_overflowing_exits_numerical(self, capsys):
+        code, out, _ = run(capsys, [
+            "sweep", "--param", "width", "--scale", "log", "--from", "1e-170m", "--to", "1e-160m",
+            "--steps", "3", "--depth", "13.6eV", "--mass", "me", "--json",
+        ])
         assert code == 2
-        assert "numerical failure" in err and "pressure" in err
-        assert out == ""
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["flags"] == ["overflow"]
+            assert row["P_N"] is None and row["dEdP_m"] is None
+            assert row["E_over_V0"] == 1.0
 
     def test_missing_coeffs_file(self, capsys, tmp_path):
         code, _, err = run(

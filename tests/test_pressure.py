@@ -114,8 +114,8 @@ class TestPressureColumns:
         K, V0, _ = hydrogen_scale
         a = np.geomspace(0.01, 1e3, 500) * K
         ones = np.ones_like(a)
-        p, dedp, near = pressure_columns(a, K * ones, PAPER_FIT, V0 * ones, variant)
-        assert not near.any()
+        p, dedp, near, overflow = pressure_columns(a, K * ones, PAPER_FIT, V0 * ones, variant)
+        assert not (near | overflow).any()
         for i, ai in enumerate(a.tolist()):
             assert p[i] == pressure_1d(ai, K, PAPER_FIT, V0)
             assert dedp[i] == denergy_dpressure(ai, K, PAPER_FIT, variant)
@@ -126,8 +126,8 @@ class TestPressureColumns:
         t_pole = critical_width(1.0, PAPER_FIT, "numeric").pole_location
         t = t_pole * (1.0 + np.array([-1e-9, -1e-10, -1e-11, 1e-11, 1e-10, 1e-9]))
         ones = np.ones_like(t)
-        _, dedp, near = pressure_columns(t, ones, PAPER_FIT, ones)
-        assert not near.any()
+        _, dedp, near, overflow = pressure_columns(t, ones, PAPER_FIT, ones)
+        assert not (near | overflow).any()
         for ti, got in zip(t.tolist(), dedp.tolist()):
             assert got == denergy_dpressure(ti, 1.0, PAPER_FIT)
 
@@ -135,15 +135,27 @@ class TestPressureColumns:
         t_pole = critical_width(1.0, PAPER_FIT, "numeric").pole_location
         t = np.array([1.0, t_pole, 2.0])
         ones = np.ones_like(t)
-        _, dedp, near = pressure_columns(t, ones, PAPER_FIT, ones)
+        _, dedp, near, overflow = pressure_columns(t, ones, PAPER_FIT, ones)
         assert near.tolist() == [False, True, False]
+        assert not overflow.any()
         assert math.isnan(dedp[1]) and np.isfinite(dedp[[0, 2]]).all()
 
     @pytest.mark.parametrize("t", [1e-200, 1e100])
-    def test_overflow_raises(self, t):
-        ones = np.ones(2)
+    def test_overflow_is_flagged(self, t):
+        # P overflows at 1e-200 and the dE/dP terms at 1e100; the scalar
+        # functions raise there, the columns flag the row.
+        a = np.array([1.0, t, 2.0])
+        ones = np.ones_like(a)
+        p, dedp, near, overflow = pressure_columns(a, ones, PAPER_FIT, ones)
+        assert overflow.tolist() == [False, True, False]
+        assert not near.any()
+        assert math.isnan(p[1]) and math.isnan(dedp[1])
+        for i in (0, 2):
+            assert p[i] == pressure_1d(a[i], 1.0, PAPER_FIT, 1.0)
+            assert dedp[i] == denergy_dpressure(a[i], 1.0, PAPER_FIT)
         with pytest.raises(NumericalError):
-            pressure_columns(np.array([1.0, t]), ones, PAPER_FIT, ones)
+            pressure_1d(t, 1.0, PAPER_FIT, 1.0)
+            denergy_dpressure(t, 1.0, PAPER_FIT)
 
 
 class TestSmallWidthExpansion:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finwell import (
     CONSTANTS,
@@ -13,6 +15,7 @@ from finwell import (
     PoleSingularity,
     ProbabilityMethod,
     ProbabilityResult,
+    WavefunctionNorm,
     WellConfig,
     beta_from_energy,
     beta_from_fit,
@@ -29,7 +32,12 @@ from finwell import (
     well_strength,
 )
 
-from oracles import adaptive_simpson, interval_probability_oracle, normalization_oracle
+from oracles import (
+    adaptive_simpson,
+    interval_probability_oracle,
+    normalization_oracle,
+    wavefunction_oracle,
+)
 
 EPS = 2.0 ** -52
 # 2 a beta from the Taylor band through the sinh/exp switch at 700 up to 1e4
@@ -214,8 +222,9 @@ class TestNonFiniteInputs:
         assert normalization_constant(1.0, 6e307).C == 0.0
 
     def test_wavefunction_overflow(self):
-        norm = normalization_constant(1.0, 1000.0)
-        assert norm.C == 0.0  # exp(-1000) underflows: correct rounding
+        # A norm from normalization_constant keeps u finite (exp(-z) form
+        # above 2 a beta = 700); a hand-built one can still overflow.
+        norm = WavefunctionNorm(C=1e308, beta=1.0, a=1.0)
         with pytest.raises(NumericalError, match="overflows"):
             wavefunction(1.0, norm)
 
@@ -248,6 +257,25 @@ class TestOverflowSafeForms:
             got = normalization_constant(a, z / (2.0 * a)).C
             assert got == pytest.approx(normalization_oracle(a, z / (2.0 * a)), rel=z_rtol(z))
 
+    @pytest.mark.parametrize("z", LARGE_Z)
+    def test_wavefunction_against_decimal_oracle(self, z):
+        # Positions where u is 0.0 or a normal double; no subnormal results.
+        for a in (1e-10, 1.0):
+            norm = normalization_constant(a, z / (2.0 * a))
+            for x in (0.0, 0.5 * a, 0.9 * a, 0.99 * a, a):
+                got = wavefunction(x, norm)
+                assert got == pytest.approx(wavefunction_oracle(x, a, norm.beta), rel=z_rtol(z))
+                if z <= 700.0:
+                    assert got == 2.0 * norm.C * math.cosh(norm.beta * x)
+
+    def test_wavefunction_where_c_underflows(self):
+        for beta, x in ((800.0, 0.85), (1000.0, 1.0)):
+            norm = normalization_constant(1.0, beta)
+            assert norm.C == 0.0
+            got = wavefunction(x, norm)
+            assert got == pytest.approx(wavefunction_oracle(x, 1.0, beta), rel=z_rtol(2.0 * beta))
+        assert got == pytest.approx(math.sqrt(1000.0), rel=1e-15)
+
     def test_columns_match_scalar(self, hydrogen_scale):
         K, V0, m = hydrogen_scale
         a = np.geomspace(0.7, 2e4, 400) * K
@@ -277,6 +305,30 @@ class TestOverflowSafeForms:
         with pytest.raises(DomainError, match="gamma"):
             probability_columns(ones * K, ones * K, PAPER_FIT, ones * m, ones * V0,
                                 np.array([0.5, 1.5]))
+
+
+class TestProbabilityProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(math.log(1e-6), math.log(1e4)),
+        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20),
+    )
+    def test_bounded_and_monotone_in_gamma(self, log_z, gammas):
+        z = math.exp(log_z)
+        gamma = sorted(gammas)
+        scalar = [probability_interval(1.0, 0.5 * z, g).probability for g in gamma]
+        # A zero fit puts beta at sqrt(2 m V0)/hbar = 1/K, so 2 a beta = z at a = z K/2.
+        flat = FitCoefficients(c=(0.0,) * 6, sigma=0.0, source="refit")
+        K = 1.0 / beta_from_energy(0.0, CONSTANTS.electron_mass, CONSTANTS.electronvolt)
+        ones = np.ones(len(gamma))
+        R, out = probability_columns(
+            ones * (0.5 * z * K), ones * K, flat,
+            ones * CONSTANTS.electron_mass, ones * CONSTANTS.electronvolt, np.array(gamma),
+        )
+        assert not out.any()
+        for values in (scalar, R.tolist()):
+            assert all(0.0 <= r <= g for r, g in zip(values, gamma)), (z, values)
+            assert all(r1 <= r2 for r1, r2 in zip(values, values[1:])), (z, values)
 
 
 class TestProbabilitySmallBeta:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from finwell import (
     CONSTANTS,
+    ConvergenceFailure,
     DomainError,
     NoSuchBranch,
     WellConfig,
@@ -18,6 +20,7 @@ from finwell import (
     solve_ground_roots,
     well_strength,
 )
+from finwell import spectrum
 from finwell.cli import main
 
 from oracles import branch_root_oracle, even_root_oracle
@@ -162,6 +165,48 @@ class TestRootAcceptance:
     def test_deep_well_cli(self, capsys):
         assert main(["spectrum", "--width", "1e-3m", "--depth", "1eV", "--mass", "me"]) == 0
         capsys.readouterr()
+
+
+class TestHigherBranchProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(math.log(1.5 * math.pi), math.log(1e6)), st.data())
+    def test_within_2_ulp_of_oracle(self, log_n, data):
+        n = math.exp(log_n)
+        top = int(n / math.pi)  # the highest branch k with k*pi < n
+        if top * math.pi >= n:
+            top -= 1
+        k = data.draw(st.integers(1, top))
+        xi = solve_even_root(n, k)
+        assert abs(xi - branch_root_oracle(n, k)) <= 2 * math.ulp(xi), (n, k)
+
+
+class TestConvergenceDiagnostics:
+    """A ConvergenceFailure says how far the solver got."""
+
+    def check_message(self, exc, n, iterations, width_max):
+        match = re.search(
+            r"(\d+) iterations, bracket width (\S+), backward error (\S+) at xi=(\S+)$",
+            str(exc.value),
+        )
+        assert match, str(exc.value)
+        assert int(match[1]) == iterations
+        assert 0.0 < float(match[2]) <= width_max
+        xi = float(match[4])
+        assert float(match[3]) == pytest.approx(spectrum._backward_error(xi, n), rel=1e-3)
+
+    @pytest.mark.parametrize("n, branch", [(2.0, 0), (50.0, 0), (20.0, 3), (1e3, 7)])
+    def test_scalar(self, monkeypatch, n, branch):
+        monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceFailure, match=f"n={n}, branch={branch}") as exc:
+            solve_even_root(n, branch)
+        self.check_message(exc, n, 1, 0.5 * math.pi)
+
+    def test_batched(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceFailure, match="2 ground roots unresolved") as exc:
+            solve_ground_roots(np.array([1e-4, 2.0, 50.0, 1e5]))
+        assert "n=2.0, branch=0" in str(exc.value)
+        self.check_message(exc, 2.0, 1, 0.5 * math.pi)
 
 
 class TestBatchedRoots:
