@@ -1,4 +1,4 @@
-"""Command-line surface: reproduction commands, sweeps, and the verify report.
+"""Command-line surface: flag parsing and rendering for the finwell commands.
 
 Commands:
     spectrum   solve one bound state for a configured well
@@ -18,46 +18,27 @@ Columns that do not apply stay empty; flags are semicolon-separated.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    MalformedNumber,
-    NumericalError,
-    UnknownUnit,
-)
+from .audit import build_verify_report, hydrogen_report
+from .errors import DomainError, MalformedNumber, NumericalError, UnknownUnit
 from .fitseries import (
     DEFAULT_GRID,
     FitCoefficients,
     FitGrid,
     PAPER_FIT,
     dump_coefficients,
-    eval_fit,
     load_coefficients,
     refit,
 )
-from .pressure import (
-    Response,
-    classify_response,
-    critical_width,
-    denergy_dpressure,
-    expansion_small_k,
-    expansion_small_width,
-    pressure_1d,
-    pressure_columns,
-)
+from .pressure import pressure_columns
 from .probability import probability_columns
 from .spectrum import WellConfig, energy_exact, ground_states, hydrogen_well, well_strength
-from .units import (
-    CONSTANTS,
-    Dimension,
-    Quantity,
-    parse_quantity,
-    quantity,
-)
+from .units import CONSTANTS, Dimension, parse_quantity, quantity
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -65,12 +46,6 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 3
 
 CSV_HEADER = ["param", "a_m", "n", "K_m", "xi", "E_J", "E_over_V0", "P_N", "dEdP_m", "R", "flags"]
-
-# Published reproduction targets for the hydrogen example, and the accepted
-# relative deviation.
-HYDROGEN_K_REF = 5.2918e-11      # m
-HYDROGEN_A0_REF = 1.31056e-10    # m
-HYDROGEN_RTOL = 2e-3
 
 _PARAM_DIMENSION = {
     "width": Dimension.LENGTH,
@@ -95,114 +70,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter over [start, stop] with fixed companions."""
-
-    parameter: str
-    start: Quantity
-    stop: Quantity
-    steps: int
-    scale: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.parameter not in _PARAM_DIMENSION:
-            raise DomainError(f"unknown sweep parameter {self.parameter!r}")
-        expected = _PARAM_DIMENSION[self.parameter]
-        for q in (self.start, self.stop):
-            if q.dimension is not expected:
-                raise DomainError(
-                    f"sweep over {self.parameter} needs {expected.value} bounds, "
-                    f"got {q.dimension.value}"
-                )
-        if self.steps < 2:
-            raise DomainError(f"sweep needs at least 2 steps, got {self.steps}")
-        if not self.start.value < self.stop.value:
-            raise DomainError("sweep start must be strictly below stop (SI units)")
-        if self.scale not in ("linear", "log"):
-            raise DomainError(f"scale must be linear or log, got {self.scale!r}")
-        if self.scale == "log" and self.start.value <= 0.0:
-            raise DomainError("log scale requires a positive start")
-
-    def values(self) -> np.ndarray:
-        import numpy as np
-        if self.scale == "log":
-            return np.geomspace(self.start.value, self.stop.value, self.steps)
-        return np.linspace(self.start.value, self.stop.value, self.steps)
-
-
-@dataclass(frozen=True)
-class VerifyCheck:
-    check_id: str
-    printed: float
-    rederived: float
-    relative_deviation: float
-    verdict: str  # "consistent" | "discrepant"
-
-
-def build_verify_report(coeffs: FitCoefficients = PAPER_FIT) -> list[VerifyCheck]:
-    """Compare each printed formula against an independent re-derivation.
-
-    The checks cover the pressure series (missing V0 factor), the rational
-    dE/dP form (denominator leading term, via the K->0 limit against the
-    printed small-K expansion), both expansions, and the critical-width
-    claim (series zero vs the numeric zero of the full rational form).
-    """
-    checks = []
-
-    def add(check_id: str, printed: float, rederived: float, tol: float) -> None:
-        dev = abs(printed - rederived) / max(abs(rederived), sys.float_info.min)
-        verdict = "consistent" if dev <= tol else "discrepant"
-        checks.append(VerifyCheck(check_id, printed, rederived, dev, verdict))
-
-    # Pressure series as printed (no V0) vs -dE/da of the fitted energy, at
-    # the hydrogen preset and a = 2K.
-    cfg = hydrogen_well()
-    K = well_strength(cfg).characteristic_length
-    a = 2.0 * K
-    h = 1e-6 * a
-    printed_series = pressure_1d(a, K, coeffs, 1.0)  # V0 factor absent
-    energy = lambda w: cfg.depth * eval_fit(coeffs, w / K)
-    rederived_pressure = -(energy(a + h) - energy(a - h)) / (2.0 * h)
-    add("pressure-series-v0", printed_series, rederived_pressure, 1e-6)
-
-    # The two printed forms against each other in their common K->0 limit:
-    # the rational form tends to a/4, the small-K expansion starts at a/2.
-    a, K = 1.0, 1e-9
-    add(
-        "dedp-printed-k0-limit",
-        denergy_dpressure(a, K, coeffs, "printed"),
-        expansion_small_k(a, K, coeffs, "printed"),
-        1e-6,
-    )
-
-    # Small-width expansion vs the consistent rational form at a/K = 0.01.
-    a, K = 0.01, 1.0
-    add(
-        "small-width-expansion",
-        expansion_small_width(a, K, coeffs),
-        denergy_dpressure(a, K, coeffs, "consistent"),
-        1e-2,
-    )
-
-    # Printed small-K expansion vs the re-derived one at K/a = 1e-4, deep in
-    # the expansion's validity range for these coefficients.
-    a, K = 1.0, 1e-4
-    add(
-        "small-k-expansion-third-term",
-        expansion_small_k(a, K, coeffs, "printed"),
-        expansion_small_k(a, K, coeffs, "consistent"),
-        1e-4,
-    )
-
-    # Critical width: series zero (in units of K) vs the numeric zero of the
-    # dE/dP numerator.
-    report = critical_width(1.0, coeffs, method="numeric")
-    add("critical-width", report.a0_paper, report.a0_numeric, 1e-3)
-
-    return checks
-
-
 def _merge_quantity_flags(argv: list[str]) -> list[str]:
     merged = []
     i = 0
@@ -217,36 +84,40 @@ def _merge_quantity_flags(argv: list[str]) -> list[str]:
     return merged
 
 
-def _quantity_flag(text: str) -> Quantity:
-    """Quantity grammar plus the bare-unit shorthand (e.g. `--mass me`)."""
+def _quantity_flag(text: str, flag: str, dimension: Dimension) -> float:
+    """SI value of a quantity flag of the given dimension.
+
+    Quantity grammar plus the bare-unit shorthand (e.g. `--mass me`).
+    """
     try:
-        return parse_quantity(text)
+        q = parse_quantity(text)
     except MalformedNumber:
         try:
-            return quantity(1.0, text.strip())
+            q = quantity(1.0, text.strip())
         except UnknownUnit:
             raise MalformedNumber(f"could not parse quantity '{text}'") from None
+    if q.dimension is not dimension:
+        raise DomainError(f"{flag} must be a {dimension.value}, got {q.dimension.value}")
+    return q.value
 
 
 def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _emit(values: dict, as_json: bool, order: list[str] | None = None) -> None:
+def _emit(values: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(values))
         return
-    keys = order if order is not None else list(values)
-    width = max(len(k) for k in keys)
-    for key in keys:
-        value = values[key]
+    width = max(len(k) for k in values)
+    for key, value in values.items():
         rendered = _fmt(value) if isinstance(value, float) else str(value)
         print(f"{key:<{width}} = {rendered}")
 
 
 def _well_from_args(args: argparse.Namespace) -> WellConfig:
     width, depth, mass = args.width, args.depth, args.mass
-    if getattr(args, "preset", None) == "hydrogen":
+    if args.preset == "hydrogen":
         base = hydrogen_well()
         width = width if width is not None else f"{base.half_width!r}m"
         depth = depth if depth is not None else f"{base.depth!r}J"
@@ -254,15 +125,11 @@ def _well_from_args(args: argparse.Namespace) -> WellConfig:
     missing = [name for name, v in (("--width", width), ("--depth", depth), ("--mass", mass)) if v is None]
     if missing:
         raise _UsageError(f"missing required flag(s): {', '.join(missing)}")
-    w = _quantity_flag(width)
-    d = _quantity_flag(depth)
-    m = _quantity_flag(mass)
-    for q, dim, flag in ((w, Dimension.LENGTH, "--width"),
-                         (d, Dimension.ENERGY, "--depth"),
-                         (m, Dimension.MASS, "--mass")):
-        if q.dimension is not dim:
-            raise DomainError(f"{flag} must be a {dim.value}, got {q.dimension.value}")
-    return WellConfig(half_width=w.value, depth=d.value, mass=m.value)
+    return WellConfig(
+        half_width=_quantity_flag(width, "--width", Dimension.LENGTH),
+        depth=_quantity_flag(depth, "--depth", Dimension.ENERGY),
+        mass=_quantity_flag(mass, "--mass", Dimension.MASS),
+    )
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -315,38 +182,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_hydrogen(args: argparse.Namespace) -> int:
-    cfg = hydrogen_well()
-    strength = well_strength(cfg)
-    K = strength.characteristic_length
-    report = critical_width(K, PAPER_FIT, method="paper")
-    classification = classify_response(cfg.half_width, K, PAPER_FIT)
-    k_dev = abs(K - HYDROGEN_K_REF) / HYDROGEN_K_REF
-    a0_dev = abs(report.a0_paper - HYDROGEN_A0_REF) / HYDROGEN_A0_REF
-    reproduced = (
-        k_dev <= HYDROGEN_RTOL
-        and a0_dev <= HYDROGEN_RTOL
-        and classification.outcome is Response.IONIZES
-    )
-    values = {
-        "V0_eV": cfg.depth / CONSTANTS.electronvolt,
-        "K_m": K,
-        "K_reference_m": HYDROGEN_K_REF,
-        "K_rel_dev": k_dev,
-        "a0_m": report.a0_paper,
-        "a0_reference_m": HYDROGEN_A0_REF,
-        "a0_rel_dev": a0_dev,
-        "half_width_m": cfg.half_width,
-        "classification": classification.outcome.value,
-        "reproduced": reproduced,
-    }
+    values = hydrogen_report()
     _emit(values, args.json)
-    return EXIT_OK if reproduced else EXIT_NUMERICAL
-
-
-def _load_sweep_coeffs(args: argparse.Namespace) -> FitCoefficients:
-    if args.coeffs:
-        return load_coefficients(args.coeffs)
-    return PAPER_FIT
+    return EXIT_OK if values["reproduced"] else EXIT_NUMERICAL
 
 
 @dataclass(frozen=True)
@@ -369,22 +207,23 @@ _ROW_FLAGS = {
 
 
 def _sweep_rows(
-    spec: SweepSpec,
+    args: argparse.Namespace,
     base: dict[str, float | None],
-    gamma: float | None,
+    start: float,
+    stop: float,
     coeffs: FitCoefficients,
-    variant: str,
 ) -> SweepTable:
+    """The sweep of args.param from start to stop, the other parameters fixed."""
     import numpy as np
-    values = spec.values()
-    steps = len(values)
-    params = {**base, "gamma": gamma, spec.parameter: values}
+    steps = args.steps
+    values = (np.geomspace if args.scale == "log" else np.linspace)(start, stop, steps)
+    params = {**base, "gamma": args.gamma, args.param: values}
     a, V0, m, g = (None if params[k] is None else
                    np.broadcast_to(np.asarray(params[k], dtype=float), (steps,))
                    for k in ("width", "depth", "mass", "gamma"))
     states = ground_states(a, V0, m)
     K = states.characteristic_length
-    p, dedp, near_pole, overflow = pressure_columns(a, K, coeffs, V0, variant)
+    p, dedp, near_pole, overflow = pressure_columns(a, K, coeffs, V0, args.variant)
     if g is None:
         R, out_of_range = None, np.zeros(steps, dtype=bool)
     else:
@@ -441,37 +280,29 @@ def _render_json(table: SweepTable, out) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base: dict[str, float | None] = {"width": None, "depth": None, "mass": None}
-    for name in base:
-        text = getattr(args, name)
-        if text is not None:
-            q = _quantity_flag(text)
-            if q.dimension is not _PARAM_DIMENSION[name]:
-                raise DomainError(
-                    f"--{name} must be a {_PARAM_DIMENSION[name].value}, "
-                    f"got {q.dimension.value}"
-                )
-            base[name] = q.value
+    base = {
+        name: None if getattr(args, name) is None
+        else _quantity_flag(getattr(args, name), f"--{name}", _PARAM_DIMENSION[name])
+        for name in ("width", "depth", "mass")
+    }
+    dimension = _PARAM_DIMENSION[args.param]
+    start = _quantity_flag(args.sweep_from, "--from", dimension)
+    stop = _quantity_flag(args.sweep_to, "--to", dimension)
+    if args.steps < 2:
+        raise DomainError(f"sweep needs at least 2 steps, got {args.steps}")
+    if not start < stop:
+        raise DomainError("sweep start must be strictly below stop (SI units)")
+    if args.scale == "log" and start <= 0.0:
+        raise DomainError("log scale requires a positive start")
 
-    spec = SweepSpec(
-        parameter=args.param,
-        start=_quantity_flag(args.sweep_from),
-        stop=_quantity_flag(args.sweep_to),
-        steps=args.steps,
-        scale=args.scale,
-    )
-    required = {"width", "depth", "mass"} - {spec.parameter}
-    missing = [f"--{name}" for name in sorted(required) if base[name] is None]
-    if spec.parameter == "gamma" and args.gamma is not None:
+    if args.param == "gamma" and args.gamma is not None:
         raise _UsageError("--gamma conflicts with sweeping gamma")
+    missing = [f"--{name}" for name in sorted(base) if name != args.param and base[name] is None]
     if missing:
         raise _UsageError(f"missing required flag(s): {', '.join(missing)}")
-    gamma = args.gamma
-    if gamma is not None and not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
 
-    coeffs = _load_sweep_coeffs(args)
-    table = _sweep_rows(spec, base, gamma, coeffs, args.variant)
+    coeffs = load_coefficients(args.coeffs) if args.coeffs else PAPER_FIT
+    table = _sweep_rows(args, base, start, stop, coeffs)
     (_render_json if args.json else _render_csv)(table, sys.stdout)
     return EXIT_NUMERICAL if all(table.flags) else EXIT_OK
 
@@ -491,7 +322,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = _Parser(prog="finwell", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -546,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_quantity_flags(argv))
+    args = build_parser().parse_args(_merge_quantity_flags(argv))
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -2,8 +2,11 @@
 
 Two families matter for callers (and for CLI exit codes): ``DomainError``
 covers invalid or out-of-range inputs, ``NumericalError`` covers failures
-of the numerics themselves.
+of the numerics themselves.  ``check_positive`` is the shared domain check
+for quantities that must be positive and finite.
 """
+
+import math
 
 
 class FinwellError(Exception):
@@ -52,3 +55,10 @@ class PoleSingularity(NumericalError):
 
 class NoRoot(NumericalError):
     """Root search found no sign change in the requested interval."""
+
+
+def check_positive(**values: float) -> None:
+    """Raise DomainError naming the first value that is not positive and finite."""
+    for name, value in values.items():
+        if not math.isfinite(value) or value <= 0.0:
+            raise DomainError(f"{name} must be positive and finite, got {value}")

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, SingularSystem
+from .errors import DomainError, NumericalError, SingularSystem
 from .spectrum import energy_ratio
 
 N_COEFFS = 6
@@ -44,6 +44,8 @@ class FitGrid:
             raise DomainError(
                 f"need 1 <= n_start < n_stop, got [{self.n_start}, {self.n_stop}]"
             )
+        if not math.isfinite(self.n_stop):
+            raise DomainError(f"n_stop must be finite, got {self.n_stop}")
         if self.n_count < 2 * N_COEFFS:
             raise DomainError(
                 f"n_count must be at least {2 * N_COEFFS}, got {self.n_count}"
@@ -86,10 +88,13 @@ class FitCoefficients:
             if data.get("grid") is not None:
                 g = data["grid"]
                 grid = FitGrid(g["n_start"], g["n_stop"], g["n_count"])
-            return cls(c=tuple(float(x) for x in c), sigma=float(data["sigma"]),
-                       source=str(data["source"]), grid=grid)
+            c, sigma = tuple(float(x) for x in c), float(data["sigma"])
+            source = str(data["source"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed coefficients document: {exc}") from exc
+        if not all(math.isfinite(x) for x in (*c, sigma)):
+            raise DomainError(f"coefficients and sigma must be finite, got c={c}, sigma={sigma}")
+        return cls(c=c, sigma=sigma, source=source, grid=grid)
 
 
 # Published constants of the inverse-power series and the quoted sigma.
@@ -150,10 +155,17 @@ def _series_value(c, n):
 
 
 def eval_fit(coeffs: FitCoefficients, n: float) -> float:
-    """Series value E/V0 at strength n (Horner evaluation in 1/n)."""
+    """Series value E/V0 at strength n (Horner evaluation in 1/n).
+
+    Raises NumericalError when the series leaves the float range (n far
+    below 1).
+    """
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"strength n must be positive, got {n}")
-    return _series_value(coeffs.c, n)
+    value = _series_value(coeffs.c, n)
+    if not math.isfinite(value):
+        raise NumericalError(f"fitted series overflows at n = {n:.6g}")
+    return value
 
 
 def dump_coefficients(coeffs: FitCoefficients, path: str) -> None:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, NoRoot, NumericalError, PoleSingularity
+from .errors import DomainError, NoRoot, NumericalError, PoleSingularity, check_positive
 from .fitseries import FitCoefficients
 
 POLE_RTOL = 1e-12          # |denominator| below this times its largest term -> pole
@@ -77,12 +77,6 @@ class ResponseReport:
     critical_half_width: float  # the a0 used for the comparison [m]
 
 
-def _check_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value) or value <= 0.0:
-            raise DomainError(f"{name} must be positive and finite, got {value}")
-
-
 def _pressure(a, K, c, V0):
     # V0 * sum_i i c_i K^i / a^(i+1) by Horner in K/a; floats or arrays.
     u = K / a
@@ -99,7 +93,7 @@ def pressure_1d(a: float, K: float, coeffs: FitCoefficients, V0: float) -> float
     analysis of E = V0 * sum c_i (K/a)^i forces it.  Raises NumericalError
     when P leaves the float range (a far below K).
     """
-    _check_positive(a=a, K=K, V0=V0)
+    check_positive(a=a, K=K, V0=V0)
     p = _pressure(a, K, coeffs.c, V0)
     if not math.isfinite(p):
         raise NumericalError(f"pressure overflows at a/K = {a / K:.6g}")
@@ -176,7 +170,7 @@ def denergy_dpressure(
     2*c1*a^4).  Raises PoleSingularity when the denominator magnitude falls
     below POLE_RTOL times its largest term.
     """
-    _check_positive(a=a, K=K)
+    check_positive(a=a, K=K)
     num, den, scale = _rational_parts(a, K, coeffs, variant)
     if abs(den) < POLE_RTOL * scale or den == 0.0:
         raise PoleSingularity(
@@ -217,7 +211,7 @@ def pressure_columns(
 
 def expansion_small_width(a: float, K: float, coeffs: FitCoefficients) -> float:
     """Narrow-well expansion of dE/dP:  a/6 + (1/45)(c4/c5) a^2/K  [m]."""
-    _check_positive(a=a, K=K)
+    check_positive(a=a, K=K)
     if coeffs.c[5] == 0.0:
         raise DomainError("small-width expansion needs c5 != 0")
     return a / 6.0 + (coeffs.c[4] / coeffs.c[5]) * a * a / (45.0 * K)
@@ -233,7 +227,7 @@ def expansion_small_k(
 
     K = 0 is allowed: it is the exact deep-well limit a/2.
     """
-    _check_positive(a=a)
+    check_positive(a=a)
     if not math.isfinite(K) or K < 0.0:
         raise DomainError(f"K must be non-negative and finite, got {K}")
     _check_variant(variant)
@@ -296,7 +290,7 @@ def critical_width(
     pole, when one exists.  The two disagree for the published coefficients;
     both are reported, neither is silently preferred.
     """
-    _check_positive(K=K)
+    check_positive(K=K)
     a0_paper = _small_width_zero(coeffs.c, K)
     if method == "paper":
         if a0_paper is None:
@@ -330,7 +324,7 @@ def classify_response(a: float, K: float, coeffs: FitCoefficients) -> ResponseRe
     boundary flag set, since the published criterion only treats the strict
     inequality.
     """
-    _check_positive(a=a, K=K)
+    check_positive(a=a, K=K)
     a0 = _small_width_zero(coeffs.c, K)
     if a0 is None:
         raise DomainError("classification needs c4 != 0")

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, FitOutOfRange, NumericalError, PoleSingularity
+from .errors import DomainError, FitOutOfRange, NumericalError, PoleSingularity, check_positive
 from .fitseries import FitCoefficients, _series_value, eval_fit
 from .pressure import pressure_1d
 from .spectrum import WellConfig, well_strength
@@ -95,8 +95,7 @@ def _r_exp(z, gamma, xp):
 
 def beta_from_energy(E: float, m: float, V0: float) -> float:
     """Exterior decay constant beta = sqrt(2 m (V0 - E))/hbar  [1/m]."""
-    if not math.isfinite(m) or m <= 0.0 or not math.isfinite(V0) or V0 <= 0.0:
-        raise DomainError(f"mass and depth must be positive, got m={m}, V0={V0}")
+    check_positive(m=m, V0=V0)
     if not 0.0 <= E <= V0:
         raise DomainError(f"bound-state energy must satisfy 0 <= E <= V0, got {E}")
     return math.sqrt(2.0 * m * (V0 - E)) / CONSTANTS.hbar
@@ -110,8 +109,7 @@ def beta_from_fit(
     Raises FitOutOfRange when the bracket goes negative, i.e. the series was
     evaluated where it extrapolates to E > V0.
     """
-    if a <= 0.0 or K <= 0.0:
-        raise DomainError(f"lengths must be positive, got a={a}, K={K}")
+    check_positive(a=a, K=K, m=m, V0=V0)
     bracket = 1.0 - eval_fit(coeffs, a / K)
     if bracket < 0.0:
         raise FitOutOfRange(
@@ -206,21 +204,22 @@ def probability_columns(
     The array counterpart of beta_from_fit plus probability_interval.  Rows
     where the fit predicts E > V0 are flagged instead of raising and their
     R is NaN; the other rows get the closed form and the same domain checks.
+    gamma is checked on every row, flagged or not.
     """
     import numpy as np
     n = a / K
     bad = np.flatnonzero(~(np.isfinite(n) & (n > 0.0)))
     if bad.size:
         raise DomainError(f"strength n must be positive, got {n[bad[0]]}")
+    bad = np.flatnonzero(~((0.0 <= gamma) & (gamma <= 1.0)))
+    if bad.size:
+        raise DomainError(f"gamma must lie in [0, 1], got {gamma[bad[0]]}")
     with np.errstate(over="ignore"):
         # An overflowing series is out of range or caught below.
         bracket = 1.0 - _series_value(coeffs.c, n)
     out_of_range = bracket < 0.0
     rows = np.flatnonzero(~out_of_range)
     g = gamma[rows]
-    bad = np.flatnonzero(~((0.0 <= g) & (g <= 1.0)))
-    if bad.size:
-        raise DomainError(f"gamma must lie in [0, 1], got {g[bad[0]]}")
     with np.errstate(over="ignore", invalid="ignore"):
         # A non-finite bracket or beta makes R non-finite, reported below.
         beta = np.sqrt(2.0 * m[rows] * V0[rows] * bracket[rows]) / CONSTANTS.hbar

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceFailure, DomainError, NoSuchBranch
+from .errors import ConvergenceFailure, DomainError, NoSuchBranch, check_positive
 from .units import CONSTANTS, HYDROGEN_DEPTH, HYDROGEN_HALF_WIDTH, HYDROGEN_MASS
 
 # A root is accepted when its backward error |f|/|f'| is at most
@@ -40,13 +40,7 @@ class WellConfig:
     mass: float        # [kg]
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("half_width", self.half_width),
-            ("depth", self.depth),
-            ("mass", self.mass),
-        ):
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, got {value}")
+        check_positive(half_width=self.half_width, depth=self.depth, mass=self.mass)
 
 
 @dataclass(frozen=True)

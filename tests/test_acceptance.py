@@ -33,7 +33,7 @@ from finwell import (
     wavefunction,
     well_strength,
 )
-from finwell.cli import build_verify_report
+from finwell.audit import build_verify_report
 
 from oracles import adaptive_simpson, central_difference
 

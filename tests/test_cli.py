@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,9 @@ from finwell import (
     pressure_1d,
     well_strength,
 )
-from finwell.cli import CSV_HEADER, main
+from finwell.cli import CSV_HEADER, build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 HYDROGEN_FLAGS = ["--width", "0.529angstrom", "--depth", "13.6058eV", "--mass", "me"]
 
@@ -114,6 +117,11 @@ class TestFit:
         code, _, _ = run(capsys, ["fit", "--grid", "1:10:11"])
         assert code == 1
 
+    def test_infinite_grid_stop_domain_error(self, capsys):
+        code, _, err = run(capsys, ["fit", "--grid", "1:inf:13"])
+        assert code == 1
+        assert err == "finwell fit: domain error: n_stop must be finite, got inf\n"
+
     def test_malformed_grid_usage_error(self, capsys):
         code, _, _ = run(capsys, ["fit", "--grid", "1:10"])
         assert code == 3
@@ -150,9 +158,9 @@ class TestHydrogen:
         assert doc["classification"] == values["classification"]
 
     def test_failed_reproduction_exits_nonzero(self, capsys, monkeypatch):
-        import finwell.cli as cli
+        import finwell.audit as audit
 
-        monkeypatch.setattr(cli, "HYDROGEN_K_REF", 1e-10)
+        monkeypatch.setattr(audit, "HYDROGEN_K_REF", 1e-10)
         code, out, _ = run(capsys, ["hydrogen"])
         assert code == 2
         assert "reproduced     = False" in out
@@ -288,6 +296,35 @@ class TestSweep:
             assert row["P_N"] is None and row["dEdP_m"] is None
             assert row["E_over_V0"] == 1.0
 
+    def test_gamma_above_one_on_a_flagged_row(self, capsys):
+        # The 1.5 row is out of the fit's range, but gamma is still checked there.
+        code, out, err = run(capsys, [
+            "sweep", "--param", "gamma", "--from", "0.5", "--to", "1.5", "--steps", "3",
+            "--width", "1e-10m", "--depth", "13.6eV", "--mass", "me",
+            "--coeffs", str(GOLDEN / "coeffs_above_one.json"),
+        ])
+        assert code == 1
+        assert out == ""
+        assert err == "finwell sweep: domain error: gamma must lie in [0, 1], got 1.5\n"
+
+    def test_non_finite_coeffs_file(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        doc = PAPER_FIT.to_dict()
+        doc["c"][1] = float("nan")
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, self.width_args() + ["--gamma", "0.5", "--coeffs", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "domain error: coefficients and sigma must be finite" in err
+
+    @pytest.mark.parametrize("bound", ["--from", "--to"])
+    def test_bound_of_wrong_dimension(self, capsys, bound):
+        argv = self.width_args()
+        argv[argv.index(bound) + 1] = "1eV"
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err == f"finwell sweep: domain error: {bound} must be a length, got energy\n"
+
     def test_missing_coeffs_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, self.width_args() + ["--coeffs", str(tmp_path / "absent.json")]
@@ -380,6 +417,23 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 3
+
+    def test_parser_reused_across_calls(self, capsys):
+        # One parser per process; consecutive commands print what fresh processes print.
+        commands = [
+            ["hydrogen"],
+            ["sweep", "--param", "gamma", "--from", "0", "--to", "1", "--steps", "3",
+             "--width", "1e-10m", "--depth", "13.6eV", "--mass", "me", "--json"],
+            ["verify", "--json"],
+            ["spectrum", "--preset", "hydrogen"],
+        ]
+        in_process = [run(capsys, argv)[:2] for argv in commands]
+        for argv, (code, out) in zip(commands, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-m", "finwell.cli", *argv], capture_output=True, text=True,
+            )
+            assert (code, out) == (proc.returncode, proc.stdout)
+        assert build_parser() is build_parser()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

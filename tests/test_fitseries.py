@@ -9,6 +9,7 @@ from finwell import (
     DomainError,
     FitCoefficients,
     FitGrid,
+    NumericalError,
     PAPER_FIT,
     SingularSystem,
     dump_coefficients,
@@ -40,6 +41,10 @@ class TestFitGrid:
     def test_invalid(self, start, stop, count):
         with pytest.raises(DomainError):
             FitGrid(start, stop, count)
+
+    def test_infinite_stop(self):
+        with pytest.raises(DomainError, match="n_stop must be finite, got inf"):
+            FitGrid(1.0, math.inf, 13)
 
 
 class TestSampleEnergies:
@@ -145,6 +150,11 @@ class TestEvalFit:
         with pytest.raises(DomainError):
             eval_fit(PAPER_FIT, n)
 
+    def test_overflow_raises(self):
+        # (1/n)^5 leaves the float range; the series must not return -inf.
+        with pytest.raises(NumericalError, match="overflows"):
+            eval_fit(PAPER_FIT, 1e-70)
+
 
 class TestCoefficientsJson:
     def test_paper_set_values(self):
@@ -171,6 +181,17 @@ class TestCoefficientsJson:
         assert load_coefficients(str(path)) == fitted
         doc = json.loads(path.read_text())
         assert doc["grid"] == {"n_start": 1.0, "n_stop": 10.0, "n_count": 13}
+
+    @pytest.mark.parametrize("field", ["c1", "sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_from_dict_rejects_non_finite(self, field, bad):
+        doc = PAPER_FIT.to_dict()
+        if field == "sigma":
+            doc["sigma"] = bad
+        else:
+            doc["c"][1] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            FitCoefficients.from_dict(doc)
 
     def test_from_dict_rejects_wrong_length(self):
         with pytest.raises(DomainError):

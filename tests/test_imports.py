@@ -24,6 +24,7 @@ def cli_call(*argv: str) -> str:
 NUMPY_FREE = {
     "import finwell": "import finwell",
     "import finwell.cli": "import finwell.cli",
+    "import finwell.audit": "import finwell.audit",
     "hydrogen": cli_call("hydrogen"),
     "verify": cli_call("verify"),
     "fit --paper": cli_call("fit", "--paper"),

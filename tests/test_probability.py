@@ -72,6 +72,13 @@ class TestBetaFromEnergy:
         with pytest.raises(DomainError):
             beta_from_energy(E, 1e-30, 1e-18)
 
+    @pytest.mark.parametrize("m,V0,name", [
+        (-1.0, 1e-18, "m"), (math.nan, 1e-18, "m"), (1e-30, math.inf, "V0"),
+    ])
+    def test_non_positive_or_non_finite(self, m, V0, name):
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite, got "):
+            beta_from_energy(0.0, m, V0)
+
 
 class TestBetaFromFit:
     def test_two_k_value(self, hydrogen_scale):
@@ -89,6 +96,21 @@ class TestBetaFromFit:
         runaway = FitCoefficients(c=(2.0, 0, 0, 0, 0, 0), sigma=0.0, source="refit")
         with pytest.raises(FitOutOfRange):
             beta_from_fit(2 * K, K, runaway, m, V0)
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"m": -1.0}, "m must be positive and finite, got -1.0"),  # was a math domain error
+        ({"m": math.nan}, "m must be positive and finite, got nan"),  # returned nan
+        ({"V0": math.inf}, "V0 must be positive and finite, got inf"),  # returned inf
+    ])
+    def test_non_positive_or_non_finite(self, hydrogen_scale, bad, message):
+        K, V0, m = hydrogen_scale
+        with pytest.raises(DomainError, match=message):
+            beta_from_fit(2 * K, K, PAPER_FIT, **{"m": m, "V0": V0, **bad})
+
+    def test_overflowing_series_raises(self):
+        # a/K = 1e-80 overflows the series; beta used to come back as inf.
+        with pytest.raises(NumericalError, match="overflows"):
+            beta_from_fit(1e-80, 1.0, PAPER_FIT, 9.1e-31, 1e-18)
 
     def test_published_set_far_below_range_stays_positive(self, hydrogen_scale):
         # At a = 0.1 K the series extrapolates to a hugely *negative* E/V0,
