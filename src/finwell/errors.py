@@ -3,8 +3,11 @@
 Two families matter for callers (and for CLI exit codes): ``DomainError``
 covers invalid or out-of-range inputs, ``NumericalError`` covers failures
 of the numerics themselves.  ``check_positive`` is the shared domain check
-for quantities that must be positive and finite.
+for quantities that must be positive and finite, and
+``check_positive_columns`` the same check on arrays.
 """
+
+from __future__ import annotations
 
 import math
 
@@ -62,3 +65,15 @@ def check_positive(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def check_positive_columns(**columns: np.ndarray) -> None:
+    """check_positive on arrays, reporting the first offending row."""
+    import numpy as np
+    bad = [~(np.isfinite(v) & (v > 0.0)) for v in columns.values()]
+    rows = np.flatnonzero(np.logical_or.reduce(bad))
+    if rows.size:
+        row = rows[0]
+        for (name, values), mask in zip(columns.items(), bad):
+            if mask[row]:
+                raise DomainError(f"{name} must be positive and finite, got {values[row]}")

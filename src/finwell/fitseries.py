@@ -145,12 +145,11 @@ def refit(grid: FitGrid = DEFAULT_GRID) -> FitCoefficients:
     return fit_inverse_poly(sample_energies(grid), grid=grid)
 
 
-def _series_value(c, n):
-    # sum_i c_i / n^i by Horner in 1/n; floats or arrays.
-    u = 1.0 / n
+def _horner(coeffs, x):
+    # sum_i coeffs[i] x^i by Horner, coefficients ascending; floats or arrays.
     acc = 0.0
-    for ci in reversed(c):
-        acc = acc * u + ci
+    for ck in reversed(coeffs):
+        acc = acc * x + ck
     return acc
 
 
@@ -162,7 +161,7 @@ def eval_fit(coeffs: FitCoefficients, n: float) -> float:
     """
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"strength n must be positive, got {n}")
-    value = _series_value(coeffs.c, n)
+    value = _horner(coeffs.c, 1.0 / n)
     if not math.isfinite(value):
         raise NumericalError(f"fitted series overflows at n = {n:.6g}")
     return value

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, NoRoot, NumericalError, PoleSingularity, check_positive
-from .fitseries import FitCoefficients
+from .fitseries import FitCoefficients, _horner
 
 POLE_RTOL = 1e-12          # |denominator| below this times its largest term -> pole
 TIE_RTOL = 1e-12           # relative width of the classification tie band
@@ -80,10 +80,7 @@ class ResponseReport:
 def _pressure(a, K, c, V0):
     # V0 * sum_i i c_i K^i / a^(i+1) by Horner in K/a; floats or arrays.
     u = K / a
-    acc = 0.0
-    for i in range(5, 0, -1):
-        acc = (acc + i * c[i]) * u
-    return V0 * acc / a
+    return V0 * (_horner((c[1], 2 * c[2], 3 * c[3], 4 * c[4], 5 * c[5]), u) * u) / a
 
 
 def pressure_1d(a: float, K: float, coeffs: FitCoefficients, V0: float) -> float:
@@ -146,6 +143,12 @@ def _rational_parts(
     )
 
 
+def _near_pole(den, scale):
+    # The pole rule of dE/dP: |denominator| below POLE_RTOL times its largest
+    # term, or exactly zero; floats or arrays.
+    return (abs(den) < POLE_RTOL * scale) | (den == 0.0)
+
+
 def _neumaier_sum(terms: tuple) -> np.ndarray:
     # Neumaier's compensated sum of scalar or array terms; it keeps the
     # accuracy of math.fsum where they cancel, next to the zero and the pole
@@ -172,7 +175,7 @@ def denergy_dpressure(
     """
     check_positive(a=a, K=K)
     num, den, scale = _rational_parts(a, K, coeffs, variant)
-    if abs(den) < POLE_RTOL * scale or den == 0.0:
+    if _near_pole(den, scale):
         raise PoleSingularity(
             f"dE/dP denominator vanishes near a/K = {a / K:.6g} ({variant} form)"
         )
@@ -201,7 +204,7 @@ def pressure_columns(
         num, den = _neumaier_sum(num_terms), _neumaier_sum(den_terms)
         scale = np.abs(np.broadcast_arrays(*den_terms)).max(axis=0)
     overflow = ~(np.isfinite(pressure) & np.isfinite(num) & np.isfinite(den))
-    near_pole = ~overflow & ((np.abs(den) < POLE_RTOL * scale) | (den == 0.0))
+    near_pole = ~overflow & _near_pole(den, scale)
     dedp = np.full_like(t, math.nan)
     ok = ~(near_pole | overflow)
     dedp[ok] = 0.5 * a[ok] * num[ok] / den[ok]
@@ -238,13 +241,6 @@ def expansion_small_k(
     return a / 2.0 - K * c[2] / (2.0 * c[1]) + 3.0 * K * K * third / (2.0 * a * c[1] ** 2)
 
 
-def _poly(coeffs_ascending: tuple[float, ...], t: float) -> float:
-    acc = 0.0
-    for ck in reversed(coeffs_ascending):
-        acc = acc * t + ck
-    return acc
-
-
 def _scan_smallest_root(poly_coeffs: tuple[float, ...]) -> float | None:
     """Smallest root of the polynomial on (0, _SCAN_MAX_T], or None.
 
@@ -253,12 +249,12 @@ def _scan_smallest_root(poly_coeffs: tuple[float, ...]) -> float | None:
     """
     step = _SCAN_MAX_T / _SCAN_POINTS
     t_prev = step
-    f_prev = _poly(poly_coeffs, t_prev)
+    f_prev = _horner(poly_coeffs, t_prev)
     if f_prev == 0.0:
         return t_prev
     for k in range(2, _SCAN_POINTS + 1):
         t_next = k * step
-        f_next = _poly(poly_coeffs, t_next)
+        f_next = _horner(poly_coeffs, t_next)
         if f_next == 0.0:
             return t_next
         if (f_prev > 0.0) != (f_next > 0.0):
@@ -266,7 +262,7 @@ def _scan_smallest_root(poly_coeffs: tuple[float, ...]) -> float | None:
             f_lo = f_prev
             while hi - lo > _BISECT_TOL:
                 mid = 0.5 * (lo + hi)
-                f_mid = _poly(poly_coeffs, mid)
+                f_mid = _horner(poly_coeffs, mid)
                 if f_mid == 0.0:
                     return mid
                 if (f_mid > 0.0) == (f_lo > 0.0):

@@ -26,11 +26,13 @@ physics note.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, FitOutOfRange, NumericalError, PoleSingularity, check_positive
-from .fitseries import FitCoefficients, _series_value, eval_fit
+from .errors import DomainError, FitOutOfRange, NumericalError, PoleSingularity
+from .errors import check_positive, check_positive_columns
+from .fitseries import FitCoefficients, _horner, eval_fit
 from .pressure import pressure_1d
 from .spectrum import WellConfig, well_strength
 from .units import CONSTANTS
@@ -93,12 +95,19 @@ def _r_exp(z, gamma, xp):
     return num / den
 
 
+def _finite_beta(beta: float, m: float, V0: float) -> float:
+    # 2 m V0 overflows for large finite m and V0.
+    if not math.isfinite(beta):
+        raise NumericalError(f"beta overflows at m = {m:.6g} kg, V0 = {V0:.6g} J")
+    return beta
+
+
 def beta_from_energy(E: float, m: float, V0: float) -> float:
     """Exterior decay constant beta = sqrt(2 m (V0 - E))/hbar  [1/m]."""
     check_positive(m=m, V0=V0)
     if not 0.0 <= E <= V0:
         raise DomainError(f"bound-state energy must satisfy 0 <= E <= V0, got {E}")
-    return math.sqrt(2.0 * m * (V0 - E)) / CONSTANTS.hbar
+    return _finite_beta(math.sqrt(2.0 * m * (V0 - E)) / CONSTANTS.hbar, m, V0)
 
 
 def beta_from_fit(
@@ -115,7 +124,7 @@ def beta_from_fit(
         raise FitOutOfRange(
             f"fitted E/V0 exceeds 1 at a/K = {a / K:.6g} (bracket {bracket:.3e})"
         )
-    return math.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar
+    return _finite_beta(math.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar, m, V0)
 
 
 def _well_z(a: float, beta: float) -> float:
@@ -162,9 +171,15 @@ def wavefunction(x: float, norm: WavefunctionNorm) -> float:
     z = _well_z(a, beta)
     if z > _EXP_Z:
         # 2 cosh(beta x) exp(-a beta) over the rest of C; no exponent is positive.
-        ax = abs(x)
-        return (math.exp(beta * (ax - a)) + math.exp(-beta * (ax + a))) / (
-            2.0 * math.sqrt(a) * math.sqrt(_exp_tail(z)))
+        inner, outer = beta * (abs(x) - a), -beta * (abs(x) + a)
+        rest = 2.0 * math.sqrt(a) * math.sqrt(_exp_tail(z))
+        u = (math.exp(inner) + math.exp(outer)) / rest
+        if u < sys.float_info.min:
+            # exp rounds a subnormal term before the division scales it up;
+            # folding the divisor into the exponents keeps u's own digits.
+            log_rest = math.log(rest)
+            u = math.exp(inner - log_rest) + math.exp(outer - log_rest)
+        return u
     try:
         cosh = math.cosh(beta * x)
     except OverflowError:
@@ -208,15 +223,13 @@ def probability_columns(
     """
     import numpy as np
     n = a / K
-    bad = np.flatnonzero(~(np.isfinite(n) & (n > 0.0)))
-    if bad.size:
-        raise DomainError(f"strength n must be positive, got {n[bad[0]]}")
+    check_positive_columns(n=n)
     bad = np.flatnonzero(~((0.0 <= gamma) & (gamma <= 1.0)))
     if bad.size:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma[bad[0]]}")
     with np.errstate(over="ignore"):
         # An overflowing series is out of range or caught below.
-        bracket = 1.0 - _series_value(coeffs.c, n)
+        bracket = 1.0 - _horner(coeffs.c, 1.0 / n)
     out_of_range = bracket < 0.0
     rows = np.flatnonzero(~out_of_range)
     g = gamma[rows]

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceFailure, DomainError, NoSuchBranch, check_positive
+from .errors import ConvergenceFailure, DomainError, NoSuchBranch
+from .errors import check_positive, check_positive_columns
 from .units import CONSTANTS, HYDROGEN_DEPTH, HYDROGEN_HALF_WIDTH, HYDROGEN_MASS
 
 # A root is accepted when its backward error |f|/|f'| is at most
@@ -221,9 +222,7 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     """
     import numpy as np
     n = np.asarray(n, dtype=float)
-    bad = ~(np.isfinite(n) & (n > 0.0))
-    if bad.any():
-        raise DomainError(f"strength n must be positive, got {n[bad][0]}")
+    check_positive_columns(n=n)
     xi = n.copy()
     small = n < SERIES_STRENGTH
     xi[small] = _series_root(n[small])
@@ -267,7 +266,7 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
     strength = well_strength(cfg)
     n = strength.strength
     xi = solve_even_root(n, branch)
-    eta = math.sqrt(max(n * n - xi * xi, 0.0))
+    eta = math.sqrt(n - xi) * math.sqrt(n + xi)  # no cancellation, no overflow of n*n
     a = cfg.half_width
     return BoundState(
         branch=branch,
@@ -279,18 +278,6 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
     )
 
 
-def _check_positive_columns(**columns: np.ndarray) -> None:
-    # The WellConfig check, reporting the first offending row.
-    import numpy as np
-    bad = [~(np.isfinite(v) & (v > 0.0)) for v in columns.values()]
-    rows = np.flatnonzero(np.logical_or.reduce(bad))
-    if rows.size:
-        row = rows[0]
-        for (name, values), mask in zip(columns.items(), bad):
-            if mask[row]:
-                raise DomainError(f"{name} must be positive and finite, got {values[row]}")
-
-
 def ground_states(
     half_width: np.ndarray, depth: np.ndarray, mass: np.ndarray
 ) -> GroundStates:
@@ -300,7 +287,7 @@ def ground_states(
     domain checks and formulas, with one batched root solve.
     """
     import numpy as np
-    _check_positive_columns(half_width=half_width, depth=depth, mass=mass)
+    check_positive_columns(half_width=half_width, depth=depth, mass=mass)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         # 2 m V0 may leave the float range; n then fails the domain check
         # of solve_ground_roots.

@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Per-example deadlines fail at random on a loaded machine; each test keeps
+# its own max_examples.
+settings.register_profile("finwell", deadline=None)
+settings.load_profile("finwell")
 
 from finwell import WellConfig, hydrogen_well, well_strength
 

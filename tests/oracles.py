@@ -59,6 +59,14 @@ def branch_root_oracle(n: float, branch: int) -> float:
     return bisect_root(g, lo, min(lo + 0.5 * math.pi, n))
 
 
+def eta_oracle(n: float, xi: float) -> float:
+    """sqrt(n^2 - xi^2) in 60-digit decimal, which neither cancels nor overflows."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        nd, xd = Decimal(n), Decimal(xi)
+        return float((nd * nd - xd * xd).sqrt())
+
+
 def _decimal_sinh(z: Decimal) -> Decimal:
     return (z.exp() - (-z).exp()) / 2
 

@@ -6,7 +6,8 @@ replaced.  Columns computed by the same expressions must match bit for bit;
 the root, energies and R may move by a few ulps (Newton end-point, numpy's
 sin/sinh/exp against libm); dE/dP may move by the rounding of its summed
 terms (powers of a/K are now products), which is large next to its zero
-and its pole.
+and its pole.  The same bounds hold between the column functions and the
+scalar ones over log-uniform wells (``TestColumnsMatchScalar``).
 """
 
 import contextlib
@@ -16,9 +17,28 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finwell import PAPER_FIT, load_coefficients
+from finwell import (
+    CONSTANTS,
+    PAPER_FIT,
+    FitOutOfRange,
+    PoleSingularity,
+    WellConfig,
+    beta_from_fit,
+    denergy_dpressure,
+    energy_exact,
+    ground_states,
+    load_coefficients,
+    pressure_1d,
+    pressure_columns,
+    probability_columns,
+    probability_interval,
+    well_strength,
+)
 from finwell.cli import CSV_HEADER, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,3 +113,77 @@ def test_sweep_matches_golden(case, monkeypatch):
 def test_csv_is_byte_stable():
     case = CASES[0]
     assert run(case["argv"]) == run(case["argv"])
+
+
+# Log-uniform a/K in [1e-3, 1e4], V0 in [1e-3, 1e4] eV and m in [1e-3, 1e3] me,
+# uniform gamma in [0, 1]; each example is one batch of wells.
+WELLS = st.lists(
+    st.tuples(
+        st.floats(math.log(1e-3), math.log(1e4)),
+        st.floats(math.log(1e-3), math.log(1e4)),
+        st.floats(math.log(1e-3), math.log(1e3)),
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1, max_size=16,
+)
+# The published set never leaves E/V0 < 1 on this range; the raised c0
+# crosses 1 inside it, so both fit_out_of_range outcomes occur.
+COEFFS = st.sampled_from([PAPER_FIT, load_coefficients(GOLDEN / "coeffs_above_one.json")])
+
+
+def well_columns(wells):
+    """(a, K, V0, m, gamma) arrays for a batch drawn from WELLS."""
+    log_t, log_v0, log_m, gamma = (np.array(col) for col in zip(*wells))
+    V0 = np.exp(log_v0) * CONSTANTS.electronvolt
+    m = np.exp(log_m) * CONSTANTS.electron_mass
+    K = CONSTANTS.hbar / np.sqrt(2.0 * m * V0)
+    return np.exp(log_t) * K, K, V0, m, gamma
+
+
+class TestColumnsMatchScalar:
+    @settings(max_examples=100)
+    @given(WELLS)
+    def test_ground_states(self, wells):
+        a, _, V0, m, _ = well_columns(wells)
+        states = ground_states(a, V0, m)
+        for i in range(a.size):
+            cfg = WellConfig(float(a[i]), float(V0[i]), float(m[i]))
+            strength, state = well_strength(cfg), energy_exact(cfg)
+            assert states.strength[i] == strength.strength
+            assert states.characteristic_length[i] == strength.characteristic_length
+            assert abs(states.xi[i] - state.xi) <= ULPS["xi"] * math.ulp(state.xi)
+            assert abs(states.energy[i] - state.energy) <= ULPS["E_J"] * math.ulp(state.energy)
+
+    @settings(max_examples=100)
+    @given(WELLS, COEFFS, st.sampled_from(["consistent", "printed"]))
+    def test_pressure_columns(self, wells, coeffs, variant):
+        a, K, V0, _, _ = well_columns(wells)
+        P, dedp, near_pole, overflow = pressure_columns(a, K, coeffs, V0, variant)
+        assert not overflow.any()
+        for i in range(a.size):
+            ai, Ki = float(a[i]), float(K[i])
+            assert P[i] == pressure_1d(ai, Ki, coeffs, float(V0[i]))
+            try:
+                want = denergy_dpressure(ai, Ki, coeffs, variant)
+            except PoleSingularity:
+                assert near_pole[i]
+                continue
+            assert not near_pole[i]
+            bound = dedp_bound({"a_m": ai, "K_m": Ki}, coeffs, variant == "printed")
+            assert abs(dedp[i] - want) <= bound
+
+    @settings(max_examples=100)
+    @given(WELLS, COEFFS)
+    def test_probability_columns(self, wells, coeffs):
+        a, K, V0, m, gamma = well_columns(wells)
+        R, out_of_range = probability_columns(a, K, coeffs, m, V0, gamma)
+        for i in range(a.size):
+            ai = float(a[i])
+            try:
+                beta = beta_from_fit(ai, float(K[i]), coeffs, float(m[i]), float(V0[i]))
+            except FitOutOfRange:
+                assert out_of_range[i]
+                continue
+            assert not out_of_range[i]
+            want = probability_interval(ai, beta, float(gamma[i])).probability
+            assert abs(R[i] - want) <= ULPS["R"] * math.ulp(want)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +80,11 @@ class TestBetaFromEnergy:
         with pytest.raises(DomainError, match=f"{name} must be positive and finite, got "):
             beta_from_energy(0.0, m, V0)
 
+    def test_overflowing_2_m_V0_raises(self):
+        # 2 m V0 overflows; beta used to come back as inf.
+        with pytest.raises(NumericalError, match="beta overflows"):
+            beta_from_energy(0.0, 1e300, 1e300)
+
 
 class TestBetaFromFit:
     def test_two_k_value(self, hydrogen_scale):
@@ -111,6 +117,11 @@ class TestBetaFromFit:
         # a/K = 1e-80 overflows the series; beta used to come back as inf.
         with pytest.raises(NumericalError, match="overflows"):
             beta_from_fit(1e-80, 1.0, PAPER_FIT, 9.1e-31, 1e-18)
+
+    def test_overflowing_2_m_V0_raises(self):
+        # 2 m V0 overflows; beta used to come back as inf.
+        with pytest.raises(NumericalError, match="beta overflows"):
+            beta_from_fit(2.0, 1.0, PAPER_FIT, 1e300, 1e300)
 
     def test_published_set_far_below_range_stays_positive(self, hydrogen_scale):
         # At a = 0.1 K the series extrapolates to a hugely *negative* E/V0,
@@ -290,6 +301,15 @@ class TestOverflowSafeForms:
                 if z <= 700.0:
                     assert got == 2.0 * norm.C * math.cosh(norm.beta * x)
 
+    @pytest.mark.parametrize("x", [0.85e-10, -0.851e-10, 0.853e-10, 0.8e-10])
+    def test_wavefunction_subnormal_against_decimal_oracle(self, x):
+        # 2 a beta = 1e4; u is subnormal (or 0.0 at 0.8e-10) and used to
+        # round to 0.0 at every x here.
+        norm = normalization_constant(1e-10, 5e13)
+        got, want = wavefunction(x, norm), wavefunction_oracle(x, 1e-10, 5e13)
+        assert want < sys.float_info.min
+        assert abs(got - want) <= math.ulp(want)
+
     def test_wavefunction_where_c_underflows(self):
         for beta, x in ((800.0, 0.85), (1000.0, 1.0)):
             norm = normalization_constant(1.0, beta)
@@ -330,7 +350,7 @@ class TestOverflowSafeForms:
 
 
 class TestProbabilityProperties:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         st.floats(math.log(1e-6), math.log(1e4)),
         st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20),

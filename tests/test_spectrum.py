@@ -23,7 +23,7 @@ from finwell import (
 from finwell import spectrum
 from finwell.cli import main
 
-from oracles import branch_root_oracle, even_root_oracle
+from oracles import branch_root_oracle, even_root_oracle, eta_oracle
 
 # frozen from the bisection oracle
 XI_N2 = 1.0298665293222586
@@ -168,7 +168,7 @@ class TestRootAcceptance:
 
 
 class TestHigherBranchProperty:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.floats(math.log(1.5 * math.pi), math.log(1e6)), st.data())
     def test_within_2_ulp_of_oracle(self, log_n, data):
         n = math.exp(log_n)
@@ -210,7 +210,7 @@ class TestConvergenceDiagnostics:
 
 
 class TestBatchedRoots:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.floats(math.log(1e-12), math.log(1e12)), min_size=1, max_size=40))
     def test_matches_scalar_solver(self, logs):
         n = np.exp(np.array(logs))
@@ -268,6 +268,19 @@ class TestEnergyExact:
             assert st.beta == pytest.approx(st.eta / a, rel=1e-15)
             assert st.energy == pytest.approx((st.xi / n) ** 2 * V0, rel=1e-14)
             assert 0.0 < st.energy < V0
+
+    @pytest.mark.parametrize("n,branch", [
+        (1.02e-3, 0), (0.3, 0), (2.0, 0), (1e6, 0), (1e12, 0), (1.3e164, 0),
+        (math.pi + 1e-6, 1), (5 * math.pi + 1e-6, 5), (20 * math.pi + 1e-6, 20),
+    ])
+    def test_eta_against_decimal_oracle(self, hydrogen_scale, n, branch):
+        # sqrt(n*n - xi*xi) was 3e5 ulp off near n = 1e-3, 1.6e11 ulp just
+        # above a branch threshold, and inf from n = 1.34e154.
+        K, V0, m = hydrogen_scale
+        cfg = WellConfig(n * K, V0, m)
+        state = energy_exact(cfg, branch)
+        want = eta_oracle(well_strength(cfg).strength, state.xi)
+        assert abs(state.eta - want) <= 2 * math.ulp(want)
 
     def test_energy_below_depth_everywhere(self):
         for n in (0.1, 0.5, 1.0, 3.0, 10.0, 100.0):
