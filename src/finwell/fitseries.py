@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import DomainError, NumericalError, SingularSystem
@@ -69,13 +69,7 @@ class FitCoefficients:
     grid: FitGrid | None = None
 
     def to_dict(self) -> dict:
-        grid = None
-        if self.grid is not None:
-            grid = {
-                "n_start": self.grid.n_start,
-                "n_stop": self.grid.n_stop,
-                "n_count": self.grid.n_count,
-            }
+        grid = None if self.grid is None else asdict(self.grid)
         return {"c": list(self.c), "sigma": self.sigma, "source": self.source, "grid": grid}
 
     @classmethod

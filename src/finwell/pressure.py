@@ -67,7 +67,6 @@ class CriticalWidthReport:
     a0_paper: float | None
     a0_numeric: float | None
     pole_location: float | None
-    classification_width_used: str  # "paper" | "numeric"
 
 
 @dataclass(frozen=True)
@@ -130,17 +129,19 @@ def _small_width_zero(c, K: float) -> float | None:
 
 def _rational_parts(
     a: float, K: float, coeffs: FitCoefficients, variant: str
-) -> tuple[float, float, float]:
-    """(numerator, denominator, denominator scale) of dE/dP in t = a/K."""
+) -> tuple[float, float]:
+    # (numerator, denominator) of dE/dP in t = a/K; NumericalError where a
+    # term overflows, PoleSingularity where _near_pole puts a/K on the pole.
     _check_variant(variant)
     num_terms, den_terms = _rational_terms(a / K, coeffs.c, variant)
     if not all(map(math.isfinite, num_terms + den_terms)):
         raise NumericalError(f"dE/dP overflows at a/K = {a / K:.6g}")
-    return (
-        math.fsum(num_terms),
-        math.fsum(den_terms),
-        max(abs(term) for term in den_terms),
-    )
+    den = math.fsum(den_terms)
+    if _near_pole(den, max(abs(term) for term in den_terms)):
+        raise PoleSingularity(
+            f"dE/dP denominator vanishes near a/K = {a / K:.6g} ({variant} form)"
+        )
+    return math.fsum(num_terms), den
 
 
 def _near_pole(den, scale):
@@ -174,11 +175,7 @@ def denergy_dpressure(
     below POLE_RTOL times its largest term.
     """
     check_positive(a=a, K=K)
-    num, den, scale = _rational_parts(a, K, coeffs, variant)
-    if _near_pole(den, scale):
-        raise PoleSingularity(
-            f"dE/dP denominator vanishes near a/K = {a / K:.6g} ({variant} form)"
-        )
+    num, den = _rational_parts(a, K, coeffs, variant)
     return 0.5 * a * num / den
 
 
@@ -295,7 +292,6 @@ def critical_width(
             a0_paper=a0_paper,
             a0_numeric=None,
             pole_location=None,
-            classification_width_used="paper",
         )
     if method != "numeric":
         raise DomainError(f"method must be 'paper' or 'numeric', got {method!r}")
@@ -309,7 +305,6 @@ def critical_width(
         a0_paper=a0_paper,
         a0_numeric=t_zero * K,
         pole_location=None if t_pole is None else t_pole * K,
-        classification_width_used="numeric",
     )
 
 

@@ -26,21 +26,20 @@ physics note.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, FitOutOfRange, NumericalError, PoleSingularity
+from .errors import DomainError, FitOutOfRange, NumericalError
 from .errors import check_positive, check_positive_columns
 from .fitseries import FitCoefficients, _horner, eval_fit
-from .pressure import pressure_1d
+from .pressure import _rational_parts, pressure_1d
 from .spectrum import WellConfig, well_strength
 from .units import CONSTANTS
 
 _TAYLOR_Z = 1e-4   # |2 a beta| below this switches to series forms
 _EXP_Z = 700.0     # 2 a beta above this switches to exp(-z) forms
-_FD_STEP = 1e-6    # relative step for the numerical dR/dP
-_DPDA_RTOL = 1e-12
+# Q(w) (1 + sinh(w)/w) in powers of w^2 to 1e-18 for w <= 1: 2k/(2k+1)!, k = 1..9.
+_Q_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 10))
 
 
 class ProbabilityMethod(Enum):
@@ -169,22 +168,17 @@ def wavefunction(x: float, norm: WavefunctionNorm) -> float:
         raise DomainError(f"|x| = {abs(x):.6g} outside the well half-width {norm.a:.6g}")
     a, beta = norm.a, norm.beta
     z = _well_z(a, beta)
-    if z > _EXP_Z:
-        # 2 cosh(beta x) exp(-a beta) over the rest of C; no exponent is positive.
-        inner, outer = beta * (abs(x) - a), -beta * (abs(x) + a)
-        rest = 2.0 * math.sqrt(a) * math.sqrt(_exp_tail(z))
-        u = (math.exp(inner) + math.exp(outer)) / rest
-        if u < sys.float_info.min:
-            # exp rounds a subnormal term before the division scales it up;
-            # folding the divisor into the exponents keeps u's own digits.
-            log_rest = math.log(rest)
-            u = math.exp(inner - log_rest) + math.exp(outer - log_rest)
-        return u
     try:
-        cosh = math.cosh(beta * x)
+        if z > _EXP_Z:
+            # 2 cosh(beta x) exp(-a beta) over the rest of C, with the log of the
+            # rest folded into the exponents, none positive: no term underflows early.
+            log_rest = math.log(2.0 * math.sqrt(a) * math.sqrt(_exp_tail(z)))
+            u = (math.exp(beta * (abs(x) - a) - log_rest)
+                 + math.exp(-beta * (abs(x) + a) - log_rest))
+        else:
+            u = 2.0 * norm.C * math.cosh(beta * x)
     except OverflowError:
-        cosh = math.inf
-    u = 2.0 * norm.C * cosh
+        u = math.inf
     if not math.isfinite(u):
         raise NumericalError(f"u(x) overflows at beta*x = {beta * x:.6g}")
     return u
@@ -263,29 +257,35 @@ def probability_small_beta(a: float, beta: float, gamma: float) -> ProbabilityRe
                              method=ProbabilityMethod.SMALL_BETA)
 
 
+def _q(w: float) -> float:
+    # Q(w) = (w cosh w - sinh w)/(w^2 (w + sinh w)) for w >= 0; no term overflows.
+    if w <= 1.0:
+        return _horner(_Q_SERIES, w * w) / (1.0 + _sinhc(w))
+    return (w / math.tanh(w) - 1.0) / (w * w * (1.0 - 2.0 * w * math.exp(-w) / math.expm1(-2.0 * w)))
+
+
 def probability_pressure_derivative(
     cfg: WellConfig, coeffs: FitCoefficients, gamma: float
 ) -> float:
-    """dR/dP [1/N] at the configured well, by central differences.
+    """dR/dP [1/N] at the configured well, in closed form.
 
-    Both partials are taken through the composed maps a -> beta(a) -> R and
-    a -> P(a) with the fitted beta, step 1e-6 * a.  Raises PoleSingularity
-    when dP/da vanishes at this width (the dE/dP pole), and propagates
-    FitOutOfRange from the beta evaluation.
+    dR/dP = (dR/da)/(dP/da) through a -> beta(a) -> R and a -> P(a), beta from
+    the fit.  dR/da = R z dz/da (gamma^2 Q(gamma z) - Q(z)) with z dz/da =
+    4 a (beta^2 + a m P/hbar^2), and dP/da = -2 V0 den (K/a)^5/a^2 with den
+    the dE/dP denominator.  Raises PoleSingularity and NumericalError where
+    denergy_dpressure does; propagates FitOutOfRange from beta_from_fit.
     """
     _check_gamma(gamma)
     K = well_strength(cfg).characteristic_length
-    a = cfg.half_width
-    h = _FD_STEP * a
-
-    def prob_at(width: float) -> float:
-        beta = beta_from_fit(width, K, coeffs, cfg.mass, cfg.depth)
-        return probability_interval(width, beta, gamma).probability
-
-    p_hi = pressure_1d(a + h, K, coeffs, cfg.depth)
-    p_lo = pressure_1d(a - h, K, coeffs, cfg.depth)
-    dp = p_hi - p_lo
-    if abs(dp) <= _DPDA_RTOL * max(abs(p_hi), abs(p_lo)):
-        raise PoleSingularity(f"dP/da vanishes at a = {a:.6g} m; dR/dP undefined")
-    dr = prob_at(a + h) - prob_at(a - h)
-    return dr / dp
+    a, m, V0 = cfg.half_width, cfg.mass, cfg.depth
+    _, den = _rational_parts(a, K, coeffs, "consistent")  # raises where dP/da = 0
+    beta = beta_from_fit(a, K, coeffs, m, V0)
+    z, u = 2.0 * a * beta, K / a
+    zdz_da = 4.0 * a * (beta * beta + a * m * pressure_1d(a, K, coeffs, V0) / CONSTANTS.hbar ** 2)
+    # -dP/da; den u^4, near c1 for wide wells, is formed before u^5 can underflow.
+    dp_da = 2.0 * V0 * (den * u * u * u * u) * u / a / a
+    drdp = (_q(z) - gamma * gamma * _q(gamma * z)) * zdz_da / dp_da if dp_da else math.nan
+    drdp *= probability_interval(a, beta, gamma).probability  # the one factor that can underflow
+    if not math.isfinite(drdp):
+        raise NumericalError(f"dR/dP leaves the float range at a/K = {a / K:.6g}")
+    return drdp

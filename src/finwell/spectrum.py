@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceFailure, DomainError, NoSuchBranch
+from .errors import ConvergenceFailure, DomainError, NoSuchBranch, NumericalError
 from .errors import check_positive, check_positive_columns
 from .units import CONSTANTS, HYDROGEN_DEPTH, HYDROGEN_HALF_WIDTH, HYDROGEN_MASS
 
@@ -84,6 +84,10 @@ def _strength(a, momentum):
     return a * momentum / CONSTANTS.hbar, CONSTANTS.hbar / momentum
 
 
+def _momentum_out_of_range(mass: float, depth: float) -> NumericalError:
+    return NumericalError(f"2 m V0 leaves the float range at m = {mass:.6g} kg, V0 = {depth:.6g} J")
+
+
 def _energy(xi, n, V0):
     return (xi / n) ** 2 * V0
 
@@ -91,6 +95,8 @@ def _energy(xi, n, V0):
 def well_strength(cfg: WellConfig) -> WellStrength:
     """Strength n = a*sqrt(2mV0)/hbar and length scale K = hbar/sqrt(2mV0)."""
     momentum = math.sqrt(2.0 * cfg.mass * cfg.depth)  # sqrt(2mV0) [kg m/s]
+    if not 0.0 < momentum < math.inf:
+        raise _momentum_out_of_range(cfg.mass, cfg.depth)
     n, K = _strength(cfg.half_width, momentum)
     return WellStrength(strength=n, characteristic_length=K)
 
@@ -289,9 +295,13 @@ def ground_states(
     import numpy as np
     check_positive_columns(half_width=half_width, depth=depth, mass=mass)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        # 2 m V0 may leave the float range; n then fails the domain check
-        # of solve_ground_roots.
-        n, K = _strength(half_width, np.sqrt(2.0 * mass * depth))
+        # 2 m V0 leaving the float range is raised below; an n that overflows
+        # fails the domain check of solve_ground_roots.
+        momentum = np.sqrt(2.0 * mass * depth)
+        n, K = _strength(half_width, momentum)
+    bad = np.flatnonzero(~((0.0 < momentum) & (momentum < math.inf)))
+    if bad.size:
+        raise _momentum_out_of_range(mass[bad[0]], depth[bad[0]])
     xi = solve_ground_roots(n)
     return GroundStates(
         strength=n, characteristic_length=K, xi=xi, energy=_energy(xi, n, depth)

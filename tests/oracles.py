@@ -125,3 +125,28 @@ def adaptive_simpson(
 
 def central_difference(f: Callable[[float], float], x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def pressure_derivative_oracle(
+    a: float, K: float, c, m: float, V0: float, gamma: float, hbar: float,
+) -> float:
+    """dR/dP by a 60-digit central difference of the composed R(a) and P(a):
+    beta(a) = sqrt(2 m V0 (1 - sum c_i (K/a)^i))/hbar, z = 2 a beta,
+    R = (z g + sinh(z g))/(z + sinh z) and P = V0 sum i c_i K^i/a^(i+1).
+    The step 1e-20 a leaves truncation and rounding near 1e-40 relative."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        cd = [Decimal(ck) for ck in c]
+        Kd, md, V0d, g, hb = Decimal(K), Decimal(m), Decimal(V0), Decimal(gamma), Decimal(hbar)
+
+        def R(w: Decimal) -> Decimal:
+            bracket = 1 - sum(ck * (Kd / w) ** i for i, ck in enumerate(cd))
+            z = 2 * w * (2 * md * V0d * bracket).sqrt() / hb
+            return (z * g + _decimal_sinh(z * g)) / (z + _decimal_sinh(z))
+
+        def P(w: Decimal) -> Decimal:
+            return V0d * sum(i * ck * Kd ** i / w ** (i + 1) for i, ck in enumerate(cd))
+
+        ad = Decimal(a)
+        h = ad * Decimal("1e-20")
+        return float((R(ad + h) - R(ad - h)) / (P(ad + h) - P(ad - h)))

@@ -32,6 +32,10 @@ NUMPY_FREE = {
     "spectrum --branch 1": cli_call(
         "spectrum", "--branch", "1", "--width", "2e-9m", "--depth", "20eV", "--mass", "me"
     ),
+    "dR/dP": (
+        "import finwell as fw; h = fw.hydrogen_well(); K = fw.well_strength(h).characteristic_length\n"
+        "fw.probability_pressure_derivative(fw.WellConfig(2 * K, h.depth, h.mass), fw.PAPER_FIT, 0.5)"
+    ),
 }
 
 

@@ -222,7 +222,6 @@ class TestCriticalWidth:
         assert report.a0_paper == pytest.approx(2.476601 * 2.0, rel=1e-5)
         assert report.a0_numeric is None
         assert report.pole_location is None
-        assert report.classification_width_used == "paper"
 
     def test_numeric_method_against_eigenvalue_oracle(self):
         report = critical_width(1.0, PAPER_FIT, "numeric")
@@ -238,7 +237,6 @@ class TestCriticalWidth:
         assert report.pole_location == pytest.approx(smallest_positive_real(denom), abs=1e-9)
         assert report.a0_numeric == pytest.approx(0.89, abs=0.01)
         assert report.pole_location == pytest.approx(1.11, abs=0.01)
-        assert report.classification_width_used == "numeric"
 
     def test_paper_width_scale_invariant(self):
         base = critical_width(1.0, PAPER_FIT, "paper").a0_paper

@@ -21,6 +21,7 @@ from finwell import (
     beta_from_energy,
     beta_from_fit,
     critical_width,
+    denergy_dpressure,
     energy_exact,
     eval_fit,
     normalization_constant,
@@ -33,10 +34,12 @@ from finwell import (
     well_strength,
 )
 
+from finwell.fitseries import refit
 from oracles import (
     adaptive_simpson,
     interval_probability_oracle,
     normalization_oracle,
+    pressure_derivative_oracle,
     wavefunction_oracle,
 )
 
@@ -48,6 +51,15 @@ LARGE_Z = [1e-5, 1e-3, 0.5, 10.0, 200.0, 699.0, 700.0, 701.0, 710.0, 712.0, 1400
 def z_rtol(z: float) -> float:
     # exp(z g - z) inherits the rounding of z*g: relative error ~ z eps
     return 8 * EPS * max(1.0, z)
+
+
+def _q_oracle(w: float) -> float:
+    # (w cosh w - sinh w)/(w^2 (w + sinh w)) for the condition number only
+    if w < 1e-3:
+        return 1.0 / 6.0
+    if w > 700.0:
+        return (w - 1.0) / (w * w)
+    return (w * math.cosh(w) - math.sinh(w)) / (w * w * (w + math.sinh(w)))
 
 
 def density(norm):
@@ -310,6 +322,19 @@ class TestOverflowSafeForms:
         assert want < sys.float_info.min
         assert abs(got - want) <= math.ulp(want)
 
+    @pytest.mark.parametrize("a, z, lo, hi", [
+        (a, z, 0.0, a) for z in LARGE_Z if z > 700.0 for a in (1e-10, 1.0, 1e5)
+    ] + [(1e-10, 1e4, 0.85e-10, 0.89e-10)])
+    def test_wavefunction_dense_scan(self, a, z, lo, hi):
+        # Every normal result within z_rtol, across the well and across the
+        # lowest normal binades at 2 a beta = 1e4.
+        norm = normalization_constant(a, z / (2.0 * a))
+        for x in np.linspace(lo, hi, 401).tolist():
+            want = wavefunction_oracle(x, a, norm.beta)
+            if want >= sys.float_info.min:
+                got = wavefunction(x, norm)
+                assert abs(got - want) <= z_rtol(z) * want, (x, got, want)
+
     def test_wavefunction_where_c_underflows(self):
         for beta, x in ((800.0, 0.85), (1000.0, 1.0)):
             norm = normalization_constant(1.0, beta)
@@ -458,3 +483,76 @@ class TestPressureDerivative:
         cfg = WellConfig(2 * K, V0, m)
         with pytest.raises(DomainError):
             probability_pressure_derivative(cfg, PAPER_FIT, 1.5)
+
+    @pytest.mark.parametrize("coeffs", [PAPER_FIT, refit()], ids=["paper", "refit"])
+    def test_against_decimal_oracle(self, coeffs):
+        # Log-uniform V0 in [1e-3, 1e4] eV, m in [1e-3, 1e3] me and a/K from
+        # 0.5 (neither series reaches E/V0 = 1) to 2 a beta = 1e4, across the
+        # dE/dP zero and pole.  The bound is 8 eps max(1, z) (k_gamma + k_pole),
+        # times k_z where beta^2 + a m P/hbar^2 cancels: z' = 0 is a zero of
+        # dR/dP (a/K = 0.78 for the published fit).
+        rng = np.random.default_rng(8)
+        eV, me, hbar = CONSTANTS.electronvolt, CONSTANTS.electron_mass, CONSTANTS.hbar
+        c = coeffs.c
+        gammas = [0.0, 1.0] + [1.0 - 10.0 ** -k for k in range(1, 16)]
+        checked = 0
+        for i in range(300):
+            V0 = 10.0 ** rng.uniform(-3, 4) * eV
+            m = 10.0 ** rng.uniform(-3, 3) * me
+            K = hbar / math.sqrt(2.0 * m * V0)
+            t = math.exp(rng.uniform(math.log(0.5), math.log(4.9e3)))
+            gamma = gammas[i] if i < len(gammas) else float(rng.uniform(0.0, 1.0))
+            a = t * K
+            got = probability_pressure_derivative(WellConfig(a, V0, m), coeffs, gamma)
+            if gamma in (0.0, 1.0):
+                assert got == 0.0
+                continue
+            beta = beta_from_fit(a, K, coeffs, m, V0)
+            z = 2.0 * a * beta
+            if probability_interval(a, beta, gamma).probability < sys.float_info.min:
+                continue  # R itself has lost digits (see CHANGES.md)
+            want = pressure_derivative_oracle(a, K, c, m, V0, gamma, hbar)
+            den_terms = (15 * c[5], 10 * c[4] * t, 6 * c[3] * t * t,
+                         3 * c[2] * t ** 3, c[1] * t ** 4)
+            k_pole = max(map(abs, den_terms)) / abs(math.fsum(den_terms))
+            q_g, q_z = gamma * gamma * _q_oracle(gamma * z), _q_oracle(z)
+            k_gamma = (q_g + q_z) / abs(q_g - q_z)
+            s1, s2 = beta * beta, a * m * pressure_1d(a, K, coeffs, V0) / hbar ** 2
+            k_z = (abs(s1) + abs(s2)) / abs(s1 + s2)
+            bound = 8 * EPS * max(1.0, z) * (k_gamma + k_pole) * k_z
+            assert abs(got - want) <= bound * abs(want), (t, z, gamma, got, want)
+            checked += 1
+        assert checked >= 200
+
+    def test_pole_exactly_where_dedp_raises(self, hydrogen_scale):
+        K, V0, m = hydrogen_scale
+        t_pole = critical_width(1.0, PAPER_FIT, "numeric").pole_location
+        raised = 0
+        for t in (t_pole * (1.0 + np.linspace(-1e-9, 1e-9, 2000))).tolist():
+            try:
+                denergy_dpressure(t * K, K, PAPER_FIT)
+                dedp_pole = False
+            except PoleSingularity:
+                dedp_pole = True
+            try:
+                probability_pressure_derivative(WellConfig(t * K, V0, m), PAPER_FIT, 0.5)
+                drdp_pole = False
+            except PoleSingularity:
+                drdp_pole = True
+            assert drdp_pole == dedp_pole, t
+            raised += dedp_pole
+        assert 0 < raised < 2000
+
+    def test_wide_wells(self, hydrogen_scale):
+        # R underflows long before dP/da does: the true value is an underflowed
+        # +0 until the dE/dP terms overflow near a/K = 3e77.
+        K, V0, m = hydrogen_scale
+        for t in (1e10, 1e62, 1e70, 1e77):
+            got = probability_pressure_derivative(WellConfig(t * K, V0, m), PAPER_FIT, 0.5)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        for t in (2e77, 1e90):
+            with pytest.raises(NumericalError, match="overflows"):
+                probability_pressure_derivative(WellConfig(t * K, V0, m), PAPER_FIT, 0.5)
+        # 2 m V0 = 1e-314: dP/da underflows to 0.0, so dR/dP has no float value.
+        with pytest.raises(NumericalError, match="float range"):
+            probability_pressure_derivative(WellConfig(1e200, 5e-158, 1e-157), PAPER_FIT, 0.5)

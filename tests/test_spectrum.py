@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from finwell import (
     ConvergenceFailure,
     DomainError,
     NoSuchBranch,
+    NumericalError,
     WellConfig,
     energy_exact,
     energy_ratio,
@@ -82,6 +84,25 @@ class TestWellStrength:
             a = float(rng.uniform(0.1, 20.0)) * K
             s = well_strength(WellConfig(a, V0, m))
             assert s.strength * s.characteristic_length == pytest.approx(a, rel=1e-14)
+
+    @pytest.mark.parametrize("mass, depth", [(1e300, 1e300), (1e-300, 1e-300)])
+    def test_2mv0_out_of_float_range(self, mass, depth):
+        # Overflow gave n = inf and K = 0.0, underflow a ZeroDivisionError.
+        named = re.escape(f"m = {mass:.6g} kg, V0 = {depth:.6g} J")
+        with pytest.raises(NumericalError, match=named):
+            well_strength(WellConfig(1.0, depth, mass))
+        with pytest.raises(NumericalError, match=named):
+            ground_states(np.ones(2), np.array([1e-18, depth]), np.array([1e-30, mass]))
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--width", "1m", "--depth", "1e300J", "--mass", "1e300kg"],
+        ["sweep", "--param", "mass", "--from", "1e300kg", "--to", "1e301kg", "--steps", "2",
+         "--width", "1m", "--depth", "1e300J"],
+    ])
+    def test_2mv0_overflow_cli(self, capsys, argv):
+        # Both exited 1 with "n must be positive", naming a quantity not given.
+        assert main(argv) == 2
+        assert "m = 1e+300 kg, V0 = 1e+300 J" in capsys.readouterr().err
 
 
 class TestSolveEvenRoot:
@@ -281,6 +302,21 @@ class TestEnergyExact:
         state = energy_exact(cfg, branch)
         want = eta_oracle(well_strength(cfg).strength, state.xi)
         assert abs(state.eta - want) <= 2 * math.ulp(want)
+
+    @settings(max_examples=300)
+    @given(st.floats(math.log(1e-12), math.log(1e12)))
+    def test_root_and_pythagoras_property(self, log_n):
+        # xi within 2 ulp of the bisection oracle; xi^2 + eta^2, summed
+        # exactly, within 4 eps n^2: eta = sqrt(n - xi) sqrt(n + xi) carries up
+        # to 2 eps from its five roundings, and xi^2 + eta^2 twice that.
+        h = hydrogen_well()
+        K = well_strength(h).characteristic_length
+        cfg = WellConfig(math.exp(log_n) * K, h.depth, h.mass)
+        n = well_strength(cfg).strength
+        state = energy_exact(cfg)
+        assert abs(state.xi - even_root_oracle(n)) <= 2 * math.ulp(state.xi), n
+        err = abs(Fraction(state.xi) ** 2 + Fraction(state.eta) ** 2 - Fraction(n) ** 2)
+        assert err <= 4 * Fraction(2.0 ** -52) * Fraction(n) ** 2, n
 
     def test_energy_below_depth_everywhere(self):
         for n in (0.1, 0.5, 1.0, 3.0, 10.0, 100.0):
