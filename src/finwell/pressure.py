@@ -110,16 +110,32 @@ def _rational_coefficients(c, variant: str = "consistent") -> tuple[tuple, tuple
     )
 
 
-def _rational_terms(t, c, variant: str) -> tuple[tuple, tuple]:
-    # Numerator and denominator terms of dE/dP in t = a/K; floats or arrays.
+def _rational_sums(t, c, variant: str):
+    # (numerator, denominator, near_pole) of dE/dP in t = a/K; floats or arrays.
     # Powers by multiplication: numpy's ** may round differently from libm.
-    num, den = _rational_coefficients(c, variant)
+    # Each sum is Sum2 (Ogita, Rump and Oishi 2005): the exact error of every
+    # addition, by TwoSum, is summed apart and added last.  That is as accurate
+    # as summing in twice the precision; a plain sum is 3e-7 off at 1e-9 from
+    # the pole.  A term or sum that overflows leaves num or den non-finite.
+    # The pole rule: den is 0, or below POLE_RTOL times one of its terms.
+    _check_variant(variant)
     t2 = t * t
     t3, t4 = t2 * t, t2 * t2
-    return (
-        (num[0], num[1] * t, num[2] * t2, num[3] * t3, num[4] * t4),
-        (den[0], den[1] * t, den[2] * t2, den[3] * t3, den[4] * t4),
-    )
+    sums = []
+    for k0, k1, k2, k3, k4 in _rational_coefficients(c, variant):
+        terms = (k0, k1 * t, k2 * t2, k3 * t3, k4 * t4)
+        total, error = k0, 0.0
+        for term in terms[1:]:
+            s = total + term
+            back = s - total
+            error = error + ((total - (s - back)) + (term - back))
+            total = s
+        sums.append(total + error)
+    num, den = sums
+    near_pole = den == 0.0
+    for term in terms:  # the denominator's, built last
+        near_pole = near_pole | (abs(den) < POLE_RTOL * abs(term))
+    return num, den, near_pole
 
 
 def _small_width_zero(c, K: float) -> float | None:
@@ -130,38 +146,16 @@ def _small_width_zero(c, K: float) -> float | None:
 def _rational_parts(
     a: float, K: float, coeffs: FitCoefficients, variant: str
 ) -> tuple[float, float]:
-    # (numerator, denominator) of dE/dP in t = a/K; NumericalError where a
-    # term overflows, PoleSingularity where _near_pole puts a/K on the pole.
-    _check_variant(variant)
-    num_terms, den_terms = _rational_terms(a / K, coeffs.c, variant)
-    if not all(map(math.isfinite, num_terms + den_terms)):
+    # (numerator, denominator) of dE/dP in t = a/K; NumericalError where
+    # either leaves the float range, PoleSingularity where a/K is on the pole.
+    num, den, near_pole = _rational_sums(a / K, coeffs.c, variant)
+    if not (math.isfinite(num) and math.isfinite(den)):
         raise NumericalError(f"dE/dP overflows at a/K = {a / K:.6g}")
-    den = math.fsum(den_terms)
-    if _near_pole(den, max(abs(term) for term in den_terms)):
+    if near_pole:
         raise PoleSingularity(
             f"dE/dP denominator vanishes near a/K = {a / K:.6g} ({variant} form)"
         )
-    return math.fsum(num_terms), den
-
-
-def _near_pole(den, scale):
-    # The pole rule of dE/dP: |denominator| below POLE_RTOL times its largest
-    # term, or exactly zero; floats or arrays.
-    return (abs(den) < POLE_RTOL * scale) | (den == 0.0)
-
-
-def _neumaier_sum(terms: tuple) -> np.ndarray:
-    # Neumaier's compensated sum of scalar or array terms; it keeps the
-    # accuracy of math.fsum where they cancel, next to the zero and the pole
-    # of dE/dP, where a plain sum is off by 3e-7 at 1e-9 from the pole.
-    import numpy as np
-    total = np.zeros(np.broadcast(*terms).shape)
-    carry = np.zeros_like(total)
-    for term in terms:
-        s = total + term
-        carry += np.where(np.abs(total) >= np.abs(term), (total - s) + term, (term - s) + total)
-        total = s
-    return total + carry
+    return num, den
 
 
 def denergy_dpressure(
@@ -172,7 +166,8 @@ def denergy_dpressure(
     ``consistent`` uses the denominator re-derived from the series calculus;
     ``printed`` reproduces the published denominator verbatim (leading term
     2*c1*a^4).  Raises PoleSingularity when the denominator magnitude falls
-    below POLE_RTOL times its largest term.
+    below POLE_RTOL times its largest term, and NumericalError where the
+    numerator or denominator leaves the float range.
     """
     check_positive(a=a, K=K)
     num, den = _rational_parts(a, K, coeffs, variant)
@@ -191,17 +186,13 @@ def pressure_columns(
     raising, and both values are NaN.
     """
     import numpy as np
-    _check_variant(variant)
-    c = coeffs.c
     t = a / K
     with np.errstate(over="ignore", invalid="ignore"):
         # Rows that overflow are flagged below.
-        pressure = _pressure(a, K, c, V0)
-        num_terms, den_terms = _rational_terms(t, c, variant)
-        num, den = _neumaier_sum(num_terms), _neumaier_sum(den_terms)
-        scale = np.abs(np.broadcast_arrays(*den_terms)).max(axis=0)
+        pressure = _pressure(a, K, coeffs.c, V0)
+        num, den, near_pole = _rational_sums(t, coeffs.c, variant)
     overflow = ~(np.isfinite(pressure) & np.isfinite(num) & np.isfinite(den))
-    near_pole = ~overflow & _near_pole(den, scale)
+    near_pole &= ~overflow
     dedp = np.full_like(t, math.nan)
     ok = ~(near_pole | overflow)
     dedp[ok] = 0.5 * a[ok] * num[ok] / den[ok]

@@ -85,12 +85,13 @@ def _r_sinh(z, gamma, xp):
     return (z * gamma + xp.sinh(z * gamma)) / (z + xp.sinh(z))
 
 
-def _r_exp(z, gamma, xp):
+def _r_exp(z, gamma, xp, log_scale=0.0):
     # _r_sinh with top and bottom times 2 exp(-z); no term overflows, and
-    # gamma = 1 gives top == bottom exactly.
-    zez = z * xp.exp(-z)
-    num = 2.0 * zez * gamma - xp.exp(z * gamma - z) * xp.expm1(-2.0 * z * gamma)
-    den = 2.0 * zez - xp.expm1(-2.0 * z)
+    # gamma = 1 gives top == bottom exactly.  log_scale folded into the top's
+    # exponents gives R exp(log_scale), normal where R alone is subnormal.
+    num = (2.0 * (z * xp.exp(log_scale - z)) * gamma
+           - xp.exp(z * gamma - z + log_scale) * xp.expm1(-2.0 * z * gamma))
+    den = 2.0 * (z * xp.exp(-z)) - xp.expm1(-2.0 * z)
     return num / den
 
 
@@ -285,7 +286,13 @@ def probability_pressure_derivative(
     # -dP/da; den u^4, near c1 for wide wells, is formed before u^5 can underflow.
     dp_da = 2.0 * V0 * (den * u * u * u * u) * u / a / a
     drdp = (_q(z) - gamma * gamma * _q(gamma * z)) * zdz_da / dp_da if dp_da else math.nan
-    drdp *= probability_interval(a, beta, gamma).probability  # the one factor that can underflow
+    if z > _EXP_Z and 0.0 < abs(drdp) < math.inf:
+        # R, the one factor that can underflow, can be subnormal up here: fold
+        # log|dR/dP / R| into its exponents, as wavefunction folds its divisor.
+        # Neither exponent exceeds that finite log, so neither overflows.
+        drdp = math.copysign(_r_exp(z, gamma, math, math.log(abs(drdp))), drdp)
+    else:
+        drdp *= probability_interval(a, beta, gamma).probability
     if not math.isfinite(drdp):
         raise NumericalError(f"dR/dP leaves the float range at a/K = {a / K:.6g}")
     return drdp

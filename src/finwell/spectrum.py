@@ -84,8 +84,10 @@ def _strength(a, momentum):
     return a * momentum / CONSTANTS.hbar, CONSTANTS.hbar / momentum
 
 
-def _momentum_out_of_range(mass: float, depth: float) -> NumericalError:
-    return NumericalError(f"2 m V0 leaves the float range at m = {mass:.6g} kg, V0 = {depth:.6g} J")
+def _out_of_float_range(quantity: str, a: float, m: float, V0: float) -> NumericalError:
+    return NumericalError(
+        f"{quantity} leaves the float range at a = {a:.6g} m, m = {m:.6g} kg, V0 = {V0:.6g} J"
+    )
 
 
 def _energy(xi, n, V0):
@@ -94,10 +96,13 @@ def _energy(xi, n, V0):
 
 def well_strength(cfg: WellConfig) -> WellStrength:
     """Strength n = a*sqrt(2mV0)/hbar and length scale K = hbar/sqrt(2mV0)."""
-    momentum = math.sqrt(2.0 * cfg.mass * cfg.depth)  # sqrt(2mV0) [kg m/s]
+    a, m, V0 = cfg.half_width, cfg.mass, cfg.depth
+    momentum = math.sqrt(2.0 * m * V0)  # sqrt(2mV0) [kg m/s]
     if not 0.0 < momentum < math.inf:
-        raise _momentum_out_of_range(cfg.mass, cfg.depth)
-    n, K = _strength(cfg.half_width, momentum)
+        raise _out_of_float_range("2 m V0", a, m, V0)
+    n, K = _strength(a, momentum)
+    if not 0.0 < n < math.inf:
+        raise _out_of_float_range("n = a sqrt(2 m V0)/hbar", a, m, V0)
     return WellStrength(strength=n, characteristic_length=K)
 
 
@@ -295,13 +300,14 @@ def ground_states(
     import numpy as np
     check_positive_columns(half_width=half_width, depth=depth, mass=mass)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        # 2 m V0 leaving the float range is raised below; an n that overflows
-        # fails the domain check of solve_ground_roots.
+        # 2 m V0 or n leaving the float range is raised below.
         momentum = np.sqrt(2.0 * mass * depth)
         n, K = _strength(half_width, momentum)
-    bad = np.flatnonzero(~((0.0 < momentum) & (momentum < math.inf)))
-    if bad.size:
-        raise _momentum_out_of_range(mass[bad[0]], depth[bad[0]])
+    for quantity, x in (("2 m V0", momentum), ("n = a sqrt(2 m V0)/hbar", n)):
+        bad = np.flatnonzero(~((0.0 < x) & (x < math.inf)))
+        if bad.size:
+            i = bad[0]
+            raise _out_of_float_range(quantity, half_width[i], mass[i], depth[i])
     xi = solve_ground_roots(n)
     return GroundStates(
         strength=n, characteristic_length=K, xi=xi, energy=_energy(xi, n, depth)

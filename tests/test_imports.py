@@ -36,6 +36,15 @@ NUMPY_FREE = {
         "import finwell as fw; h = fw.hydrogen_well(); K = fw.well_strength(h).characteristic_length\n"
         "fw.probability_pressure_derivative(fw.WellConfig(2 * K, h.depth, h.mass), fw.PAPER_FIT, 0.5)"
     ),
+    "dE/dP": (
+        "import finwell as fw; h = fw.hydrogen_well(); K = fw.well_strength(h).characteristic_length\n"
+        "fw.pressure_profile(h.half_width, K, fw.PAPER_FIT, h.depth)\n"
+        "t_pole = fw.critical_width(1.0, fw.PAPER_FIT, 'numeric').pole_location\n"
+        "for t in (t_pole, 1e100):\n"
+        "    try: fw.denergy_dpressure(t, 1.0, fw.PAPER_FIT)\n"
+        "    except fw.FinwellError: pass\n"
+        "    else: raise AssertionError(t)"
+    ),
 }
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finwell import (
     DomainError,
@@ -21,10 +23,12 @@ from finwell import (
     pressure_columns,
     pressure_profile,
 )
+from finwell.fitseries import refit
 
 from oracles import central_difference
 
 C = PAPER_FIT.c
+EPS = 2.0 ** -52
 ZERO_FIT = FitCoefficients(c=(0.0,) * 6, sigma=0.0, source="refit")
 
 
@@ -121,8 +125,9 @@ class TestPressureColumns:
             assert dedp[i] == denergy_dpressure(ai, K, PAPER_FIT, variant)
 
     def test_within_1e9_of_the_pole(self):
-        # Compensated sums keep what math.fsum gives; a plain sum is 3e-7 off
-        # at 1e-9 relative distance and 3e-5 off at 1e-11.
+        # Both paths share one compensated sum, accurate as if summed in twice
+        # the precision; a plain sum is 3e-7 off at 1e-9 relative distance and
+        # 3e-5 off at 1e-11.
         t_pole = critical_width(1.0, PAPER_FIT, "numeric").pole_location
         t = t_pole * (1.0 + np.array([-1e-9, -1e-10, -1e-11, 1e-11, 1e-10, 1e-9]))
         ones = np.ones_like(t)
@@ -157,8 +162,35 @@ class TestPressureColumns:
             pressure_1d(t, 1.0, PAPER_FIT, 1.0)
             denergy_dpressure(t, 1.0, PAPER_FIT)
 
+    def test_overflowing_sum(self):
+        # Every term is finite, but both sums overflow: the scalar path raised
+        # a raw OverflowError from math.fsum where the columns flagged the row.
+        coeffs = make_coeffs((0, 0, 0, 0, 1.7e307, 1.1e307))
+        with pytest.raises(NumericalError):
+            denergy_dpressure(1.0, 1.0, coeffs)
+        with pytest.raises(NumericalError):
+            pressure_profile(1.0, 1.0, coeffs, 1.0)
+        ones = np.ones(1)
+        p, dedp, near, overflow = pressure_columns(ones, ones, coeffs, ones)
+        assert overflow.tolist() == [True] and not near.any()
+        assert math.isnan(p[0]) and math.isnan(dedp[0])
+
 
 class TestSmallWidthExpansion:
+    @settings(max_examples=400)
+    @given(
+        st.floats(math.log(1e-12), math.log(1e-2)),
+        st.sampled_from([PAPER_FIT, refit()]),
+        st.sampled_from(["consistent", "printed"]),
+    )
+    def test_second_order_in_t(self, log_t, coeffs, variant):
+        # The check verify calls "consistent" holds over the whole narrow-well
+        # range, second order in t = a/K and well within its 1e-2.
+        t = math.exp(log_t)
+        full = denergy_dpressure(t, 1.0, coeffs, variant)
+        approx = expansion_small_width(t, 1.0, coeffs)
+        assert abs(approx - full) <= (0.1 * t * t + 8 * EPS) * abs(full)
+
     def test_agrees_with_consistent_form(self):
         a, K = 0.01, 1.0
         full = denergy_dpressure(a, K, PAPER_FIT, "consistent")

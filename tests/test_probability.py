@@ -62,6 +62,25 @@ def _q_oracle(w: float) -> float:
     return (w * math.cosh(w) - math.sinh(w)) / (w * w * (w + math.sinh(w)))
 
 
+def drdp_rtol(a, K, coeffs, m, V0, gamma):
+    """8 eps max(1, z) (k_gamma + k_pole) k_z: the relative error bound of dR/dP.
+
+    k_pole is the condition of the dE/dP denominator, k_gamma that of
+    gamma^2 Q(gamma z) - Q(z), and k_z that of beta^2 + a m P/hbar^2, which
+    cancels where z' = 0, a zero of dR/dP (a/K = 0.78 for the published fit).
+    """
+    c, t, hbar = coeffs.c, a / K, CONSTANTS.hbar
+    beta = beta_from_fit(a, K, coeffs, m, V0)
+    z = 2.0 * a * beta
+    den_terms = (15 * c[5], 10 * c[4] * t, 6 * c[3] * t * t, 3 * c[2] * t ** 3, c[1] * t ** 4)
+    k_pole = max(map(abs, den_terms)) / abs(math.fsum(den_terms))
+    q_g, q_z = gamma * gamma * _q_oracle(gamma * z), _q_oracle(z)
+    k_gamma = (q_g + q_z) / abs(q_g - q_z)
+    s1, s2 = beta * beta, a * m * pressure_1d(a, K, coeffs, V0) / hbar ** 2
+    k_z = (abs(s1) + abs(s2)) / abs(s1 + s2)
+    return 8 * EPS * max(1.0, z) * (k_gamma + k_pole) * k_z
+
+
 def density(norm):
     return lambda x: wavefunction(x, norm) ** 2
 
@@ -488,9 +507,7 @@ class TestPressureDerivative:
     def test_against_decimal_oracle(self, coeffs):
         # Log-uniform V0 in [1e-3, 1e4] eV, m in [1e-3, 1e3] me and a/K from
         # 0.5 (neither series reaches E/V0 = 1) to 2 a beta = 1e4, across the
-        # dE/dP zero and pole.  The bound is 8 eps max(1, z) (k_gamma + k_pole),
-        # times k_z where beta^2 + a m P/hbar^2 cancels: z' = 0 is a zero of
-        # dR/dP (a/K = 0.78 for the published fit).
+        # dE/dP zero and pole, within drdp_rtol.
         rng = np.random.default_rng(8)
         eV, me, hbar = CONSTANTS.electronvolt, CONSTANTS.electron_mass, CONSTANTS.hbar
         c = coeffs.c
@@ -507,22 +524,32 @@ class TestPressureDerivative:
             if gamma in (0.0, 1.0):
                 assert got == 0.0
                 continue
-            beta = beta_from_fit(a, K, coeffs, m, V0)
-            z = 2.0 * a * beta
-            if probability_interval(a, beta, gamma).probability < sys.float_info.min:
-                continue  # R itself has lost digits (see CHANGES.md)
             want = pressure_derivative_oracle(a, K, c, m, V0, gamma, hbar)
-            den_terms = (15 * c[5], 10 * c[4] * t, 6 * c[3] * t * t,
-                         3 * c[2] * t ** 3, c[1] * t ** 4)
-            k_pole = max(map(abs, den_terms)) / abs(math.fsum(den_terms))
-            q_g, q_z = gamma * gamma * _q_oracle(gamma * z), _q_oracle(z)
-            k_gamma = (q_g + q_z) / abs(q_g - q_z)
-            s1, s2 = beta * beta, a * m * pressure_1d(a, K, coeffs, V0) / hbar ** 2
-            k_z = (abs(s1) + abs(s2)) / abs(s1 + s2)
-            bound = 8 * EPS * max(1.0, z) * (k_gamma + k_pole) * k_z
-            assert abs(got - want) <= bound * abs(want), (t, z, gamma, got, want)
+            if abs(want) < sys.float_info.min:
+                continue  # below the normal range, digits are lost by design
+            bound = drdp_rtol(a, K, coeffs, m, V0, gamma)
+            assert abs(got - want) <= bound * abs(want), (t, gamma, got, want)
             checked += 1
         assert checked >= 200
+
+    def test_subnormal_r_keeps_its_digits(self, hydrogen_scale):
+        # 2 a beta (1 - gamma) of 708 to 745, where R is subnormal or 0 but
+        # dR/dP is normal: R's lost digits carried into dR/dP (1.2e-4 off at
+        # a/K = 900, gamma = 0.59), and 18 of these cases gave 0.0.
+        K, V0, m = hydrogen_scale
+        checked = 0
+        for t in range(700, 1300, 10):
+            for j in range(40):
+                gamma = 0.45 + 0.005 * j
+                want = pressure_derivative_oracle(t * K, K, PAPER_FIT.c, m, V0, gamma,
+                                                  CONSTANTS.hbar)
+                if abs(want) < sys.float_info.min:
+                    continue
+                got = probability_pressure_derivative(WellConfig(t * K, V0, m), PAPER_FIT, gamma)
+                bound = drdp_rtol(t * K, K, PAPER_FIT, m, V0, gamma)
+                assert abs(got - want) <= bound * abs(want), (t, gamma, got, want)
+                checked += 1
+        assert checked == 588
 
     def test_pole_exactly_where_dedp_raises(self, hydrogen_scale):
         K, V0, m = hydrogen_scale

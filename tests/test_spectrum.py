@@ -104,6 +104,27 @@ class TestWellStrength:
         assert main(argv) == 2
         assert "m = 1e+300 kg, V0 = 1e+300 J" in capsys.readouterr().err
 
+    def test_n_out_of_float_range(self):
+        # 2 m V0 is in range but n = a sqrt(2 m V0)/hbar overflows; it was a
+        # DomainError, "strength n must be positive, got inf".
+        named = re.escape("n = a sqrt(2 m V0)/hbar leaves the float range at a = 1e+300 m, "
+                          "m = 1e-30 kg, V0 = 1e-18 J")
+        with pytest.raises(NumericalError, match=named):
+            energy_exact(WellConfig(1e300, 1e-18, 1e-30))
+
+    @pytest.mark.parametrize("argv, width", [
+        (["spectrum", "--width", "1e300m", "--depth", "1eV", "--mass", "me"], "1e+300"),
+        (["spectrum", "--width", "1e-320m", "--depth", "1eV", "--mass", "me"], "9.99989e-321"),
+        (["sweep", "--param", "width", "--from", "1e299m", "--to", "1e300m", "--steps", "2",
+          "--depth", "1eV", "--mass", "me"], "1e+299"),
+    ])
+    def test_n_out_of_float_range_cli(self, capsys, argv, width):
+        # Each exited 1 with "n must be positive", though every input is
+        # positive and finite: n overflows to inf or underflows to 0.0.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"n = a sqrt(2 m V0)/hbar leaves the float range at a = {width} m" in err
+
 
 class TestSolveEvenRoot:
     def test_against_oracle_n2(self):
