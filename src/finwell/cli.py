@@ -8,7 +8,8 @@ Commands:
     verify     printed-vs-rederived consistency report
 
 Every command accepts --json; JSON and human output carry the same numbers.
-Exit codes: 0 ok, 1 domain error, 2 numerical failure, 3 usage.
+Exit codes: 0 ok, 1 domain error, 2 numerical failure, 3 usage,
+141 stdout closed by its reader (e.g. `finwell sweep ... | head`).
 
 Sweep CSV schema (header exactly):
     param,a_m,n,K_m,xi,E_J,E_over_V0,P_N,dEdP_m,R,flags
@@ -21,6 +22,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 CSV_HEADER = ["param", "a_m", "n", "K_m", "xi", "E_J", "E_over_V0", "P_N", "dEdP_m", "R", "flags"]
 
@@ -254,19 +257,35 @@ def _sweep_rows(
     )
 
 
+def _same_text(column: list) -> bool:
+    # Equal cells of this column have equal repr: it holds no zero (0.0 ==
+    # -0.0) and no NaN (a NaN object equals itself in list comparisons).
+    return 0.0 not in column and all(v == v for v in column)
+
+
 def _render_csv(table: SweepTable, out) -> None:
-    """CSV written one row at a time: repr of each value, empty for None."""
-    columns = list(table.columns.values())
-    fields = []
-    for i, column in enumerate(columns):
-        if None in column:
-            columns[i] = ["" if v is None else repr(v) for v in column]
-            fields.append("{}")
+    """CSV written one row at a time: repr of each value, empty for None.
+
+    repr runs once per distinct column, not once per cell.  A column of one
+    nonzero, non-NaN value (or of None only) is written into the row format
+    as text, and a column equal to an earlier one reuses that column's field.
+    The other columns are converted cell by cell as the rows are written.
+    """
+    fields, distinct = [], []
+    for column in table.columns.values():
+        first = column[0]
+        if first == first and first != 0.0 and column == [first] * len(column):
+            fields.append("" if first is None else repr(first))
+        elif column in distinct and _same_text(column):
+            fields.append("{%d}" % distinct.index(column))
         else:
-            fields.append("{!r}")
-    row_format = ",".join(fields) + ",{}\n"
+            fields.append("{%d}" % len(distinct))
+            distinct.append(column)
+    cells = [("" if v is None else repr(v) for v in column) if None in column
+             else map(repr, column) for column in distinct]
+    row_format = ",".join(fields) + ",{%d}\n" % len(distinct)
     out.write(",".join(CSV_HEADER) + "\n")
-    for row in zip(*columns, map(";".join, table.flags)):
+    for row in zip(*cells, map(";".join, table.flags)):
         out.write(row_format.format(*row))
 
 
@@ -381,7 +400,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_merge_quantity_flags(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
+        # so that the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"finwell {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

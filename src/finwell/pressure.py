@@ -158,6 +158,14 @@ def _rational_parts(
     return num, den
 
 
+def _wide_well_dedp(a, num, den):
+    # dE/dP with the quotient taken first.  For very wide wells (from a/K ~
+    # 1e62 at K = 1) a * num overflows although dE/dP ~ a/2 does not.  Only
+    # where the usual 0.5 * a * num / den is inf is this order used, so every
+    # other result keeps its bits.
+    return 0.5 * a * (num / den)
+
+
 def denergy_dpressure(
     a: float, K: float, coeffs: FitCoefficients, variant: str = "consistent"
 ) -> float:
@@ -167,11 +175,16 @@ def denergy_dpressure(
     ``printed`` reproduces the published denominator verbatim (leading term
     2*c1*a^4).  Raises PoleSingularity when the denominator magnitude falls
     below POLE_RTOL times its largest term, and NumericalError where the
-    numerator or denominator leaves the float range.
+    numerator, the denominator or dE/dP itself leaves the float range.
     """
     check_positive(a=a, K=K)
     num, den = _rational_parts(a, K, coeffs, variant)
-    return 0.5 * a * num / den
+    dedp = 0.5 * a * num / den
+    if math.isinf(dedp):
+        dedp = _wide_well_dedp(a, num, den)
+        if math.isinf(dedp):
+            raise NumericalError(f"dE/dP overflows at a/K = {a / K:.6g}")
+    return dedp
 
 
 def pressure_columns(
@@ -187,15 +200,17 @@ def pressure_columns(
     """
     import numpy as np
     t = a / K
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Rows that overflow are flagged below.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Rows that overflow or sit on the pole are flagged below.
         pressure = _pressure(a, K, coeffs.c, V0)
         num, den, near_pole = _rational_sums(t, coeffs.c, variant)
+        dedp = 0.5 * a * num / den
+        wide = np.isinf(dedp)
+        dedp[wide] = _wide_well_dedp(a[wide], num[wide], den[wide])
     overflow = ~(np.isfinite(pressure) & np.isfinite(num) & np.isfinite(den))
     near_pole &= ~overflow
-    dedp = np.full_like(t, math.nan)
-    ok = ~(near_pole | overflow)
-    dedp[ok] = 0.5 * a[ok] * num[ok] / den[ok]
+    overflow |= ~(near_pole | np.isfinite(dedp))
+    dedp[near_pole | overflow] = math.nan
     pressure[overflow] = math.nan
     return pressure, dedp, near_pole, overflow
 

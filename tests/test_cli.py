@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,8 @@ from finwell import (
     pressure_1d,
     well_strength,
 )
-from finwell.cli import CSV_HEADER, build_parser, main
+import finwell.cli as cli
+from finwell.cli import CSV_HEADER, EXIT_BROKEN_PIPE, SweepTable, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -283,6 +286,20 @@ class TestSweep:
         with pytest.raises(NumericalError):
             pressure_1d(float(rows[0]["a_m"]), float(rows[0]["K_m"]), PAPER_FIT, V0)
 
+    def test_very_wide_well_dedp_is_finite(self, capsys):
+        # a * num overflows in the first row although dE/dP ~ a/2 is finite;
+        # the second row's dE/dP sums overflow and the row is flagged.
+        code, out, err = run(capsys, [
+            "sweep", "--param", "width", "--from", "1e66m", "--to", "1e67m", "--steps", "2",
+            "--depth", "13.6eV", "--mass", "me",
+        ])
+        assert code == 0
+        assert err == ""
+        rows = [dict(zip(CSV_HEADER, line.split(","))) for line in out.strip().splitlines()[1:]]
+        assert [row["flags"] for row in rows] == ["", "overflow"]
+        a, K = float(rows[0]["a_m"]), float(rows[0]["K_m"])
+        assert rows[0]["dEdP_m"] == repr(denergy_dpressure(a, K, PAPER_FIT)) == "5e+65"
+
     def test_every_row_overflowing_exits_numerical(self, capsys):
         code, out, _ = run(capsys, [
             "sweep", "--param", "width", "--scale", "log", "--from", "1e-170m", "--to", "1e-160m",
@@ -366,6 +383,73 @@ class TestSweep:
         assert code == 1
 
 
+def naive_csv(table, out):
+    """The sweep CSV with one repr per cell, empty for None."""
+    out.write(",".join(CSV_HEADER) + "\n")
+    for i, flags in enumerate(table.flags):
+        cells = ["" if column[i] is None else repr(column[i]) for column in table.columns.values()]
+        out.write(",".join([*cells, ";".join(flags)]) + "\n")
+
+
+def hand_table(**columns):
+    """A two-row SweepTable: the given columns, 1.5 and 2.5 in the others."""
+    filled = {name: columns.get(name, [1.5, 2.5]) for name in CSV_HEADER[:-1]}
+    return SweepTable(columns=filled, flags=[(), ("overflow", "near_pole")])
+
+
+NAN = math.nan
+HAND_TABLES = {
+    "constant": hand_table(K_m=[5.25e-11, 5.25e-11], n=[-3.0, -3.0]),
+    "repeats_earlier": hand_table(param=[1e-11, 2e-11], a_m=[1e-11, 2e-11], R=[1e-11, 2e-11]),
+    "signed_zero_constant": hand_table(K_m=[0.0, -0.0], xi=[-0.0, 0.0]),
+    "signed_zero_repeat": hand_table(param=[0.0, 1.0], a_m=[-0.0, 1.0], n=[0.0, -0.0]),
+    "zero_constant": hand_table(K_m=[0.0, 0.0], xi=[-0.0, -0.0]),
+    "nan": hand_table(P_N=[NAN, NAN], dEdP_m=[NAN, 1.0], R=[float("nan"), float("nan")]),
+    "shared_nan": hand_table(param=[NAN, 1.0], a_m=[NAN, 1.0]),
+    "inf": hand_table(P_N=[math.inf, math.inf], dEdP_m=[-math.inf, math.inf],
+                      R=[math.inf, math.inf]),
+    "none": hand_table(P_N=[None, 1.0], dEdP_m=[None, 1.0], R=[None, None], xi=[2.0, None]),
+    "mixed": hand_table(param=[1.0, 2.0], a_m=[1.0, 2.0], n=[1.0, 1.0], K_m=[1.0, 1.0],
+                        xi=[0.0, 0.0], E_J=[None, 2.0], E_over_V0=[None, 2.0]),
+}
+
+
+class TestRenderCsv:
+    """_render_csv writes exactly what one repr per cell would."""
+
+    @pytest.mark.parametrize("name", HAND_TABLES)
+    def test_hand_built_tables(self, name):
+        table = HAND_TABLES[name]
+        fast, naive = io.StringIO(), io.StringIO()
+        cli._render_csv(table, fast)
+        naive_csv(table, naive)
+        assert fast.getvalue() == naive.getvalue()
+
+    def test_signed_zeros_keep_their_sign(self):
+        out = io.StringIO()
+        cli._render_csv(HAND_TABLES["signed_zero_constant"], out)
+        rows = [dict(zip(CSV_HEADER, line.split(","))) for line in out.getvalue().splitlines()[1:]]
+        assert [(row["K_m"], row["xi"]) for row in rows] == [("0.0", "-0.0"), ("-0.0", "0.0")]
+
+    @pytest.mark.parametrize("variant", ["consistent", "printed"])
+    @pytest.mark.parametrize("sweep", [
+        ["--param", "width", "--from", "1e-11m", "--to", "1e-9m", "--scale", "log",
+         "--depth", "13.6058eV", "--mass", "me", "--gamma", "0.5"],
+        ["--param", "width", "--from", "1e-250m", "--to", "1e-10m", "--depth", "13.6eV",
+         "--mass", "me"],
+        ["--param", "depth", "--from", "1eV", "--to", "100eV", "--width", "0.529angstrom",
+         "--mass", "me", "--gamma", "0.9"],
+        ["--param", "mass", "--from", "1e-31kg", "--to", "1e-29kg", "--width", "0.529angstrom",
+         "--depth", "13.6eV"],
+        ["--param", "gamma", "--from", "0", "--to", "1", *HYDROGEN_FLAGS],
+    ])
+    def test_sweeps_match_naive_renderer(self, capsys, monkeypatch, sweep, variant):
+        argv = ["sweep", *sweep, "--steps", "40", "--variant", variant]
+        code, fast, _ = run(capsys, argv)
+        monkeypatch.setattr(cli, "_render_csv", naive_csv)
+        assert run(capsys, argv) == (code, fast, "")
+
+
 class TestVerify:
     EXPECTED = {
         "pressure-series-v0": "discrepant",
@@ -434,6 +518,22 @@ class TestTopLevel:
             )
             assert (code, out) == (proc.returncode, proc.stdout)
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_closed_stdout(self, fmt):
+        # The reader stops after a few bytes, as `finwell sweep ... | head` does.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "finwell.cli", "sweep", "--param", "width",
+             "--from", "1e-11m", "--to", "1e-9m", "--steps", "20000",
+             "--depth", "13.6eV", "--mass", "me", *fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(64)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_BROKEN_PIPE
+        assert b"Traceback" not in err and err == b""
 
     def test_module_entry_point(self):
         proc = subprocess.run(

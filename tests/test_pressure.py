@@ -111,6 +111,19 @@ class TestDenergyDpressure:
         with pytest.raises(NumericalError):
             denergy_dpressure(1e100, 1.0, PAPER_FIT)
 
+    @pytest.mark.parametrize("variant,limit", [("consistent", 0.5), ("printed", 0.25)])
+    def test_very_wide_wells_stay_finite(self, variant, limit):
+        # From a/K ~ 1e62 up to where the sums overflow (~1.3e77), a * num
+        # overflows although dE/dP ~ a/2 (a/4 printed) does not; it was inf.
+        t = np.geomspace(1e60, 1e77, 300)
+        ones = np.ones_like(t)
+        _, dedp, near, overflow = pressure_columns(t, ones, PAPER_FIT, ones, variant)
+        assert not (near | overflow).any()
+        for ti, got in zip(t.tolist(), dedp.tolist()):
+            scalar = denergy_dpressure(ti, 1.0, PAPER_FIT, variant)
+            assert got == scalar
+            assert scalar == pytest.approx(limit * ti, rel=1e-12)
+
 
 class TestPressureColumns:
     @pytest.mark.parametrize("variant", ["consistent", "printed"])
@@ -161,6 +174,19 @@ class TestPressureColumns:
         with pytest.raises(NumericalError):
             pressure_1d(t, 1.0, PAPER_FIT, 1.0)
             denergy_dpressure(t, 1.0, PAPER_FIT)
+
+    def test_dedp_out_of_range_is_flagged(self):
+        # Just off the pole num/den is about 6e4, so dE/dP at a = 1e305 leaves
+        # the float range with every term finite.
+        t = critical_width(1.0, PAPER_FIT, "numeric").pole_location * (1.0 + 1e-6)
+        a, K = 1e305, 1e305 / t
+        p, dedp, near, overflow = pressure_columns(
+            np.array([a, 1.0]), np.array([K, 1.0]), PAPER_FIT, np.ones(2))
+        assert overflow.tolist() == [True, False] and not near.any()
+        assert math.isnan(p[0]) and math.isnan(dedp[0])
+        assert dedp[1] == denergy_dpressure(1.0, 1.0, PAPER_FIT)
+        with pytest.raises(NumericalError, match="dE/dP overflows"):
+            denergy_dpressure(a, K, PAPER_FIT)
 
     def test_overflowing_sum(self):
         # Every term is finite, but both sums overflow: the scalar path raised
