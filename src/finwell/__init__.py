@@ -8,7 +8,6 @@ and in-well interval probabilities with their pressure derivative.
 
 from .errors import (
     ConvergenceFailure,
-    DimensionMismatch,
     DomainError,
     FinwellError,
     FitOutOfRange,
@@ -47,10 +46,8 @@ from .pressure import (
     pressure_profile,
 )
 from .probability import (
-    ProbabilityMethod,
     ProbabilityResult,
     WavefunctionNorm,
-    beta_from_energy,
     beta_from_fit,
     normalization_constant,
     probability_columns,
@@ -77,7 +74,6 @@ from .units import (
     Dimension,
     PhysicalConstants,
     Quantity,
-    format_quantity,
     parse_quantity,
     quantity,
 )

@@ -22,6 +22,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -108,9 +109,21 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+# json.dumps(value, allow_nan=False) without a new encoder on every call
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json(value) -> str:
+    """JSON text of value; NumericalError where it holds a NaN or an infinity."""
+    try:
+        return _encode(value)
+    except ValueError as exc:
+        raise NumericalError(f"no JSON for a non-finite value ({exc})") from None
+
+
 def _emit(values: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(values))
+        print(_json(values))
         return
     width = max(len(k) for k in values)
     for key, value in values.items():
@@ -139,13 +152,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _well_from_args(args)
     strength = well_strength(cfg)
     state = energy_exact(cfg, args.branch)
+    energy_ev = state.energy / CONSTANTS.electronvolt
+    if math.isinf(energy_ev):
+        raise NumericalError(f"E in eV overflows at E = {state.energy:.6g} J")
     values = {
         "n": strength.strength,
         "K_m": strength.characteristic_length,
         "xi": state.xi,
         "eta": state.eta,
         "E_J": state.energy,
-        "E_eV": state.energy / CONSTANTS.electronvolt,
+        "E_eV": energy_ev,
         "E_over_V0": state.energy / cfg.depth,
     }
     _emit(values, args.json)
@@ -172,7 +188,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.out:
         dump_coefficients(coeffs, args.out)
     if args.json:
-        print(json.dumps(coeffs.to_dict()))
+        print(_json(coeffs.to_dict()))
     else:
         values = {f"c{i}": c for i, c in enumerate(coeffs.c)}
         values["sigma"] = coeffs.sigma
@@ -294,7 +310,7 @@ def _render_json(table: SweepTable, out) -> None:
     names = [*table.columns, "flags"]
     out.write('{"rows": [')
     for i, row in enumerate(zip(*table.columns.values(), table.flags)):
-        out.write((", " if i else "") + json.dumps(dict(zip(names, row))))
+        out.write((", " if i else "") + _json(dict(zip(names, row))))
     out.write("]}\n")
 
 
@@ -329,7 +345,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = build_verify_report()
     if args.json:
-        print(json.dumps({"checks": [check.__dict__ for check in checks]}))
+        print(_json({"checks": [check.__dict__ for check in checks]}))
         return EXIT_OK
     width = max(len(check.check_id) for check in checks)
     print(f"{'check':<{width}}  {'printed':>14}  {'rederived':>14}  {'rel.dev':>10}  verdict")

@@ -28,10 +28,6 @@ class MalformedNumber(DomainError):
     """Numeric part of a quantity string could not be parsed."""
 
 
-class DimensionMismatch(DomainError):
-    """Two quantities of different dimensions were combined or compared."""
-
-
 class NoSuchBranch(DomainError):
     """Requested bound-state branch does not exist for the given strength."""
 

@@ -90,6 +90,7 @@ def pressure_1d(a: float, K: float, coeffs: FitCoefficients, V0: float) -> float
     when P leaves the float range (a far below K).
     """
     check_positive(a=a, K=K, V0=V0)
+    a, K, V0 = float(a), float(K), float(V0)  # a numpy scalar would warn on overflow
     p = _pressure(a, K, coeffs.c, V0)
     if not math.isfinite(p):
         raise NumericalError(f"pressure overflows at a/K = {a / K:.6g}")
@@ -178,6 +179,7 @@ def denergy_dpressure(
     numerator, the denominator or dE/dP itself leaves the float range.
     """
     check_positive(a=a, K=K)
+    a, K = float(a), float(K)  # a numpy scalar would warn on overflow
     num, den = _rational_parts(a, K, coeffs, variant)
     dedp = 0.5 * a * num / den
     if math.isinf(dedp):

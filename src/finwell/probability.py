@@ -1,7 +1,8 @@
 """Wavefunction normalization and in-well interval probabilities.
 
 The in-well profile used throughout is u(x) = 2 C cosh(beta x) with the
-exterior decay constant beta; normalizing over |x| <= a gives
+exterior decay constant beta, taken from the fitted energy (beta_from_fit) or
+from a solved level (spectrum.BoundState.beta); normalizing over |x| <= a gives
 
     C = 1/(2 sqrt(a)) * (1 + sinh(2 a beta)/(2 a beta))^(-1/2)
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError, FitOutOfRange, NumericalError
 from .errors import check_positive, check_positive_columns
@@ -40,12 +40,6 @@ _TAYLOR_Z = 1e-4   # |2 a beta| below this switches to series forms
 _EXP_Z = 700.0     # 2 a beta above this switches to exp(-z) forms
 # Q(w) (1 + sinh(w)/w) in powers of w^2 to 1e-18 for w <= 1: 2k/(2k+1)!, k = 1..9.
 _Q_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 10))
-
-
-class ProbabilityMethod(Enum):
-    CLOSED_FORM = "closed_form"
-    SMALL_BETA = "small_beta"
-    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,6 @@ class WavefunctionNorm:
 class ProbabilityResult:
     probability: float  # R
     gamma: float
-    method: ProbabilityMethod
 
 
 def _sinhc(z: float) -> float:
@@ -95,21 +88,6 @@ def _r_exp(z, gamma, xp, log_scale=0.0):
     return num / den
 
 
-def _finite_beta(beta: float, m: float, V0: float) -> float:
-    # 2 m V0 overflows for large finite m and V0.
-    if not math.isfinite(beta):
-        raise NumericalError(f"beta overflows at m = {m:.6g} kg, V0 = {V0:.6g} J")
-    return beta
-
-
-def beta_from_energy(E: float, m: float, V0: float) -> float:
-    """Exterior decay constant beta = sqrt(2 m (V0 - E))/hbar  [1/m]."""
-    check_positive(m=m, V0=V0)
-    if not 0.0 <= E <= V0:
-        raise DomainError(f"bound-state energy must satisfy 0 <= E <= V0, got {E}")
-    return _finite_beta(math.sqrt(2.0 * m * (V0 - E)) / CONSTANTS.hbar, m, V0)
-
-
 def beta_from_fit(
     a: float, K: float, coeffs: FitCoefficients, m: float, V0: float
 ) -> float:
@@ -124,7 +102,10 @@ def beta_from_fit(
         raise FitOutOfRange(
             f"fitted E/V0 exceeds 1 at a/K = {a / K:.6g} (bracket {bracket:.3e})"
         )
-    return _finite_beta(math.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar, m, V0)
+    beta = math.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar
+    if not math.isfinite(beta):  # 2 m V0 overflows for large finite m and V0
+        raise NumericalError(f"beta overflows at m = {m:.6g} kg, V0 = {V0:.6g} J")
+    return beta
 
 
 def _well_z(a: float, beta: float) -> float:
@@ -201,8 +182,7 @@ def probability_interval(a: float, beta: float, gamma: float) -> ProbabilityResu
     else:
         r = _r_exp(z, gamma, math)
     # R <= gamma holds exactly; next to gamma = 1 rounding can put R an ulp above.
-    return ProbabilityResult(probability=min(r, gamma), gamma=gamma,
-                             method=ProbabilityMethod.CLOSED_FORM)
+    return ProbabilityResult(probability=min(r, gamma), gamma=gamma)
 
 
 def probability_columns(
@@ -254,8 +234,7 @@ def probability_small_beta(a: float, beta: float, gamma: float) -> ProbabilityRe
     r = gamma * (1.0 + ab * ab * (gamma * gamma - 1.0) / 3.0)
     if not math.isfinite(r):
         raise NumericalError(f"small-beta expansion overflows at a*beta = {ab:.6g}")
-    return ProbabilityResult(probability=r, gamma=gamma,
-                             method=ProbabilityMethod.SMALL_BETA)
+    return ProbabilityResult(probability=r, gamma=gamma)
 
 
 def _q(w: float) -> float:

@@ -1,4 +1,4 @@
-"""Physical constants, quantity parsing, and unit conversion.
+"""Physical constants and the parsing of quantities into SI units.
 
 Everything downstream works in coherent SI; eV, angstrom, nm, and electron
 masses are accepted only at the boundary (CLI flags, file input) and are
@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DimensionMismatch, DomainError, MalformedNumber, UnknownUnit
+from .errors import DomainError, MalformedNumber, UnknownUnit
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,6 @@ _UNIT_TABLE: dict[str, tuple[Dimension, float]] = {
     "": (Dimension.DIMENSIONLESS, 1.0),
 }
 
-_SI_SYMBOL = {
-    Dimension.LENGTH: "m",
-    Dimension.ENERGY: "J",
-    Dimension.MASS: "kg",
-    Dimension.FORCE: "N",
-    Dimension.DIMENSIONLESS: "",
-}
-
 _QUANTITY_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-z]*)\s*$"
 )
@@ -78,31 +70,6 @@ class Quantity:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
             raise DomainError(f"quantity value must be finite, got {self.value}")
-
-    def to(self, unit: str) -> float:
-        """Value expressed in ``unit``; the unit must match this dimension."""
-        dim, factor = _lookup_unit(unit)
-        if dim is not self.dimension:
-            raise DimensionMismatch(
-                f"cannot express {self.dimension.value} in '{unit}' ({dim.value})"
-            )
-        return self.value / factor
-
-    def _check(self, other: "Quantity") -> None:
-        if not isinstance(other, Quantity):
-            raise DimensionMismatch("can only compare Quantity with Quantity")
-        if other.dimension is not self.dimension:
-            raise DimensionMismatch(
-                f"cannot compare {self.dimension.value} with {other.dimension.value}"
-            )
-
-    def __lt__(self, other: "Quantity") -> bool:
-        self._check(other)
-        return self.value < other.value
-
-    def __le__(self, other: "Quantity") -> bool:
-        self._check(other)
-        return self.value <= other.value
 
 
 def _lookup_unit(unit: str) -> tuple[Dimension, float]:
@@ -142,19 +109,6 @@ def _is_number(text: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def format_quantity(q: Quantity, digits: int | None = None) -> str:
-    """Render a quantity in SI units.
-
-    With ``digits=None`` the shortest round-tripping decimal is used, so
-    ``parse_quantity(format_quantity(q))`` recovers ``q`` exactly.  Human
-    tables pass ``digits=9``.
-    """
-    symbol = _SI_SYMBOL[q.dimension]
-    if digits is None:
-        return f"{q.value!r}{symbol}"
-    return f"{q.value:.{digits}g}{symbol}"
 
 
 def quantity(value: float, unit: str) -> Quantity:

@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finwell import (
     PAPER_FIT,
@@ -87,6 +91,44 @@ class TestSpectrum:
         assert set(doc) == set(values)
         for key, val in doc.items():
             assert float(values[key]) == pytest.approx(val, rel=1e-8)
+
+
+def quantity_flags(*units):
+    """Quantity flag values log-uniform over 1e-300..1e300, in any of units."""
+    return st.builds(lambda exponent, unit: f"{10.0 ** exponent!r}{unit}",
+                     st.floats(-300.0, 300.0), st.sampled_from(units))
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_rejects_non_finite(value):
+    with pytest.raises(NumericalError):
+        cli._json({"x": value})
+
+
+class TestSpectrumProperties:
+    @settings(max_examples=300)
+    @given(quantity_flags("m", "nm", "angstrom"), quantity_flags("J", "eV"),
+           quantity_flags("kg", "me"), st.integers(0, 3), st.booleans())
+    # E in eV overflowed: E_eV printed as inf (Infinity in JSON), exit 0.
+    @example("5.71051e-274m", "1.92732e+298J", "2.65613e-76kg", 0, True)
+    @example("5.71051e-274m", "1.92732e+298J", "2.65613e-76kg", 0, False)
+    def test_exit_code_and_finite_output(self, width, depth, mass, branch, as_json):
+        argv = ["spectrum", "--width", width, "--depth", depth, "--mass", mass,
+                "--branch", str(branch), *(["--json"] if as_json else [])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out.getvalue() == "" and err.getvalue()
+        elif as_json:
+            json.loads(out.getvalue(), parse_constant=reject_constant)
+        else:
+            assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE)
 
 
 class TestFit:

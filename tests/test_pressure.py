@@ -69,6 +69,11 @@ class TestPressure1d:
         with pytest.raises(NumericalError):
             pressure_1d(1e-200, 1.0, PAPER_FIT, 1.0)
 
+    def test_overflow_raises_for_numpy_scalars(self):
+        # A numpy scalar overflowed with a RuntimeWarning before the NumericalError.
+        with pytest.raises(NumericalError):
+            pressure_1d(np.float64(1e-200), 1.0, PAPER_FIT, 1.0)
+
 
 class TestDenergyDpressure:
     def test_small_k_limits(self):
@@ -110,6 +115,12 @@ class TestDenergyDpressure:
     def test_overflow_raises(self):
         with pytest.raises(NumericalError):
             denergy_dpressure(1e100, 1.0, PAPER_FIT)
+
+    def test_overflow_raises_for_numpy_scalars(self):
+        # A numpy scalar overflowed with a RuntimeWarning before the NumericalError.
+        a = np.float64(1e305)
+        with pytest.raises(NumericalError):
+            denergy_dpressure(a, a / 1.1134732392296698, PAPER_FIT)
 
     @pytest.mark.parametrize("variant,limit", [("consistent", 0.5), ("printed", 0.25)])
     def test_very_wide_wells_stay_finite(self, variant, limit):

@@ -14,15 +14,11 @@ from finwell import (
     NumericalError,
     PAPER_FIT,
     PoleSingularity,
-    ProbabilityMethod,
-    ProbabilityResult,
     WavefunctionNorm,
     WellConfig,
-    beta_from_energy,
     beta_from_fit,
     critical_width,
     denergy_dpressure,
-    energy_exact,
     eval_fit,
     normalization_constant,
     pressure_1d,
@@ -83,38 +79,6 @@ def drdp_rtol(a, K, coeffs, m, V0, gamma):
 
 def density(norm):
     return lambda x: wavefunction(x, norm) ** 2
-
-
-class TestBetaFromEnergy:
-    def test_top_of_well(self):
-        assert beta_from_energy(1e-18, 1e-30, 1e-18) == 0.0
-
-    def test_bottom_of_well_reciprocal_k(self, hydrogen_scale):
-        K, V0, m = hydrogen_scale
-        assert beta_from_energy(0.0, m, V0) == pytest.approx(1.0 / K, rel=1e-12)
-
-    def test_hydrogen_ground_state(self, hydrogen_cfg, hydrogen_scale):
-        K, V0, _ = hydrogen_scale
-        state = energy_exact(hydrogen_cfg)
-        beta = beta_from_energy(state.energy, hydrogen_cfg.mass, V0)
-        assert beta == pytest.approx(math.sqrt(1 - state.energy / V0) / K, rel=1e-10)
-
-    @pytest.mark.parametrize("E", [-1e-20, 1.1e-18])
-    def test_out_of_band(self, E):
-        with pytest.raises(DomainError):
-            beta_from_energy(E, 1e-30, 1e-18)
-
-    @pytest.mark.parametrize("m,V0,name", [
-        (-1.0, 1e-18, "m"), (math.nan, 1e-18, "m"), (1e-30, math.inf, "V0"),
-    ])
-    def test_non_positive_or_non_finite(self, m, V0, name):
-        with pytest.raises(DomainError, match=f"{name} must be positive and finite, got "):
-            beta_from_energy(0.0, m, V0)
-
-    def test_overflowing_2_m_V0_raises(self):
-        # 2 m V0 overflows; beta used to come back as inf.
-        with pytest.raises(NumericalError, match="beta overflows"):
-            beta_from_energy(0.0, 1e300, 1e300)
 
 
 class TestBetaFromFit:
@@ -242,7 +206,6 @@ class TestProbabilityInterval:
             expected = adaptive_simpson(density(norm), -gamma * a, gamma * a, tol=1e-12)
             got = probability_interval(a, beta, gamma)
             assert abs(got.probability - expected) <= 1e-10
-            assert got.method is ProbabilityMethod.CLOSED_FORM
             assert 0.0 <= got.probability <= 1.0
 
     def test_monotone_in_gamma(self):
@@ -405,7 +368,7 @@ class TestProbabilityProperties:
         scalar = [probability_interval(1.0, 0.5 * z, g).probability for g in gamma]
         # A zero fit puts beta at sqrt(2 m V0)/hbar = 1/K, so 2 a beta = z at a = z K/2.
         flat = FitCoefficients(c=(0.0,) * 6, sigma=0.0, source="refit")
-        K = 1.0 / beta_from_energy(0.0, CONSTANTS.electron_mass, CONSTANTS.electronvolt)
+        K = CONSTANTS.hbar / math.sqrt(2 * CONSTANTS.electron_mass * CONSTANTS.electronvolt)
         ones = np.ones(len(gamma))
         R, out = probability_columns(
             ones * (0.5 * z * K), ones * K, flat,
@@ -424,7 +387,6 @@ class TestProbabilitySmallBeta:
     def test_full_interval_exact(self):
         result = probability_small_beta(1.0, 0.5, 1.0)
         assert result.probability == 1.0
-        assert result.method is ProbabilityMethod.SMALL_BETA
 
     def test_close_to_closed_form(self):
         got = probability_small_beta(1.0, 0.01, 0.5).probability
@@ -442,17 +404,6 @@ class TestProbabilitySmallBeta:
 
         ratio = err(0.02) / err(0.01)
         assert 12.0 <= ratio <= 20.0
-
-
-class TestQuadratureMethodTag:
-    def test_oracle_results_carry_the_tag(self):
-        # the quadrature member exists for interchange with test oracles
-        norm = normalization_constant(1.0, 1.0)
-        value = adaptive_simpson(density(norm), -0.5, 0.5, tol=1e-12)
-        result = ProbabilityResult(
-            probability=value, gamma=0.5, method=ProbabilityMethod.QUADRATURE
-        )
-        assert 0.0 <= result.probability <= 1.0
 
 
 class TestPressureDerivative:

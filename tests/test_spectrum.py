@@ -311,6 +311,12 @@ class TestEnergyExact:
             assert st.energy == pytest.approx((st.xi / n) ** 2 * V0, rel=1e-14)
             assert 0.0 < st.energy < V0
 
+    def test_hydrogen_ground_state_beta(self, hydrogen_cfg, hydrogen_scale):
+        # beta = sqrt(2 m (V0 - E))/hbar = sqrt(1 - E/V0)/K for the solved level.
+        K, V0, _ = hydrogen_scale
+        state = energy_exact(hydrogen_cfg)
+        assert state.beta == pytest.approx(math.sqrt(1 - state.energy / V0) / K, rel=1e-10)
+
     @pytest.mark.parametrize("n,branch", [
         (1.02e-3, 0), (0.3, 0), (2.0, 0), (1e6, 0), (1e12, 0), (1.3e164, 0),
         (math.pi + 1e-6, 1), (5 * math.pi + 1e-6, 5), (20 * math.pi + 1e-6, 20),

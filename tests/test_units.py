@@ -5,13 +5,11 @@ import pytest
 
 from finwell import (
     CONSTANTS,
-    DimensionMismatch,
     Dimension,
     DomainError,
     MalformedNumber,
     Quantity,
     UnknownUnit,
-    format_quantity,
     parse_quantity,
     quantity,
 )
@@ -79,51 +77,22 @@ def test_malformed_number(text):
 
 
 def test_roundtrip_parse_format():
+    # The shortest round-trip text of a value, with its unit, parses to the
+    # very Quantity that quantity() builds from the value.
     rng = np.random.default_rng(7)
     magnitudes = [1e-30, 1e-10, 1.0, 1e10, 1e30]
     for unit in ALL_UNITS:
         for mag in magnitudes:
             value = float(rng.uniform(0.1, 10.0)) * mag
             q = parse_quantity(f"{value!r}{unit}")
-            back = parse_quantity(format_quantity(q))
-            assert back.dimension is q.dimension
-            assert back.value == pytest.approx(q.value, rel=1e-15)
-
-
-def test_conversion_there_and_back():
-    rng = np.random.default_rng(11)
-    for unit in ALL_UNITS:
-        for _ in range(20):
-            value = float(rng.uniform(1e-3, 1e3))
-            q = quantity(value, unit)
-            # one representable step of slack for the two roundings
-            assert q.to(unit) == pytest.approx(value, rel=4 * sys_eps())
-
-
-def sys_eps() -> float:
-    return 2.220446049250313e-16
-
-
-def test_format_digits():
-    q = quantity(13.6058, "eV")
-    assert format_quantity(q, digits=9) == "2.17988948e-18J"
-    assert format_quantity(quantity(1.0, "m"), digits=9) == "1m"
-
-
-def test_dimension_safety_comparison():
-    with pytest.raises(DimensionMismatch):
-        quantity(1.0, "m") < quantity(1.0, "J")  # noqa: B015
-    assert quantity(1.0, "nm") < quantity(1.0, "m")
-
-
-def test_dimension_safety_conversion():
-    with pytest.raises(DimensionMismatch):
-        quantity(1.0, "m").to("eV")
+            want = quantity(value, unit)
+            assert q.dimension is want.dimension
+            assert q.value.hex() == want.value.hex()
 
 
 def test_unknown_target_unit():
     with pytest.raises(UnknownUnit):
-        quantity(1.0, "m").to("furlong")
+        quantity(1.0, "furlong")
 
 
 def test_nonfinite_rejected():
