@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, NumericalError, SingularSystem
@@ -51,9 +52,12 @@ class FitGrid:
                 f"n_count must be at least {2 * N_COEFFS}, got {self.n_count}"
             )
 
-    def points(self) -> np.ndarray:
-        import numpy as np
-        return np.linspace(self.n_start, self.n_stop, self.n_count)
+    def points(self) -> list[float]:
+        """n_start + i*step with the last point set to n_stop: np.linspace's values."""
+        step = (self.n_stop - self.n_start) / (self.n_count - 1)
+        ns = [self.n_start + i * step for i in range(self.n_count)]
+        ns[-1] = self.n_stop
+        return ns
 
 
 DEFAULT_GRID = FitGrid(1.0, 10.0, 13)
@@ -101,7 +105,11 @@ PAPER_FIT = FitCoefficients(
 
 def sample_energies(grid: FitGrid) -> list[tuple[float, float]]:
     """(n, E/V0) pairs for the ground branch over the grid."""
-    return [(float(n), energy_ratio(float(n))) for n in grid.points()]
+    return [(n, energy_ratio(n)) for n in grid.points()]
+
+
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    return math.fsum(map(mul, x, y))
 
 
 def fit_inverse_poly(
@@ -109,29 +117,51 @@ def fit_inverse_poly(
 ) -> FitCoefficients:
     """Least-squares fit of the degree-5 series in 1/n to (n, E/V0) pairs.
 
-    Solved via SVD on the Vandermonde matrix in u = 1/n rather than normal
-    equations; the system is ill-conditioned near n = 1.  sigma is the RMS
+    Modified Gram-Schmidt QR of the Vandermonde matrix in u = 1/n with the
+    E/V0 column appended, math.fsum dot products, and back substitution in
+    R; normal equations would square the condition number of a system that
+    is already ill-conditioned near n = 1.  A diagonal |R_jj| <= eps*m*|R_00|
+    (lstsq's default rcond) raises SingularSystem.  sigma is the RMS
     residual over the input points.
     """
-    import numpy as np
-    if len(points) < 2 * N_COEFFS:
-        raise DomainError(f"need at least {2 * N_COEFFS} points, got {len(points)}")
-    ns = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1] for p in points], dtype=float)
-    if len(np.unique(ns)) != len(ns):
-        raise DomainError("sample points must have distinct n values")
-    if np.any(ns <= 0.0):
+    m = len(points)
+    if m < 2 * N_COEFFS:
+        raise DomainError(f"need at least {2 * N_COEFFS} points, got {m}")
+    ns = [float(n) for n, _ in points]
+    ys = [float(y) for _, y in points]
+    if not all(n > 0.0 for n in ns):
         raise DomainError("sample strengths must be positive")
+    us = [1.0 / n for n in ns]
+    if len(set(us)) != m:
+        raise DomainError("sample points must have distinct n values (and distinct 1/n)")
 
-    design = np.vander(1.0 / ns, N_COEFFS, increasing=True)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
-    if rank < N_COEFFS:
-        raise SingularSystem(f"design matrix rank {rank} < {N_COEFFS}")
-    residuals = design @ coeffs - ys
-    sigma = math.sqrt(float(np.mean(residuals * residuals)))
-    return FitCoefficients(
-        c=tuple(float(ck) for ck in coeffs), sigma=sigma, source="refit", grid=grid
-    )
+    cols = [[1.0] * m]
+    for _ in range(N_COEFFS - 1):
+        cols.append(list(map(mul, cols[-1], us)))
+    # Finite squares keep every norm, dot product and update below finite.
+    if not math.isfinite(sum(x * x for x in (*cols[-1], *ys))):
+        raise NumericalError("sample points leave the float range: (E/V0)^2 and (1/n)^10 must be finite")
+    cols.append(ys)
+
+    tol = math.ulp(1.0) * m * math.sqrt(m)  # R_00 = sqrt(m), the norm of the column of ones
+    rows = []  # R_jj, then R_jk for k > j followed by (Q^T y)_j
+    for j in range(N_COEFFS):
+        r_jj = math.sqrt(_dot(cols[j], cols[j]))
+        if r_jj <= tol:
+            raise SingularSystem(f"design matrix rank {j} < {N_COEFFS}")
+        q = [x / r_jj for x in cols[j]]
+        row = []
+        for k in range(j + 1, N_COEFFS + 1):
+            r_jk = _dot(q, cols[k])
+            cols[k] = [w - r_jk * qi for w, qi in zip(cols[k], q)]
+            row.append(r_jk)
+        rows.append((r_jj, row))
+
+    c = []
+    for r_jj, (*r_j, z_j) in reversed(rows):
+        c.insert(0, (z_j - _dot(r_j, c)) / r_jj)
+    sigma = math.sqrt(math.fsum((_horner(c, u) - y) ** 2 for u, y in zip(us, ys)) / m)
+    return FitCoefficients(c=tuple(c), sigma=sigma, source="refit", grid=grid)
 
 
 def refit(grid: FitGrid = DEFAULT_GRID) -> FitCoefficients:

@@ -29,6 +29,10 @@ ROOT_ULPS_BRACKET = 4.0
 # Below this strength the ground root is taken from its series, whose first
 # omitted term is 0.75 n^7, under 1e-18 of xi; below 1e-8 the series rounds to n.
 SERIES_STRENGTH = 1e-3
+# At or below this strength the ground level takes eta = xi*tan(xi), whose
+# condition number in xi, 1 + 2 xi/sin(2 xi), is about 2 there; that of
+# sqrt(n^2 - xi^2) is xi^2/eta^2 ~ 1/n^2, and it rounds to 0 below n ~ 1e-8.
+TAN_ETA_STRENGTH = 0.1
 _MAX_ITER = 200
 
 
@@ -277,7 +281,10 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
     strength = well_strength(cfg)
     n = strength.strength
     xi = solve_even_root(n, branch)
-    eta = math.sqrt(n - xi) * math.sqrt(n + xi)  # no cancellation, no overflow of n*n
+    if branch == 0 and n <= TAN_ETA_STRENGTH:
+        eta = xi * math.tan(xi)
+    else:
+        eta = math.sqrt(n - xi) * math.sqrt(n + xi)  # no overflow of n*n
     a = cfg.half_width
     return BoundState(
         branch=branch,

@@ -1,8 +1,9 @@
 """Independent numerical oracles for the test suite.
 
 Deliberately primitive implementations, sharing no code with the package:
-plain bisection, recursive adaptive Simpson, central differences, and
-decimal arithmetic where doubles would overflow.  These are
+plain bisection, recursive adaptive Simpson, central differences, decimal
+arithmetic where doubles would overflow or cancel, and exact rational
+least squares.  These are
 the reference against which production closed forms are validated; keep them
 boring.
 """
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
-from typing import Callable
+from fractions import Fraction
+from typing import Callable, Sequence
 
 
 def bisect_root(
@@ -65,6 +67,49 @@ def eta_oracle(n: float, xi: float) -> float:
         ctx.prec = 60
         nd, xd = Decimal(n), Decimal(xi)
         return float((nd * nd - xd * xd).sqrt())
+
+
+def _decimal_sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """Taylor series of sin and cos, summed until a term no longer changes
+    the sum (the recipes of the decimal module documentation)."""
+    sums = []
+    for k, term in ((1, x), (0, Decimal(1))):
+        total, last = term, None
+        while total != last:
+            last = total
+            term = -term * x * x / ((k + 1) * (k + 2))
+            total += term
+            k += 2
+        sums.append(total)
+    return sums[0], sums[1]
+
+
+def ground_root_eta_oracle(n: float) -> tuple[float, float]:
+    """(xi, eta) of the ground level for 0 < n < pi, in 60-digit decimal.
+
+    Bisection of xi sin(xi) - cos(xi) sqrt(n^2 - xi^2) over (0, n), where it
+    changes sign once, then eta = sqrt(n^2 - xi^2) from the decimal root.
+    200 halvings leave xi within n * 2^-200; the cancellation in n^2 - xi^2
+    costs 2 log10(1/n) of the 60 digits, so eta keeps 36 at n = 1e-12.
+    """
+    assert 0.0 < n < 3.0, n
+    with localcontext() as ctx:
+        ctx.prec = 60
+        nd = Decimal(n)
+
+        def g(x: Decimal) -> Decimal:
+            sin, cos = _decimal_sin_cos(x)
+            return x * sin - cos * (nd * nd - x * x).sqrt()
+
+        lo, hi = Decimal(0), nd
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if g(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        xi = (lo + hi) / 2
+        return float(xi), float((nd * nd - xi * xi).sqrt())
 
 
 def _decimal_sinh(z: Decimal) -> Decimal:
@@ -150,3 +195,28 @@ def pressure_derivative_oracle(
         ad = Decimal(a)
         h = ad * Decimal("1e-20")
         return float((R(ad + h) - R(ad - h)) / (P(ad + h) - P(ad - h)))
+
+
+def refit_oracle(points: Sequence[tuple[float, float]]) -> list[float]:
+    """Exact least-squares coefficients of the degree-5 series in u = 1/n.
+
+    u is the rounded float 1.0/n and the design holds its exact powers; the
+    normal equations are formed and solved by Gaussian elimination in
+    Fractions, so the only rounding is the final conversion to float.
+    """
+    us = [Fraction(1.0 / n) for n, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    design = [[u**k for k in range(6)] for u in us]
+    system = [
+        [sum(row[j] * row[k] for row in design) for k in range(6)]
+        + [sum(row[j] * y for row, y in zip(design, ys))]
+        for j in range(6)
+    ]
+    for p in range(6):
+        for r in range(p + 1, 6):
+            f = system[r][p] / system[p][p]
+            system[r] = [a - f * b for a, b in zip(system[r], system[p])]
+    c = [Fraction(0)] * 6
+    for j in reversed(range(6)):
+        c[j] = (system[j][6] - sum(system[j][k] * c[k] for k in range(j + 1, 6))) / system[j][j]
+    return [float(ck) for ck in c]

@@ -171,6 +171,20 @@ class TestFit:
         code, _, _ = run(capsys, ["fit", "--grid", "1:10"])
         assert code == 3
 
+    @pytest.mark.parametrize("grid", ["1:1e300:13", "1:1.0000000000001:13", "1:1e16:13"])
+    def test_rank_deficient_grid_numerical_error(self, capsys, grid):
+        code, out, err = run(capsys, ["fit", "--grid", grid])
+        assert code == 2
+        assert out == ""
+        assert "design matrix rank" in err
+
+    def test_coincident_grid_points_domain_error(self, capsys):
+        # The two representable n in [1e15, 1e15 + 0.25) repeat over 12 points.
+        code, out, err = run(capsys, ["fit", "--grid", "1e15:1.0000000000000002e15:12"])
+        assert code == 1
+        assert out == ""
+        assert "distinct n values" in err
+
     def test_json_matches_human(self, capsys):
         _, human, _ = run(capsys, ["fit", "--paper"])
         _, machine, _ = run(capsys, ["fit", "--paper", "--json"])

@@ -1,8 +1,12 @@
 import json
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from finwell import (
     DEFAULT_GRID,
@@ -21,11 +25,21 @@ from finwell import (
     sample_energies,
 )
 
+from oracles import refit_oracle
+
 # frozen from the bisection oracle
 RATIO_N2 = 0.26515626705456863
 
 PUBLISHED_C = (-0.000618, 0.018006, 2.259278, -3.678692, 2.908830, -0.960535)
 PUBLISHED_CRITICAL_RATIO = 2.476601
+
+# DEFAULT_GRID, the three grids of test_critical_ratio_grid_insensitive and
+# eight seeded 16-point grids in [1-2, 8-12].
+_rng = random.Random(1201)
+ORACLE_GRIDS = [
+    DEFAULT_GRID, FitGrid(1.0, 10.0, 12), FitGrid(1.25, 9.5, 12), FitGrid(1.5, 10.0, 35),
+    *(FitGrid(_rng.uniform(1.0, 2.0), _rng.uniform(8.0, 12.0), 16) for _ in range(8)),
+]
 
 
 class TestFitGrid:
@@ -45,6 +59,22 @@ class TestFitGrid:
     def test_infinite_stop(self):
         with pytest.raises(DomainError, match="n_stop must be finite, got inf"):
             FitGrid(1.0, math.inf, 13)
+
+    @settings(max_examples=300)
+    @given(
+        st.floats(1.0, sys.float_info.max),
+        st.floats(1.0, sys.float_info.max),
+        st.integers(12, 2000),
+    )
+    @example(1.0, 10.0, 13)
+    @example(1.0, 1.0000000000001, 13)
+    @example(1e15, 1.0000000000000002e15, 12)
+    @example(1.0, sys.float_info.max, 14)
+    def test_points_match_linspace(self, start, stop, count):
+        assume(start < stop)
+        with np.errstate(over="ignore"):  # (count - 1) * step may round past the float range
+            want = np.linspace(start, stop, count).tolist()
+        assert FitGrid(start, stop, count).points() == want
 
 
 class TestSampleEnergies:
@@ -121,6 +151,31 @@ class TestFitInversePoly:
         points = [(1.0 + 0.5 * k, 0.5) for k in range(12)]
         points[3] = points[2]
         with pytest.raises(DomainError):
+            fit_inverse_poly(points)
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"{g.n_start:.4g}:{g.n_stop:.4g}:{g.n_count}")
+    def test_matches_exact_least_squares(self, grid):
+        # The exact solution of the float samples; lstsq was up to 3.1e-12 off.
+        points = sample_energies(grid)
+        want = refit_oracle(points)
+        got = fit_inverse_poly(points).c
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 4e-12 * abs(w), (k, g, w)
+
+    @pytest.mark.parametrize("k,n,y,error", [
+        (0, math.nan, 0.5, DomainError),
+        (0, 5e-324, 0.5, NumericalError),
+        (0, 1e-31, 0.5, NumericalError),
+        (4, 3.0, math.nan, NumericalError),
+        (4, 3.0, math.inf, NumericalError),
+    ])
+    def test_samples_outside_the_float_range(self, k, n, y, error):
+        # lstsq raised LinAlgError for the first two, SingularSystem for the
+        # third (its rank test is relative to the 1e155 entry) and returned nan
+        # for the last two.
+        points = [(1.0 + 0.5 * i, 0.5) for i in range(12)]
+        points[k] = (n, y)
+        with pytest.raises(error):
             fit_inverse_poly(points)
 
     def test_singular_system(self):

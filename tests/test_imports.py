@@ -1,8 +1,8 @@
-"""The scalar commands run without importing numpy.
+"""Every command but the sweep runs without importing numpy.
 
-Only the array paths (the sweep and the least-squares refit) import numpy,
-inside the functions that build arrays; a module-level `import numpy` in any
-finwell module would load it for every command and double the start-up time.
+Only the sweep's array path imports numpy, inside the functions that build
+arrays; a module-level `import numpy` in any finwell module would load it for
+every command and double the start-up time.
 """
 
 import os
@@ -28,6 +28,9 @@ NUMPY_FREE = {
     "hydrogen": cli_call("hydrogen"),
     "verify": cli_call("verify"),
     "fit --paper": cli_call("fit", "--paper"),
+    "fit": cli_call("fit"),
+    "fit --json": cli_call("fit", "--json"),
+    "fit --grid": cli_call("fit", "--grid", "1.5:10:16"),
     "spectrum --preset": cli_call("spectrum", "--preset", "hydrogen"),
     "spectrum --branch 1": cli_call(
         "spectrum", "--branch", "1", "--width", "2e-9m", "--depth", "20eV", "--mass", "me"
@@ -65,4 +68,4 @@ def test_scalar_path_does_not_import_numpy(code):
 def test_array_commands_still_run():
     sweep = ("sweep", "--param", "width", "--from", "1e-10m", "--to", "2e-10m",
              "--steps", "3", "--depth", "13.6eV", "--mass", "me", "--gamma", "0.5")
-    assert numpy_loaded_after(f"{cli_call('fit')}\n{cli_call(*sweep)}")
+    assert numpy_loaded_after(cli_call(*sweep))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finwell import (
@@ -25,7 +25,7 @@ from finwell import (
 from finwell import spectrum
 from finwell.cli import main
 
-from oracles import branch_root_oracle, even_root_oracle, eta_oracle
+from oracles import branch_root_oracle, even_root_oracle, eta_oracle, ground_root_eta_oracle
 
 # frozen from the bisection oracle
 XI_N2 = 1.0298665293222586
@@ -208,6 +208,16 @@ class TestRootAcceptance:
         assert main(["spectrum", "--width", "1e-3m", "--depth", "1eV", "--mass", "me"]) == 0
         capsys.readouterr()
 
+    def test_shallow_well_cli(self, capsys):
+        # n = 5.1e-11: eta printed 0 while the true eta = xi tan(xi) ~ n^2.
+        assert main(["spectrum", "--width", "1e-20m", "--depth", "1eV", "--mass", "me"]) == 0
+        values = dict(
+            (key.strip(), float(value)) for key, _, value in
+            (line.partition("=") for line in capsys.readouterr().out.splitlines())
+        )
+        assert values["eta"] == pytest.approx(2.6e-21, rel=0.01)
+        assert values["eta"] == pytest.approx(values["n"] ** 2, rel=1e-8)
+
 
 class TestHigherBranchProperty:
     @settings(max_examples=300)
@@ -323,12 +333,34 @@ class TestEnergyExact:
     ])
     def test_eta_against_decimal_oracle(self, hydrogen_scale, n, branch):
         # sqrt(n*n - xi*xi) was 3e5 ulp off near n = 1e-3, 1.6e11 ulp just
-        # above a branch threshold, and inf from n = 1.34e154.
+        # above a branch threshold, and inf from n = 1.34e154.  Where the
+        # ground level takes eta = xi tan(xi), the reference is the true eta
+        # of the decimal root, not sqrt(n^2 - xi^2) at the rounded xi.
         K, V0, m = hydrogen_scale
         cfg = WellConfig(n * K, V0, m)
         state = energy_exact(cfg, branch)
-        want = eta_oracle(well_strength(cfg).strength, state.xi)
+        strength = well_strength(cfg).strength
+        if branch == 0 and strength <= spectrum.TAN_ETA_STRENGTH:
+            want = ground_root_eta_oracle(strength)[1]
+        else:
+            want = eta_oracle(strength, state.xi)
         assert abs(state.eta - want) <= 2 * math.ulp(want)
+
+    @settings(max_examples=100)
+    @given(st.floats(math.log(1e-12), math.log(0.1)))
+    @example(math.log(5.12316722e-11))
+    def test_shallow_well_eta_property(self, log_n):
+        # sqrt(n - xi) sqrt(n + xi) has condition ~1/n^2 in xi and was 0.0
+        # below n ~ 1e-8 (true eta ~ n^2); xi tan(xi) keeps every digit.
+        h = hydrogen_well()
+        K = well_strength(h).characteristic_length
+        cfg = WellConfig(math.exp(log_n) * K, h.depth, h.mass)
+        n = well_strength(cfg).strength
+        assume(n <= spectrum.TAN_ETA_STRENGTH)  # n = a sqrt(2 m V0)/hbar may round above 0.1
+        want = ground_root_eta_oracle(n)[1]
+        state = energy_exact(cfg)
+        assert abs(state.eta - want) <= 1e-15 * want, (state.eta, want)
+        assert state.beta == state.eta / cfg.half_width
 
     @settings(max_examples=300)
     @given(st.floats(math.log(1e-12), math.log(1e12)))
