@@ -4,7 +4,7 @@ Commands:
     spectrum   solve one bound state for a configured well
     fit        refit the inverse-power series, or emit the published set
     hydrogen   reproduce the worked hydrogen-atom numbers
-    sweep      parameter sweep as plot-ready CSV (schema below)
+    sweep      parameter sweep as plot-ready CSV or JSON (schema below)
     verify     printed-vs-rederived consistency report
 
 Every command accepts --json; JSON and human output carry the same numbers.
@@ -13,7 +13,8 @@ Exit codes: 0 ok, 1 domain error, 2 numerical failure, 3 usage,
 
 Sweep CSV schema (header exactly):
     param,a_m,n,K_m,xi,E_J,E_over_V0,P_N,dEdP_m,R,flags
-Columns that do not apply stay empty; flags are semicolon-separated.
+Columns that do not apply stay empty; flags are semicolon-separated.  With
+--json: {"rows": [{<CSV columns>, "flags": [...]}]}, null for an empty cell.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ _PARAM_DIMENSION = {
     "gamma": Dimension.DIMENSIONLESS,
 }
 
-# Options whose value uses the quantity grammar; their value token is glued
-# with '=' before argparse sees it, so that e.g. `--width -1m` reaches the
-# domain check instead of being mistaken for an option.
-_QUANTITY_OPTS = {"--width", "--depth", "--mass", "--from", "--to"}
+# Options whose value is a quantity or a float; their value token is glued
+# with '=' before argparse sees it, so that e.g. `--width -1m` or `--gamma
+# -1e-05` reaches the domain check instead of being mistaken for an option.
+_VALUE_OPTS = {"--width", "--depth", "--mass", "--from", "--to", "--gamma"}
 
 
 class _UsageError(Exception):
@@ -74,12 +75,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _merge_quantity_flags(argv: list[str]) -> list[str]:
+def _merge_value_flags(argv: list[str]) -> list[str]:
     merged = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _QUANTITY_OPTS and i + 1 < len(argv):
+        if tok in _VALUE_OPTS and i + 1 < len(argv):
             merged.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -243,33 +244,31 @@ def _sweep_rows(
     states = ground_states(a, V0, m)
     K = states.characteristic_length
     p, dedp, near_pole, overflow = pressure_columns(a, K, coeffs, V0, args.variant)
-    if g is None:
-        R, out_of_range = None, np.zeros(steps, dtype=bool)
-    else:
-        R, out_of_range = probability_columns(a, K, coeffs, m, V0, g)
+    no = np.zeros(steps, dtype=bool)
+    R, out_of_range, r_overflow = (
+        (None, no, no) if g is None else probability_columns(a, K, coeffs, m, V0, g))
+    arrays = {
+        "param": values, "a_m": a, "n": states.strength, "K_m": K, "xi": states.xi,
+        "E_J": states.energy, "E_over_V0": states.energy / V0, "P_N": p, "dEdP_m": dedp, "R": R,
+    }
+    empty = {"P_N": overflow, "dEdP_m": near_pole | overflow, "R": out_of_range | r_overflow}
+    for name, column in arrays.items():  # before any output, in either format
+        bad = [] if column is None else np.flatnonzero(~np.isfinite(column) & ~empty.get(name, no))
+        if len(bad):
+            raise NumericalError(f"{name} is not finite at {args.param} = {values[bad[0]]:.6g}")
 
-    def cells(column: np.ndarray | None, empty: np.ndarray) -> list:
+    def cells(name: str) -> list:
+        column, blank = arrays[name], empty.get(name, no)
         if column is None:
             return [None] * steps
-        if not empty.any():
+        if not blank.any():
             return column.tolist()
-        return [None if e else v for v, e in zip(column.tolist(), empty.tolist())]
+        return [None if e else v for v, e in zip(column.tolist(), blank.tolist())]
 
     return SweepTable(
-        columns={
-            "param": values.tolist(),
-            "a_m": a.tolist(),
-            "n": states.strength.tolist(),
-            "K_m": K.tolist(),
-            "xi": states.xi.tolist(),
-            "E_J": states.energy.tolist(),
-            "E_over_V0": (states.energy / V0).tolist(),
-            "P_N": cells(p, overflow),
-            "dEdP_m": cells(dedp, near_pole | overflow),
-            "R": cells(R, out_of_range),
-        },
+        columns={name: cells(name) for name in arrays},
         flags=[_ROW_FLAGS[k] for k in zip(
-            overflow.tolist(), near_pole.tolist(), out_of_range.tolist())],
+            (overflow | r_overflow).tolist(), near_pole.tolist(), out_of_range.tolist())],
     )
 
 
@@ -279,39 +278,40 @@ def _same_text(column: list) -> bool:
     return 0.0 not in column and all(v == v for v in column)
 
 
-def _render_csv(table: SweepTable, out) -> None:
-    """CSV written one row at a time: repr of each value, empty for None.
+def _render(table: SweepTable, out, as_json: bool) -> None:
+    """The sweep as CSV or as the {"rows": [...]} JSON document, row by row.
 
-    repr runs once per distinct column, not once per cell.  A column of one
-    nonzero, non-NaN value (or of None only) is written into the row format
-    as text, and a column equal to an earlier one reuses that column's field.
-    The other columns are converted cell by cell as the rows are written.
+    Both write repr of each float, and empty or null for None.  repr runs
+    once per distinct column, not once per cell: a column of one nonzero,
+    non-NaN value (or of None only) is written into the row format as text,
+    a column equal to an earlier one reuses its field, and the rest are
+    converted as the rows are written.  Cells are not checked here:
+    _sweep_rows refuses a table with a non-finite cell.
     """
+    empty = "null" if as_json else ""
     fields, distinct = [], []
     for column in table.columns.values():
         first = column[0]
         if first == first and first != 0.0 and column == [first] * len(column):
-            fields.append("" if first is None else repr(first))
+            fields.append(empty if first is None else repr(first))
         elif column in distinct and _same_text(column):
             fields.append("{%d}" % distinct.index(column))
         else:
             fields.append("{%d}" % len(distinct))
             distinct.append(column)
-    cells = [("" if v is None else repr(v) for v in column) if None in column
+    fields.append("{%d}" % len(distinct))
+    cells = [(empty if v is None else repr(v) for v in column) if None in column
              else map(repr, column) for column in distinct]
-    row_format = ",".join(fields) + ",{%d}\n" % len(distinct)
-    out.write(",".join(CSV_HEADER) + "\n")
-    for row in zip(*cells, map(";".join, table.flags)):
-        out.write(row_format.format(*row))
-
-
-def _render_json(table: SweepTable, out) -> None:
-    """The {"rows": [...]} document, written one row at a time."""
-    names = [*table.columns, "flags"]
-    out.write('{"rows": [')
-    for i, row in enumerate(zip(*table.columns.values(), table.flags)):
-        out.write((", " if i else "") + _json(dict(zip(names, row))))
-    out.write("]}\n")
+    flag_text = {f: _json(f) if as_json else ";".join(f) for f in _ROW_FLAGS.values()}
+    if as_json:
+        fields = [f"{_json(name)}: {field}" for name, field in zip(CSV_HEADER, fields)]
+        head, sep, tail, row_format = '{"rows": [', ", ", "]}\n", ", {{" + ", ".join(fields) + "}}"
+    else:
+        head, sep, tail, row_format = ",".join(CSV_HEADER) + "\n", "", "", ",".join(fields) + "\n"
+    rows = map(row_format.format, *cells, map(flag_text.__getitem__, table.flags))
+    out.write(head + next(rows, "").removeprefix(sep))
+    out.writelines(rows)
+    out.write(tail)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -338,7 +338,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     coeffs = load_coefficients(args.coeffs) if args.coeffs else PAPER_FIT
     table = _sweep_rows(args, base, start, stop, coeffs)
-    (_render_json if args.json else _render_csv)(table, sys.stdout)
+    _render(table, sys.stdout, args.json)
     return EXIT_NUMERICAL if all(table.flags) else EXIT_OK
 
 
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_h.add_argument("--json", action="store_true")
     p_h.set_defaults(func=cmd_hydrogen)
 
-    p_sweep = sub.add_parser("sweep", help="emit a parameter sweep as CSV")
+    p_sweep = sub.add_parser("sweep", help="emit a parameter sweep as CSV, or JSON")
     p_sweep.add_argument("--param", required=True,
                          choices=["width", "depth", "mass", "gamma"])
     p_sweep.add_argument("--from", dest="sweep_from", required=True,
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_merge_quantity_flags(argv))
+    args = build_parser().parse_args(_merge_value_flags(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()

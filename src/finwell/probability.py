@@ -188,13 +188,15 @@ def probability_interval(a: float, beta: float, gamma: float) -> ProbabilityResu
 def probability_columns(
     a: np.ndarray, K: np.ndarray, coeffs: FitCoefficients,
     m: np.ndarray, V0: np.ndarray, gamma: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(R, fit_out_of_range) for equal-length arrays, beta from the fit.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, fit_out_of_range, overflow) for equal-length arrays, beta from the fit.
 
     The array counterpart of beta_from_fit plus probability_interval.  Rows
-    where the fit predicts E > V0 are flagged instead of raising and their
-    R is NaN; the other rows get the closed form and the same domain checks.
-    gamma is checked on every row, flagged or not.
+    where the fit predicts E > V0, and rows where the bracket, beta or 2 a beta
+    leaves the float range (with the published set, for a/K below about 1e-61),
+    are flagged instead of raising and their R is NaN; the other rows get the
+    closed form and the same domain checks.  gamma is checked on every row,
+    flagged or not.
     """
     import numpy as np
     n = a / K
@@ -202,16 +204,16 @@ def probability_columns(
     bad = np.flatnonzero(~((0.0 <= gamma) & (gamma <= 1.0)))
     if bad.size:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma[bad[0]]}")
-    with np.errstate(over="ignore"):
-        # An overflowing series is out of range or caught below.
-        bracket = 1.0 - _horner(coeffs.c, 1.0 / n)
-    out_of_range = bracket < 0.0
-    rows = np.flatnonzero(~out_of_range)
-    g = gamma[rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        # A non-finite bracket or beta makes R non-finite, reported below.
-        beta = np.sqrt(2.0 * m[rows] * V0[rows] * bracket[rows]) / CONSTANTS.hbar
-        z = 2.0 * a[rows] * beta
+        # An overflowing series is out of range or flagged below.
+        bracket = 1.0 - _horner(coeffs.c, 1.0 / n)
+        out_of_range = bracket < 0.0
+        z = 2.0 * a * (np.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar)
+    overflow = ~(out_of_range | np.isfinite(z))
+    rows = np.flatnonzero(~(out_of_range | overflow))
+    z, g = z[rows], gamma[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A non-finite R from a finite z is reported below.
         r = np.empty_like(z)
         series, exp = z < _TAYLOR_Z, z > _EXP_Z
         closed = ~(series | exp)
@@ -224,7 +226,7 @@ def probability_columns(
         raise NumericalError(f"R is not finite at a/K = {n[rows[bad[0]]]:.6g}")
     R = np.full_like(n, math.nan)
     R[rows] = r
-    return R, out_of_range
+    return R, out_of_range, overflow
 
 
 def probability_small_beta(a: float, beta: float, gamma: float) -> ProbabilityResult:

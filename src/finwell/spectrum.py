@@ -30,9 +30,11 @@ ROOT_ULPS_BRACKET = 4.0
 # omitted term is 0.75 n^7, under 1e-18 of xi; below 1e-8 the series rounds to n.
 SERIES_STRENGTH = 1e-3
 # At or below this strength the ground level takes eta = xi*tan(xi), whose
-# condition number in xi, 1 + 2 xi/sin(2 xi), is about 2 there; that of
+# condition number in xi, 1 + 2 xi/sin(2 xi), is 2 to 3 there; that of
 # sqrt(n^2 - xi^2) is xi^2/eta^2 ~ 1/n^2, and it rounds to 0 below n ~ 1e-8.
-TAN_ETA_STRENGTH = 0.1
+# Against a decimal root, xi*tan(xi) is within 2 ulp up to n = 1 and the sqrt
+# form within 2 ulp above it; with the switch at 0.1 it was up to 35 ulp off.
+TAN_ETA_STRENGTH = 1.0
 _MAX_ITER = 200
 
 

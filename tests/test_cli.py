@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finwell import (
@@ -129,6 +129,74 @@ class TestSpectrumProperties:
             json.loads(out.getvalue(), parse_constant=reject_constant)
         else:
             assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE)
+
+
+SWEEP_UNITS = {"width": ("m", "nm", "angstrom"), "depth": ("J", "eV"), "mass": ("kg", "me")}
+
+
+@st.composite
+def sweep_argvs(draw):
+    """Whole sweep command lines: every param, scale, variant and format."""
+    param = draw(st.sampled_from(["width", "depth", "mass", "gamma"]))
+    lo, hi = sorted(draw(st.floats(-0.25, 1.25) if param == "gamma" else st.floats(-300.0, 300.0))
+                    for _ in range(2))
+    assume(lo < hi)
+    if param == "gamma":
+        bounds = [repr(lo), repr(hi)]
+    else:
+        unit = draw(st.sampled_from(SWEEP_UNITS[param]))
+        bounds = [f"{10.0 ** lo!r}{unit}", f"{10.0 ** hi!r}{unit}"]
+    argv = ["sweep", "--param", param, "--from", bounds[0], "--to", bounds[1],
+            "--steps", str(draw(st.integers(2, 20))),
+            "--scale", draw(st.sampled_from(["linear", "log"])),
+            "--variant", draw(st.sampled_from(["consistent", "printed"]))]
+    for name, units in SWEEP_UNITS.items():
+        if name != param:
+            argv += [f"--{name}", draw(quantity_flags(*units))]
+    gamma = draw(st.one_of(st.none(), st.floats(0.0, 1.0),
+                           st.floats(1.0, 1e3, exclude_min=True),
+                           st.floats(-1e3, 0.0, exclude_max=True)))
+    if gamma is not None and param != "gamma":
+        argv += ["--gamma", repr(gamma)]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+def sweep_output_rows(text, as_json):
+    """Rows of sweep output as {column: float or None, "flags": [names]}."""
+    if as_json:
+        return json.loads(text, parse_constant=reject_constant)["rows"]
+    lines = text.splitlines()
+    assert lines[0] == ",".join(CSV_HEADER)
+    rows = []
+    for line in lines[1:]:
+        *cells, flags = line.split(",")
+        row = {k: None if v == "" else float(v) for k, v in zip(CSV_HEADER, cells)}
+        rows.append({**row, "flags": flags.split(";") if flags else []})
+    return rows
+
+
+class TestSweepProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_argvs())
+    def test_exit_code_and_finite_rows(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        text = out.getvalue()
+        if code in (1, 3) or not text:
+            assert text == "" and err.getvalue() and code
+            return
+        rows = sweep_output_rows(text, "--json" in argv)
+        assert len(rows) == int(argv[argv.index("--steps") + 1])
+        has_r = "--gamma" in argv or argv[2] == "gamma"
+        for row in rows:
+            assert all(v is None or math.isfinite(v) for k, v in row.items() if k != "flags")
+            assert row["P_N"] is not None or "overflow" in row["flags"]
+            assert row["dEdP_m"] is not None or {"overflow", "near_pole"} & set(row["flags"])
+            if has_r:
+                assert row["R"] is not None or {"overflow", "fit_out_of_range"} & set(row["flags"])
+        assert (code == 2) == all(row["flags"] for row in rows)
 
 
 class TestFit:
@@ -369,6 +437,20 @@ class TestSweep:
             assert row["P_N"] is None and row["dEdP_m"] is None
             assert row["E_over_V0"] == 1.0
 
+    def test_overflowing_r_flags_its_row(self, capsys):
+        # The series overflows at a/K = 1.9e-70, so R was inf or NaN there and
+        # the whole sweep exited 2 with nothing printed.
+        code, out, err = run(capsys, [
+            "sweep", "--param", "width", "--scale", "log", "--from", "1e-80m", "--to", "1e-10m",
+            "--steps", "8", "--depth", "13.6eV", "--mass", "me", "--gamma", "0.5",
+        ])
+        assert (code, err) == (0, "")
+        rows = [dict(zip(CSV_HEADER, line.split(","))) for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 8
+        assert [row["flags"] for row in rows] == ["overflow"] * 2 + [""] * 6
+        assert rows[0]["R"] == ""
+        assert all(0.0 <= float(row["R"]) <= 0.5 for row in rows[1:])
+
     def test_gamma_above_one_on_a_flagged_row(self, capsys):
         # The 1.5 row is out of the fit's range, but gamma is still checked there.
         code, out, err = run(capsys, [
@@ -379,6 +461,15 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert err == "finwell sweep: domain error: gamma must lie in [0, 1], got 1.5\n"
+
+    def test_negative_gamma_in_exponent_form(self, capsys):
+        # argparse took `-1e-05` for an option and exited 3 from inside main.
+        code, out, err = run(capsys, [
+            "sweep", "--param", "width", "--from", "1m", "--to", "2m", "--steps", "2",
+            "--depth", "1eV", "--mass", "me", "--gamma", "-1e-05",
+        ])
+        assert (code, out) == (1, "")
+        assert err == "finwell sweep: domain error: gamma must lie in [0, 1], got -1e-05\n"
 
     def test_non_finite_coeffs_file(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
@@ -447,6 +538,19 @@ def naive_csv(table, out):
         out.write(",".join([*cells, ";".join(flags)]) + "\n")
 
 
+def naive_json(table, out):
+    """The sweep JSON document with one json.dumps of a dict per row."""
+    names = [*table.columns, "flags"]
+    out.write('{"rows": [')
+    for i, row in enumerate(zip(*table.columns.values(), table.flags)):
+        out.write((", " if i else "") + json.dumps(dict(zip(names, row)), allow_nan=False))
+    out.write("]}\n")
+
+
+def naive_render(table, out, as_json):
+    (naive_json if as_json else naive_csv)(table, out)
+
+
 def hand_table(**columns):
     """A two-row SweepTable: the given columns, 1.5 and 2.5 in the others."""
     filled = {name: columns.get(name, [1.5, 2.5]) for name in CSV_HEADER[:-1]}
@@ -471,19 +575,23 @@ HAND_TABLES = {
 
 
 class TestRenderCsv:
-    """_render_csv writes exactly what one repr per cell would."""
+    """_render writes exactly what one repr per cell (CSV) or one json.dumps
+    per row (JSON) would; NaN and infinity tables are CSV only, since no
+    sweep gives them to the renderer."""
 
     @pytest.mark.parametrize("name", HAND_TABLES)
     def test_hand_built_tables(self, name):
         table = HAND_TABLES[name]
-        fast, naive = io.StringIO(), io.StringIO()
-        cli._render_csv(table, fast)
-        naive_csv(table, naive)
-        assert fast.getvalue() == naive.getvalue()
+        finite = all(v is None or math.isfinite(v) for c in table.columns.values() for v in c)
+        for as_json in (False, True) if finite else (False,):
+            fast, naive = io.StringIO(), io.StringIO()
+            cli._render(table, fast, as_json)
+            naive_render(table, naive, as_json)
+            assert fast.getvalue() == naive.getvalue(), as_json
 
     def test_signed_zeros_keep_their_sign(self):
         out = io.StringIO()
-        cli._render_csv(HAND_TABLES["signed_zero_constant"], out)
+        cli._render(HAND_TABLES["signed_zero_constant"], out, False)
         rows = [dict(zip(CSV_HEADER, line.split(","))) for line in out.getvalue().splitlines()[1:]]
         assert [(row["K_m"], row["xi"]) for row in rows] == [("0.0", "-0.0"), ("-0.0", "0.0")]
 
@@ -500,10 +608,31 @@ class TestRenderCsv:
         ["--param", "gamma", "--from", "0", "--to", "1", *HYDROGEN_FLAGS],
     ])
     def test_sweeps_match_naive_renderer(self, capsys, monkeypatch, sweep, variant):
-        argv = ["sweep", *sweep, "--steps", "40", "--variant", variant]
-        code, fast, _ = run(capsys, argv)
-        monkeypatch.setattr(cli, "_render_csv", naive_csv)
-        assert run(capsys, argv) == (code, fast, "")
+        for fmt in ([], ["--json"]):
+            argv = ["sweep", *sweep, "--steps", "40", "--variant", variant, *fmt]
+            code, fast, _ = run(capsys, argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_render", naive_render)
+                assert run(capsys, argv) == (code, fast, ""), fmt
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_non_finite_cell_is_refused_before_output(self, capsys, monkeypatch, fmt):
+        # An unflagged inf from a column function: CSV printed it and exited 0,
+        # and JSON failed only after writing the rows before it.
+        real = cli.pressure_columns
+
+        def unflagged_inf(*args):
+            p, dedp, near_pole, overflow = real(*args)
+            p = p.copy()
+            p[2] = math.inf
+            return p, dedp, near_pole, overflow
+
+        monkeypatch.setattr(cli, "pressure_columns", unflagged_inf)
+        code, out, err = run(capsys, ["sweep", "--param", "width", "--from", "1e-11m",
+                                      "--to", "1e-9m", "--steps", "5", "--depth", "13.6eV",
+                                      "--mass", "me", *fmt])
+        assert (code, out) == (2, "")
+        assert "P_N is not finite" in err
 
 
 class TestVerify:

@@ -176,7 +176,8 @@ class TestColumnsMatchScalar:
     @given(WELLS, COEFFS)
     def test_probability_columns(self, wells, coeffs):
         a, K, V0, m, gamma = well_columns(wells)
-        R, out_of_range = probability_columns(a, K, coeffs, m, V0, gamma)
+        R, out_of_range, overflow = probability_columns(a, K, coeffs, m, V0, gamma)
+        assert not overflow.any()
         for i in range(a.size):
             ai = float(a[i])
             try:

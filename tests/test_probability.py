@@ -332,7 +332,7 @@ class TestOverflowSafeForms:
         gamma = rng.uniform(0.0, 1.0, a.size)
         gamma[:2] = (0.0, 1.0)
         ones = np.ones_like(a)
-        R, out = probability_columns(a, K * ones, PAPER_FIT, m * ones, V0 * ones, gamma)
+        R, out, _ = probability_columns(a, K * ones, PAPER_FIT, m * ones, V0 * ones, gamma)
         assert not out.any()
         for i, (ai, gi) in enumerate(zip(a.tolist(), gamma.tolist())):
             beta = beta_from_fit(ai, K, PAPER_FIT, m, V0)
@@ -344,9 +344,22 @@ class TestOverflowSafeForms:
         K, V0, m = hydrogen_scale
         above_one = FitCoefficients(c=(2.0, 0, 0, 0, 0, 0), sigma=0.0, source="refit")
         ones = np.ones(3)
-        R, out = probability_columns(ones * K, ones * K, above_one, ones * m, ones * V0, ones * 0.5)
+        R, out, _ = probability_columns(ones * K, ones * K, above_one, ones * m, ones * V0, ones * 0.5)
         assert out.all()
         assert np.isnan(R).all()
+
+    def test_columns_flag_overflow(self, hydrogen_scale):
+        # The series overflows at a/K = 1e-80 and 2 m V0 at m = V0 = 1e300:
+        # those rows are flagged, not raised, and the in-range row is kept.
+        K, V0, m = hydrogen_scale
+        R, out, overflow = probability_columns(
+            np.array([1e-80, 1.0, 2.0]) * K, np.full(3, K), PAPER_FIT,
+            np.array([m, 1e300, m]), np.array([V0, 1e300, V0]), np.full(3, 0.5))
+        assert out.tolist() == [False, False, False]
+        assert overflow.tolist() == [True, True, False]
+        assert np.isnan(R[:2]).all()
+        want = probability_interval(2.0 * K, beta_from_fit(2.0 * K, K, PAPER_FIT, m, V0), 0.5)
+        assert abs(R[2] - want.probability) <= 8 * math.ulp(want.probability)
 
     def test_columns_gamma_domain(self, hydrogen_scale):
         K, V0, m = hydrogen_scale
@@ -370,7 +383,7 @@ class TestProbabilityProperties:
         flat = FitCoefficients(c=(0.0,) * 6, sigma=0.0, source="refit")
         K = CONSTANTS.hbar / math.sqrt(2 * CONSTANTS.electron_mass * CONSTANTS.electronvolt)
         ones = np.ones(len(gamma))
-        R, out = probability_columns(
+        R, out, _ = probability_columns(
             ones * (0.5 * z * K), ones * K, flat,
             ones * CONSTANTS.electron_mass, ones * CONSTANTS.electronvolt, np.array(gamma),
         )
