@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .fitseries import PAPER_FIT, FitCoefficients, eval_fit
+from .fitseries import PAPER_FIT, eval_fit
 from .pressure import (
     Response,
     classify_response,
@@ -40,8 +40,9 @@ class VerifyCheck:
     verdict: str  # "consistent" | "discrepant"
 
 
-def build_verify_report(coeffs: FitCoefficients = PAPER_FIT) -> list[VerifyCheck]:
-    """Compare each printed formula against an independent re-derivation.
+def build_verify_report() -> list[VerifyCheck]:
+    """Compare each printed formula of the published set against an
+    independent re-derivation.
 
     The checks cover the pressure series (missing V0 factor), the rational
     dE/dP form (denominator leading term, via the K->0 limit against the
@@ -61,8 +62,8 @@ def build_verify_report(coeffs: FitCoefficients = PAPER_FIT) -> list[VerifyCheck
     K = well_strength(cfg).characteristic_length
     a = 2.0 * K
     h = 1e-6 * a
-    printed_series = pressure_1d(a, K, coeffs, 1.0)  # V0 factor absent
-    energy = lambda w: cfg.depth * eval_fit(coeffs, w / K)
+    printed_series = pressure_1d(a, K, PAPER_FIT, 1.0)  # V0 factor absent
+    energy = lambda w: cfg.depth * eval_fit(PAPER_FIT, w / K)
     rederived_pressure = -(energy(a + h) - energy(a - h)) / (2.0 * h)
     add("pressure-series-v0", printed_series, rederived_pressure, 1e-6)
 
@@ -71,8 +72,8 @@ def build_verify_report(coeffs: FitCoefficients = PAPER_FIT) -> list[VerifyCheck
     a, K = 1.0, 1e-9
     add(
         "dedp-printed-k0-limit",
-        denergy_dpressure(a, K, coeffs, "printed"),
-        expansion_small_k(a, K, coeffs, "printed"),
+        denergy_dpressure(a, K, PAPER_FIT, "printed"),
+        expansion_small_k(a, K, PAPER_FIT, "printed"),
         1e-6,
     )
 
@@ -80,8 +81,8 @@ def build_verify_report(coeffs: FitCoefficients = PAPER_FIT) -> list[VerifyCheck
     a, K = 0.01, 1.0
     add(
         "small-width-expansion",
-        expansion_small_width(a, K, coeffs),
-        denergy_dpressure(a, K, coeffs, "consistent"),
+        expansion_small_width(a, K, PAPER_FIT),
+        denergy_dpressure(a, K, PAPER_FIT, "consistent"),
         1e-2,
     )
 
@@ -90,14 +91,14 @@ def build_verify_report(coeffs: FitCoefficients = PAPER_FIT) -> list[VerifyCheck
     a, K = 1.0, 1e-4
     add(
         "small-k-expansion-third-term",
-        expansion_small_k(a, K, coeffs, "printed"),
-        expansion_small_k(a, K, coeffs, "consistent"),
+        expansion_small_k(a, K, PAPER_FIT, "printed"),
+        expansion_small_k(a, K, PAPER_FIT, "consistent"),
         1e-4,
     )
 
     # Critical width: series zero (in units of K) vs the numeric zero of the
     # dE/dP numerator.
-    report = critical_width(1.0, coeffs, method="numeric")
+    report = critical_width(1.0, PAPER_FIT, method="numeric")
     add("critical-width", report.a0_paper, report.a0_numeric, 1e-3)
 
     return checks

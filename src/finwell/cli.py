@@ -7,9 +7,14 @@ Commands:
     sweep      parameter sweep as plot-ready CSV or JSON (schema below)
     verify     printed-vs-rederived consistency report
 
+Every value flag (--width, --depth, --mass, --from, --to, --gamma) takes
+<number><unit> in the grammar of units.parse_quantity, e.g. 0.529angstrom;
+a bare unit means one of it (--mass me), and --gamma has no unit.
+
 Every command accepts --json; JSON and human output carry the same numbers.
-Exit codes: 0 ok, 1 domain error, 2 numerical failure, 3 usage,
-141 stdout closed by its reader (e.g. `finwell sweep ... | head`).
+Exit codes: 0 ok, 1 domain error, 2 numerical failure (also a nonzero value
+that underflows to 0 in SI units), 3 usage, 141 stdout closed by its reader
+(e.g. `finwell sweep ... | head`).
 
 Sweep CSV schema (header exactly):
     param,a_m,n,K_m,xi,E_J,E_over_V0,P_N,dEdP_m,R,flags
@@ -59,7 +64,7 @@ _PARAM_DIMENSION = {
     "gamma": Dimension.DIMENSIONLESS,
 }
 
-# Options whose value is a quantity or a float; their value token is glued
+# Options whose value is a quantity; their value token is glued
 # with '=' before argparse sees it, so that e.g. `--width -1m` or `--gamma
 # -1e-05` reaches the domain check instead of being mistaken for an option.
 _VALUE_OPTS = {"--width", "--depth", "--mass", "--from", "--to", "--gamma"}
@@ -90,20 +95,35 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
 
 
 def _quantity_flag(text: str, flag: str, dimension: Dimension) -> float:
-    """SI value of a quantity flag of the given dimension.
-
-    Quantity grammar plus the bare-unit shorthand (e.g. `--mass me`).
-    """
+    """SI value of a quantity flag of the given dimension."""
     try:
         q = parse_quantity(text)
     except MalformedNumber:
-        try:
-            q = quantity(1.0, text.strip())
+        unit = text.strip()
+        try:  # a bare unit is one of it: `--mass me` is 1me
+            q = quantity(1.0, unit) if unit else None
         except UnknownUnit:
+            q = None
+        if q is None:
             raise MalformedNumber(f"could not parse quantity '{text}'") from None
     if q.dimension is not dimension:
         raise DomainError(f"{flag} must be a {dimension.value}, got {q.dimension.value}")
     return q.value
+
+
+def _quantity_flags(args: argparse.Namespace, names: tuple[str, ...],
+                    defaults: dict[str, float | None]) -> dict[str, float | None]:
+    """SI value of each named flag, or its default where the flag is absent.
+
+    An absent flag with no default is a usage error that names every such flag.
+    """
+    missing = [f"--{name}" for name in names
+               if getattr(args, name) is None and name not in defaults]
+    if missing:
+        raise _UsageError(f"missing required flag(s): {', '.join(missing)}")
+    return {name: defaults.get(name) if getattr(args, name) is None
+            else _quantity_flag(getattr(args, name), f"--{name}", _PARAM_DIMENSION[name])
+            for name in names}
 
 
 def _fmt(value: float) -> str:
@@ -132,25 +152,13 @@ def _emit(values: dict, as_json: bool) -> None:
         print(f"{key:<{width}} = {rendered}")
 
 
-def _well_from_args(args: argparse.Namespace) -> WellConfig:
-    width, depth, mass = args.width, args.depth, args.mass
-    if args.preset == "hydrogen":
-        base = hydrogen_well()
-        width = width if width is not None else f"{base.half_width!r}m"
-        depth = depth if depth is not None else f"{base.depth!r}J"
-        mass = mass if mass is not None else f"{base.mass!r}kg"
-    missing = [name for name, v in (("--width", width), ("--depth", depth), ("--mass", mass)) if v is None]
-    if missing:
-        raise _UsageError(f"missing required flag(s): {', '.join(missing)}")
-    return WellConfig(
-        half_width=_quantity_flag(width, "--width", Dimension.LENGTH),
-        depth=_quantity_flag(depth, "--depth", Dimension.ENERGY),
-        mass=_quantity_flag(mass, "--mass", Dimension.MASS),
-    )
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _well_from_args(args)
+    preset = {}
+    if args.preset == "hydrogen":
+        h = hydrogen_well()
+        preset = {"width": h.half_width, "depth": h.depth, "mass": h.mass}
+    well = _quantity_flags(args, ("width", "depth", "mass"), preset)
+    cfg = WellConfig(well["width"], well["depth"], well["mass"])
     strength = well_strength(cfg)
     state = energy_exact(cfg, args.branch)
     energy_ev = state.energy / CONSTANTS.electronvolt
@@ -237,7 +245,7 @@ def _sweep_rows(
     import numpy as np
     steps = args.steps
     values = (np.geomspace if args.scale == "log" else np.linspace)(start, stop, steps)
-    params = {**base, "gamma": args.gamma, args.param: values}
+    params = {**base, args.param: values}
     a, V0, m, g = (None if params[k] is None else
                    np.broadcast_to(np.asarray(params[k], dtype=float), (steps,))
                    for k in ("width", "depth", "mass", "gamma"))
@@ -272,29 +280,24 @@ def _sweep_rows(
     )
 
 
-def _same_text(column: list) -> bool:
-    # Equal cells of this column have equal repr: it holds no zero (0.0 ==
-    # -0.0) and no NaN (a NaN object equals itself in list comparisons).
-    return 0.0 not in column and all(v == v for v in column)
-
-
 def _render(table: SweepTable, out, as_json: bool) -> None:
     """The sweep as CSV or as the {"rows": [...]} JSON document, row by row.
 
     Both write repr of each float, and empty or null for None.  repr runs
-    once per distinct column, not once per cell: a column of one nonzero,
-    non-NaN value (or of None only) is written into the row format as text,
-    a column equal to an earlier one reuses its field, and the rest are
-    converted as the rows are written.  Cells are not checked here:
-    _sweep_rows refuses a table with a non-finite cell.
+    once per distinct column, not once per cell: a column of one nonzero
+    value (or of None only) is written into the row format as text, a column
+    equal to an earlier one reuses its field, and the rest are converted as
+    the rows are written.  Cells are not checked here: _sweep_rows refuses a
+    table with a non-finite cell.
     """
     empty = "null" if as_json else ""
     fields, distinct = [], []
     for column in table.columns.values():
         first = column[0]
-        if first == first and first != 0.0 and column == [first] * len(column):
+        # Zeros are left out of both shortcuts: 0.0 == -0.0, but their repr differs.
+        if first != 0.0 and column == [first] * len(column):
             fields.append(empty if first is None else repr(first))
-        elif column in distinct and _same_text(column):
+        elif column in distinct and 0.0 not in column:
             fields.append("{%d}" % distinct.index(column))
         else:
             fields.append("{%d}" % len(distinct))
@@ -315,11 +318,9 @@ def _render(table: SweepTable, out, as_json: bool) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = {
-        name: None if getattr(args, name) is None
-        else _quantity_flag(getattr(args, name), f"--{name}", _PARAM_DIMENSION[name])
-        for name in ("width", "depth", "mass")
-    }
+    if args.param == "gamma" and args.gamma is not None:
+        raise _UsageError("--gamma conflicts with sweeping gamma")
+    base = _quantity_flags(args, tuple(_PARAM_DIMENSION), {args.param: None, "gamma": None})
     dimension = _PARAM_DIMENSION[args.param]
     start = _quantity_flag(args.sweep_from, "--from", dimension)
     stop = _quantity_flag(args.sweep_to, "--to", dimension)
@@ -329,12 +330,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError("sweep start must be strictly below stop (SI units)")
     if args.scale == "log" and start <= 0.0:
         raise DomainError("log scale requires a positive start")
-
-    if args.param == "gamma" and args.gamma is not None:
-        raise _UsageError("--gamma conflicts with sweeping gamma")
-    missing = [f"--{name}" for name in sorted(base) if name != args.param and base[name] is None]
-    if missing:
-        raise _UsageError(f"missing required flag(s): {', '.join(missing)}")
 
     coeffs = load_coefficients(args.coeffs) if args.coeffs else PAPER_FIT
     table = _sweep_rows(args, base, start, stop, coeffs)
@@ -397,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--width", help="fixed half-width")
     p_sweep.add_argument("--depth", help="fixed depth")
     p_sweep.add_argument("--mass", help="fixed mass")
-    p_sweep.add_argument("--gamma", type=float,
-                         help="fixed interval fraction; enables the R column")
+    p_sweep.add_argument("--gamma", help="fixed interval fraction; enables the R column")
     p_sweep.add_argument("--coeffs", help="coefficients JSON (default: published set)")
     p_sweep.add_argument("--variant", choices=["consistent", "printed"],
                          default="consistent", help="dE/dP form for the dEdP_m column")

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, MalformedNumber, UnknownUnit
+from .errors import DomainError, MalformedNumber, NumericalError, UnknownUnit
 
 
 @dataclass(frozen=True)
@@ -87,28 +87,20 @@ def parse_quantity(text: str) -> Quantity:
     or no unit at all for dimensionless values.
 
     Raises:
-        MalformedNumber: the numeric part does not parse.
+        MalformedNumber: the text is not of the form ``<number><unit>``.
         UnknownUnit: the unit suffix is not in the table above.
+        NumericalError: a nonzero number whose SI value underflows to 0.0.
     """
     match = _QUANTITY_RE.match(text)
     if match is None:
-        # Distinguish a bad unit from a bad number: strip a trailing
-        # alphabetic suffix and see whether a number remains.
-        stripped = re.match(r"^\s*(.*?)([A-Za-z]*)\s*$", text)
-        if stripped and stripped.group(2) and _is_number(stripped.group(1)):
-            raise UnknownUnit(f"unknown unit '{stripped.group(2)}' in '{text}'")
         raise MalformedNumber(f"could not parse a number from '{text}'")
     number, unit = match.groups()
     dim, factor = _lookup_unit(unit)
-    return Quantity(float(number) * factor, dim)
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+    value = float(number) * factor
+    mantissa = number.lower().partition("e")[0]
+    if value == 0.0 and mantissa.strip("+-.0"):  # a nonzero digit was rounded away
+        raise NumericalError(f"'{text}' underflows to 0 in SI units")
+    return Quantity(value, dim)
 
 
 def quantity(value: float, unit: str) -> Quantity:

@@ -85,14 +85,17 @@ def _decimal_sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
 
 
 def ground_root_eta_oracle(n: float) -> tuple[float, float]:
-    """(xi, eta) of the ground level for 0 < n < pi, in 60-digit decimal.
+    """(xi, eta) of the ground level for 0 < n <= 1e12, in 60-digit decimal.
 
-    Bisection of xi sin(xi) - cos(xi) sqrt(n^2 - xi^2) over (0, n), where it
-    changes sign once, then eta = sqrt(n^2 - xi^2) from the decimal root.
-    200 halvings leave xi within n * 2^-200; the cancellation in n^2 - xi^2
-    costs 2 log10(1/n) of the 60 digits, so eta keeps 36 at n = 1e-12.
+    Bisection of xi sin(xi) - cos(xi) sqrt(n^2 - xi^2) over (0, min(n, pi/2)),
+    where it changes sign once, then eta = sqrt(n^2 - xi^2) from the decimal
+    root.  200 halvings leave xi within 2^-200 of the bracket width; the
+    cancellation in n^2 - xi^2 costs 2 log10(1/n) of the 60 digits, so eta
+    keeps 36 at n = 1e-12.  The upper end is pi/2 of the double math.pi,
+    6e-17 below the true pi/2; the root lies about pi/(2n) below pi/2, so
+    the bracket holds it while n < ~1e15.
     """
-    assert 0.0 < n < 3.0, n
+    assert 0.0 < n <= 1e12, n
     with localcontext() as ctx:
         ctx.prec = 60
         nd = Decimal(n)
@@ -101,7 +104,7 @@ def ground_root_eta_oracle(n: float) -> tuple[float, float]:
             sin, cos = _decimal_sin_cos(x)
             return x * sin - cos * (nd * nd - x * x).sqrt()
 
-        lo, hi = Decimal(0), nd
+        lo, hi = Decimal(0), min(nd, Decimal(math.pi) / 2)
         for _ in range(200):
             mid = (lo + hi) / 2
             if g(mid) < 0:

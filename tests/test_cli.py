@@ -61,6 +61,22 @@ class TestSpectrum:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_preset_with_a_flag_matches_flags(self, capsys):
+        # The preset fills only the flags that are not given.
+        width = ["--width", "1e-10m"]
+        full = run(capsys, ["spectrum", *width, "--depth", "13.6058eV", "--mass", "me"])
+        assert full[0] == 0
+        assert run(capsys, ["spectrum", "--preset", "hydrogen", *width]) == full
+
+    def test_underflowing_quantity_numerical_error(self, capsys):
+        # 1e-300 electron masses is 9e-331 kg, which rounds to 0.0; this was
+        # the domain error "mass must be positive and finite, got 0.0".
+        code, out, err = run(capsys, ["spectrum", "--width", "1e-10m", "--depth", "13.6eV",
+                                      "--mass", "1e-300me"])
+        assert (code, out) == (2, "")
+        assert err == ("finwell spectrum: numerical failure: "
+                       "'1e-300me' underflows to 0 in SI units\n")
+
     def test_missing_flag_usage_error(self, capsys):
         code, _, err = run(capsys, ["spectrum", "--width", "1m", "--depth", "1eV"])
         assert code == 3
@@ -470,6 +486,12 @@ class TestSweep:
         ])
         assert (code, out) == (1, "")
         assert err == "finwell sweep: domain error: gamma must lie in [0, 1], got -1e-05\n"
+
+    def test_gamma_with_a_unit(self, capsys):
+        # --gamma was parsed by float(): this was a usage error, exit 3.
+        code, out, err = run(capsys, self.width_args() + ["--gamma", "0.5m"])
+        assert (code, out) == (1, "")
+        assert err == "finwell sweep: domain error: --gamma must be a dimensionless, got length\n"
 
     def test_non_finite_coeffs_file(self, capsys, tmp_path):
         path = tmp_path / "nan.json"

@@ -364,6 +364,20 @@ class TestEnergyExact:
         assert abs(state.eta - want) <= 3 * math.ulp(want), (n, state.eta, want)
         assert state.beta == state.eta / cfg.half_width
 
+    @settings(max_examples=100)
+    @given(st.floats(math.log(2.9), math.log(1e12)))
+    def test_deep_well_eta_property(self, log_n):
+        # Above the shallow range eta = sqrt(n - xi) sqrt(n + xi), checked up
+        # to n = 1e12 against the decimal root rather than at the rounded xi.
+        h = hydrogen_well()
+        K = well_strength(h).characteristic_length
+        cfg = WellConfig(math.exp(log_n) * K, h.depth, h.mass)
+        n = well_strength(cfg).strength
+        assume(n <= 1e12)  # the oracle's domain; n may round up
+        want = ground_root_eta_oracle(n)[1]
+        state = energy_exact(cfg)
+        assert abs(state.eta - want) <= 3 * math.ulp(want), (n, state.eta, want)
+
     @settings(max_examples=300)
     @given(st.floats(math.log(1e-12), math.log(1e12)))
     def test_root_and_pythagoras_property(self, log_n):

@@ -8,6 +8,7 @@ from finwell import (
     Dimension,
     DomainError,
     MalformedNumber,
+    NumericalError,
     Quantity,
     UnknownUnit,
     parse_quantity,
@@ -70,10 +71,26 @@ def test_unknown_unit(text):
         parse_quantity(text)
 
 
-@pytest.mark.parametrize("text", ["", "abc", "--3m", "1.2.3m", "nan", "inf"])
+@pytest.mark.parametrize("text", ["", "abc", "--3m", "1.2.3m", "nan", "inf", "1_0m"])
 def test_malformed_number(text):
     with pytest.raises(MalformedNumber):
         parse_quantity(text)
+
+
+@pytest.mark.parametrize("text", ["1e-300me", "1e-400m", "-2e-320angstrom", "1e-400"])
+def test_underflow_to_zero_is_numerical_error(text):
+    with pytest.raises(NumericalError, match="underflows"):
+        parse_quantity(text)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0m", 0.0), ("-0.0me", -0.0), ("0.000e-400eV", 0.0), ("+.0", 0.0),
+    ("1e-320m", 1e-320), ("1e-300nm", 1e-300 * 1e-9),  # subnormal, not 0
+])
+def test_zero_and_subnormal_values_parse(text, value):
+    q = parse_quantity(text)
+    assert q.value == value
+    assert math.copysign(1.0, q.value) == math.copysign(1.0, value)
 
 
 def test_roundtrip_parse_format():
