@@ -9,7 +9,7 @@ and do not import numpy.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fitseries import PAPER_FIT, eval_fit
 from .pressure import (
@@ -31,13 +31,8 @@ HYDROGEN_A0_REF = 1.31056e-10    # m
 HYDROGEN_RTOL = 2e-3
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
-    check_id: str
-    printed: float
-    rederived: float
-    relative_deviation: float
-    verdict: str  # "consistent" | "discrepant"
+# One row of the verify report; verdict is "consistent" or "discrepant".
+VerifyCheck = namedtuple("VerifyCheck", "check_id printed rederived relative_deviation verdict")
 
 
 def build_verify_report() -> list[VerifyCheck]:

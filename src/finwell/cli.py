@@ -12,9 +12,10 @@ Every value flag (--width, --depth, --mass, --from, --to, --gamma) takes
 a bare unit means one of it (--mass me), and --gamma has no unit.
 
 Every command accepts --json; JSON and human output carry the same numbers.
-Exit codes: 0 ok, 1 domain error, 2 numerical failure (also a nonzero value
-that underflows to 0 in SI units), 3 usage, 141 stdout closed by its reader
-(e.g. `finwell sweep ... | head`).
+Exit codes: 0 ok, 1 domain error, 2 numerical failure (also a value that
+overflows the float range, or a nonzero one that underflows to 0 in SI
+units), 3 usage, 141 stdout closed by its reader (e.g. `finwell sweep ... |
+head`).
 
 Sweep CSV schema (header exactly):
     param,a_m,n,K_m,xi,E_J,E_over_V0,P_N,dEdP_m,R,flags
@@ -31,7 +32,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .audit import build_verify_report, hydrogen_report
 from .errors import DomainError, MalformedNumber, NumericalError, UnknownUnit
@@ -215,12 +215,17 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
     return EXIT_OK if values["reproduced"] else EXIT_NUMERICAL
 
 
-@dataclass(frozen=True)
 class SweepTable:
-    """Sweep output as columns: one list per CSV column, None for an empty cell."""
+    """Sweep output as columns: one list per CSV column, None for an empty cell.
 
-    columns: dict[str, list]  # CSV_HEADER[:-1] -> values
-    flags: list[tuple[str, ...]]
+    len(table) is the row count.
+    """
+
+    __slots__ = ("columns", "flags")
+
+    def __init__(self, columns: dict[str, list], flags: list[tuple[str, ...]]) -> None:
+        self.columns = columns  # CSV_HEADER[:-1] -> values
+        self.flags = flags
 
     def __len__(self) -> int:
         return len(self.flags)
@@ -318,8 +323,8 @@ def _render(table: SweepTable, out, as_json: bool) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.param == "gamma" and args.gamma is not None:
-        raise _UsageError("--gamma conflicts with sweeping gamma")
+    if getattr(args, args.param) is not None:
+        raise _UsageError(f"--{args.param} conflicts with sweeping {args.param}")
     base = _quantity_flags(args, tuple(_PARAM_DIMENSION), {args.param: None, "gamma": None})
     dimension = _PARAM_DIMENSION[args.param]
     start = _quantity_flag(args.sweep_from, "--from", dimension)
@@ -340,7 +345,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = build_verify_report()
     if args.json:
-        print(_json({"checks": [check.__dict__ for check in checks]}))
+        print(_json({"checks": [check._asdict() for check in checks]}))
         return EXIT_OK
     width = max(len(check.check_id) for check in checks)
     print(f"{'check':<{width}}  {'printed':>14}  {'rederived':>14}  {'rel.dev':>10}  verdict")

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from operator import mul
-from typing import Sequence
 
 from .errors import DomainError, NumericalError, SingularSystem
 from .spectrum import energy_ratio
@@ -32,25 +31,21 @@ from .spectrum import energy_ratio
 N_COEFFS = 6
 
 
-@dataclass(frozen=True)
-class FitGrid:
+class FitGrid(namedtuple("FitGrid", "n_start n_stop n_count")):
     """Uniform sample grid in strength n."""
 
-    n_start: float
-    n_stop: float
-    n_count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (1.0 <= self.n_start < self.n_stop):
-            raise DomainError(
-                f"need 1 <= n_start < n_stop, got [{self.n_start}, {self.n_stop}]"
-            )
-        if not math.isfinite(self.n_stop):
-            raise DomainError(f"n_stop must be finite, got {self.n_stop}")
-        if self.n_count < 2 * N_COEFFS:
-            raise DomainError(
-                f"n_count must be at least {2 * N_COEFFS}, got {self.n_count}"
-            )
+    def __new__(cls, n_start: float, n_stop: float, n_count: int) -> FitGrid:
+        if not (1.0 <= n_start < n_stop):
+            raise DomainError(f"need 1 <= n_start < n_stop, got [{n_start}, {n_stop}]")
+        if not math.isfinite(n_stop):
+            raise DomainError(f"n_stop must be finite, got {n_stop}")
+        if n_count < 2 * N_COEFFS:
+            raise DomainError(f"n_count must be at least {2 * N_COEFFS}, got {n_count}")
+        return super().__new__(cls, n_start, n_stop, n_count)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     def points(self) -> list[float]:
         """n_start + i*step with the last point set to n_stop: np.linspace's values."""
@@ -63,17 +58,17 @@ class FitGrid:
 DEFAULT_GRID = FitGrid(1.0, 10.0, 13)
 
 
-@dataclass(frozen=True)
-class FitCoefficients:
-    """Six series constants plus the fit's RMS residual and provenance."""
+class FitCoefficients(namedtuple("FitCoefficients", "c sigma source grid", defaults=(None,))):
+    """Six series constants plus the fit's RMS residual and provenance.
 
-    c: tuple[float, float, float, float, float, float]
-    sigma: float
-    source: str               # "paper" or "refit"
-    grid: FitGrid | None = None
+    c is the tuple (c0, ..., c5), sigma the RMS residual, source "paper" or
+    "refit", and grid the refit's FitGrid (None for the published set).
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        grid = None if self.grid is None else asdict(self.grid)
+        grid = None if self.grid is None else self.grid._asdict()
         return {"c": list(self.c), "sigma": self.sigma, "source": self.source, "grid": grid}
 
     @classmethod
@@ -108,12 +103,12 @@ def sample_energies(grid: FitGrid) -> list[tuple[float, float]]:
     return [(n, energy_ratio(n)) for n in grid.points()]
 
 
-def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+def _dot(x: list[float], y: list[float]) -> float:
     return math.fsum(map(mul, x, y))
 
 
 def fit_inverse_poly(
-    points: Sequence[tuple[float, float]], grid: FitGrid | None = None
+    points: list[tuple[float, float]], grid: FitGrid | None = None
 ) -> FitCoefficients:
     """Least-squares fit of the degree-5 series in 1/n to (n, E/V0) pairs.
 

@@ -26,7 +26,7 @@ The ``consistent`` variants are the default everywhere; the CLI exposes the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, NoRoot, NumericalError, PoleSingularity, check_positive
@@ -44,36 +44,20 @@ class Response(Enum):
     PUSHED_DEEPER = "PushedDeeper"
 
 
-@dataclass(frozen=True)
-class PressureProfile:
-    """Pressure state at one half-width; dedp fields are NaN at a pole."""
+# Pressure state at one half-width a [m]: pressure P [N], dedp and
+# dedp_printed, the consistent and printed dE/dP [m] (NaN at a pole), and
+# near_pole.
+PressureProfile = namedtuple("PressureProfile", "half_width pressure dedp dedp_printed near_pole")
 
-    half_width: float      # a [m]
-    pressure: float        # P [N]
-    dedp: float            # dE/dP, consistent form [m]
-    dedp_printed: float    # dE/dP, printed form [m]
-    near_pole: bool
+# Critical half-width estimates, in meters.  a0_paper is the zero of the
+# small-width expansion, -7.5*(c5/c4)*K; a0_numeric and pole_location come
+# from root-finding the full rational form and are None unless
+# method="numeric".
+CriticalWidthReport = namedtuple("CriticalWidthReport", "a0_paper a0_numeric pole_location")
 
-
-@dataclass(frozen=True)
-class CriticalWidthReport:
-    """Critical half-width estimates, in meters.
-
-    a0_paper is the zero of the small-width expansion, -7.5*(c5/c4)*K; the
-    numeric fields come from root-finding the full rational form and are
-    present only for method="numeric".
-    """
-
-    a0_paper: float | None
-    a0_numeric: float | None
-    pole_location: float | None
-
-
-@dataclass(frozen=True)
-class ResponseReport:
-    outcome: Response
-    at_boundary: bool
-    critical_half_width: float  # the a0 used for the comparison [m]
+# classify_response's outcome, whether a lies within TIE_RTOL of a0
+# (at_boundary), and the a0 [m] it was compared with.
+ResponseReport = namedtuple("ResponseReport", "outcome at_boundary critical_half_width")
 
 
 def _pressure(a, K, c, V0):

@@ -27,7 +27,7 @@ physics note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, FitOutOfRange, NumericalError
 from .errors import check_positive, check_positive_columns
@@ -42,19 +42,11 @@ _EXP_Z = 700.0     # 2 a beta above this switches to exp(-z) forms
 _Q_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 10))
 
 
-@dataclass(frozen=True)
-class WavefunctionNorm:
-    """Normalization constant C [m^-1/2] with its defining (a, beta)."""
+# Normalization constant C [m^-1/2] with its defining beta [1/m] and a [m].
+WavefunctionNorm = namedtuple("WavefunctionNorm", "C beta a")
 
-    C: float
-    beta: float  # [1/m]
-    a: float     # [m]
-
-
-@dataclass(frozen=True)
-class ProbabilityResult:
-    probability: float  # R
-    gamma: float
+# The in-well probability R of |x| <= gamma*a, and gamma.
+ProbabilityResult = namedtuple("ProbabilityResult", "probability gamma")
 
 
 def _sinhc(z: float) -> float:

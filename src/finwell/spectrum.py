@@ -15,7 +15,7 @@ extension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceFailure, DomainError, NoSuchBranch, NumericalError
 from .errors import check_positive, check_positive_columns
@@ -38,51 +38,30 @@ TAN_ETA_STRENGTH = 1.0
 _MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class WellConfig:
-    """Physical description of the well, all SI."""
+class WellConfig(namedtuple("WellConfig", "half_width depth mass")):
+    """Physical description of the well, all SI: half_width a [m], depth V0 [J], mass [kg]."""
 
-    half_width: float  # a [m]
-    depth: float       # V0 [J]
-    mass: float        # [kg]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_positive(half_width=self.half_width, depth=self.depth, mass=self.mass)
+    def __new__(cls, half_width: float, depth: float, mass: float) -> WellConfig:
+        check_positive(half_width=half_width, depth=depth, mass=mass)
+        return super().__new__(cls, half_width, depth, mass)
 
-
-@dataclass(frozen=True)
-class WellStrength:
-    """Dimensionless strength n and the natural length scale K = hbar/sqrt(2mV0)."""
-
-    strength: float            # n
-    characteristic_length: float  # K [m]
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
-class BoundState:
-    """One solved even-parity level.
+# Dimensionless strength n and the natural length scale K = hbar/sqrt(2mV0) [m].
+WellStrength = namedtuple("WellStrength", "strength characteristic_length")
 
-    xi is the interior phase alpha*a, eta the exterior decay phase beta*a;
-    alpha [1/m] is the interior wavenumber and beta [1/m] the exterior decay
-    constant.  xi^2 + eta^2 = n^2 and E = (xi/n)^2 * V0.
-    """
+# One solved even-parity level.  xi is the interior phase alpha*a, eta the
+# exterior decay phase beta*a; alpha [1/m] is the interior wavenumber and
+# beta [1/m] the exterior decay constant; energy E [J].  xi^2 + eta^2 = n^2
+# and E = (xi/n)^2 * V0.
+BoundState = namedtuple("BoundState", "branch xi eta alpha beta energy")
 
-    branch: int
-    xi: float
-    eta: float
-    alpha: float   # [1/m]
-    beta: float    # [1/m]
-    energy: float  # [J]
-
-
-@dataclass(frozen=True)
-class GroundStates:
-    """Branch-0 columns of a batch of wells, one entry per well."""
-
-    strength: np.ndarray               # n
-    characteristic_length: np.ndarray  # K [m]
-    xi: np.ndarray
-    energy: np.ndarray                 # E [J]
+# Branch-0 columns of a batch of wells, one array entry per well: strength n,
+# characteristic_length K [m], xi and energy E [J].
+GroundStates = namedtuple("GroundStates", "strength characteristic_length xi energy")
 
 
 def _strength(a, momentum):

@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, MalformedNumber, NumericalError, UnknownUnit
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fixed constants table; values are pinned, never user-mutable."""
-
-    hbar: float = 1.054571817e-34        # J*s
-    electron_mass: float = 9.1093837015e-31  # kg
-    electronvolt: float = 1.602176634e-19    # J
+# Fixed constants table; values are pinned, never user-mutable.
+# hbar [J*s], electron_mass [kg], electronvolt [J].
+PhysicalConstants = namedtuple(
+    "PhysicalConstants", "hbar electron_mass electronvolt",
+    defaults=(1.054571817e-34, 9.1093837015e-31, 1.602176634e-19),
+)
 
 
 CONSTANTS = PhysicalConstants()
@@ -60,16 +59,17 @@ _QUANTITY_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(namedtuple("Quantity", "value dimension")):
     """An SI-normalized value tagged with its dimension."""
 
-    value: float
-    dimension: Dimension
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"quantity value must be finite, got {self.value}")
+    def __new__(cls, value: float, dimension: Dimension) -> Quantity:
+        if not math.isfinite(value):
+            raise DomainError(f"quantity value must be finite, got {value}")
+        return super().__new__(cls, value, dimension)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
 def _lookup_unit(unit: str) -> tuple[Dimension, float]:
@@ -89,7 +89,8 @@ def parse_quantity(text: str) -> Quantity:
     Raises:
         MalformedNumber: the text is not of the form ``<number><unit>``.
         UnknownUnit: the unit suffix is not in the table above.
-        NumericalError: a nonzero number whose SI value underflows to 0.0.
+        NumericalError: a number that overflows the float range, or a
+            nonzero number whose SI value underflows to 0.0.
     """
     match = _QUANTITY_RE.match(text)
     if match is None:
@@ -97,6 +98,8 @@ def parse_quantity(text: str) -> Quantity:
     number, unit = match.groups()
     dim, factor = _lookup_unit(unit)
     value = float(number) * factor
+    if math.isinf(value):
+        raise NumericalError(f"'{text}' overflows the float range")
     mantissa = number.lower().partition("e")[0]
     if value == 0.0 and mantissa.strip("+-.0"):  # a nonzero digit was rounded away
         raise NumericalError(f"'{text}' underflows to 0 in SI units")

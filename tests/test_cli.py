@@ -77,6 +77,15 @@ class TestSpectrum:
         assert err == ("finwell spectrum: numerical failure: "
                        "'1e-300me' underflows to 0 in SI units\n")
 
+    def test_overflowing_quantity_numerical_error(self, capsys):
+        # float("1e400") is inf; this was the domain error "quantity value
+        # must be finite, got inf", which named neither the flag nor the text.
+        code, out, err = run(capsys, ["spectrum", "--width", "1e400m", "--depth", "1eV",
+                                      "--mass", "me"])
+        assert (code, out) == (2, "")
+        assert err == ("finwell spectrum: numerical failure: "
+                       "'1e400m' overflows the float range\n")
+
     def test_missing_flag_usage_error(self, capsys):
         code, _, err = run(capsys, ["spectrum", "--width", "1m", "--depth", "1eV"])
         assert code == 3
@@ -528,11 +537,25 @@ class TestSweep:
         assert "missing" in err
 
     def test_gamma_conflict_usage(self, capsys):
-        code, _, _ = run(capsys, [
+        code, out, err = run(capsys, [
             "sweep", "--param", "gamma", "--from", "0", "--to", "1", "--steps", "3",
             *HYDROGEN_FLAGS, "--gamma", "0.5",
         ])
-        assert code == 3
+        assert (code, out) == (3, "")
+        assert err == "finwell sweep: error: --gamma conflicts with sweeping gamma\n"
+
+    @pytest.mark.parametrize("param,start,stop", [
+        ("width", "1e-10m", "2e-10m"), ("depth", "1eV", "2eV"), ("mass", "1me", "2me"),
+    ])
+    def test_swept_parameter_flag_conflicts(self, capsys, param, start, stop):
+        # As --gamma above; these flags were parsed and then silently
+        # overwritten by the sweep values (exit 0).
+        code, out, err = run(capsys, [
+            "sweep", "--param", param, "--from", start, "--to", stop, "--steps", "2",
+            *HYDROGEN_FLAGS,
+        ])
+        assert (code, out) == (3, "")
+        assert err == f"finwell sweep: error: --{param} conflicts with sweeping {param}\n"
 
     @pytest.mark.parametrize(
         "tweak",

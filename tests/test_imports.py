@@ -1,8 +1,11 @@
-"""Every command but the sweep runs without importing numpy.
+"""Every command but the sweep runs without importing numpy, dataclasses or inspect.
 
 Only the sweep's array path imports numpy, inside the functions that build
 arrays; a module-level `import numpy` in any finwell module would load it for
-every command and double the start-up time.
+every command and double the start-up time.  The records are named tuples:
+one `@dataclass` would load dataclasses and inspect, which with the classes
+they build cost about two thirds of finwell's own import time.  typing is not
+checked, because a site hook of the interpreter may load it before finwell.
 """
 
 import os
@@ -51,21 +54,26 @@ NUMPY_FREE = {
 }
 
 
-def numpy_loaded_after(code: str) -> bool:
+SLOW_IMPORTS = ("numpy", "dataclasses", "inspect")
+
+
+def slow_imports_after(code: str) -> set[str]:
+    """Which of SLOW_IMPORTS a fresh interpreter has loaded after running code."""
+    check = f"import sys; print(*(m for m in {SLOW_IMPORTS!r} if m in sys.modules))"
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\n{check}"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize("code", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
 def test_scalar_path_does_not_import_numpy(code):
-    assert not numpy_loaded_after(code)
+    assert slow_imports_after(code) == set()
 
 
 def test_array_commands_still_run():
     sweep = ("sweep", "--param", "width", "--from", "1e-10m", "--to", "2e-10m",
              "--steps", "3", "--depth", "13.6eV", "--mass", "me", "--gamma", "0.5")
-    assert numpy_loaded_after(cli_call(*sweep))
+    assert "numpy" in slow_imports_after(cli_call(*sweep))

@@ -57,6 +57,7 @@ def test_parse_bohr_radius():
         ("+2.5e-3J", 2.5e-3, Dimension.ENERGY),
         (".5m", 0.5, Dimension.LENGTH),
         (" 7 eV ", 7 * 1.602176634e-19, Dimension.ENERGY),
+        ("1.7976931348623157e308m", 1.7976931348623157e308, Dimension.LENGTH),  # largest finite
     ],
 )
 def test_parse_grammar(text, value, dim):
@@ -81,6 +82,14 @@ def test_malformed_number(text):
 def test_underflow_to_zero_is_numerical_error(text):
     with pytest.raises(NumericalError, match="underflows"):
         parse_quantity(text)
+
+
+@pytest.mark.parametrize("text", ["1e400m", "-1e309eV", "2e308me", "1e400"])
+def test_overflow_is_numerical_error(text):
+    # float(number) is inf; the message names the text, not a non-finite value.
+    with pytest.raises(NumericalError) as info:
+        parse_quantity(text)
+    assert str(info.value) == f"'{text}' overflows the float range"
 
 
 @pytest.mark.parametrize("text,value", [
