@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from operator import mul
+from operator import index, mul
 
 from .errors import DomainError, NumericalError, SingularSystem
 from .spectrum import energy_ratio
@@ -37,6 +37,10 @@ class FitGrid(namedtuple("FitGrid", "n_start n_stop n_count")):
     __slots__ = ()
 
     def __new__(cls, n_start: float, n_stop: float, n_count: int) -> FitGrid:
+        try:
+            n_count = index(n_count)
+        except TypeError:
+            raise DomainError(f"n_count must be an integer, got {n_count!r}") from None
         if not (1.0 <= n_start < n_stop):
             raise DomainError(f"need 1 <= n_start < n_stop, got [{n_start}, {n_stop}]")
         if not math.isfinite(n_stop):
@@ -103,21 +107,18 @@ def sample_energies(grid: FitGrid) -> list[tuple[float, float]]:
     return [(n, energy_ratio(n)) for n in grid.points()]
 
 
-def _dot(x: list[float], y: list[float]) -> float:
-    return math.fsum(map(mul, x, y))
-
-
 def fit_inverse_poly(
     points: list[tuple[float, float]], grid: FitGrid | None = None
 ) -> FitCoefficients:
     """Least-squares fit of the degree-5 series in 1/n to (n, E/V0) pairs.
 
-    Modified Gram-Schmidt QR of the Vandermonde matrix in u = 1/n with the
-    E/V0 column appended, math.fsum dot products, and back substitution in
-    R; normal equations would square the condition number of a system that
-    is already ill-conditioned near n = 1.  A diagonal |R_jj| <= eps*m*|R_00|
-    (lstsq's default rcond) raises SingularSystem.  sigma is the RMS
-    residual over the input points.
+    Forsythe's method: monic polynomials p_k in u = 1/n, orthogonal on the
+    samples, from p_{k+1} = (u - alpha_k) p_k - beta_k p_{k-1}.  The residual
+    r, from E/V0 on, is orthogonalised against each p_k in turn by b_k =
+    <p_k, r>/|p_k|^2 (math.fsum inner products), and the monomial coefficients
+    sum b_k p_k come from the same recurrence.  |p_k| is R_kk of the
+    Vandermonde QR, so |p_k|^2 <= (eps*m)^2 * m (lstsq's default rcond against
+    |p_0|^2 = m) raises SingularSystem.  sigma is the RMS residual.
     """
     m = len(points)
     if m < 2 * N_COEFFS:
@@ -129,32 +130,30 @@ def fit_inverse_poly(
     us = [1.0 / n for n in ns]
     if len(set(us)) != m:
         raise DomainError("sample points must have distinct n values (and distinct 1/n)")
-
-    cols = [[1.0] * m]
-    for _ in range(N_COEFFS - 1):
-        cols.append(list(map(mul, cols[-1], us)))
-    # Finite squares keep every norm, dot product and update below finite.
-    if not math.isfinite(sum(x * x for x in (*cols[-1], *ys))):
+    # |p_k(u)| <= max(u)^k bounds every inner product; math.prod gives inf where ** raises.
+    u5 = math.prod([max(us)] * 5)
+    if not math.isfinite(m * u5 * u5 + sum(map(mul, ys, ys))):
         raise NumericalError("sample points leave the float range: (E/V0)^2 and (1/n)^10 must be finite")
-    cols.append(ys)
 
-    tol = math.ulp(1.0) * m * math.sqrt(m)  # R_00 = sqrt(m), the norm of the column of ones
-    rows = []  # R_jj, then R_jk for k > j followed by (Q^T y)_j
-    for j in range(N_COEFFS):
-        r_jj = math.sqrt(_dot(cols[j], cols[j]))
-        if r_jj <= tol:
-            raise SingularSystem(f"design matrix rank {j} < {N_COEFFS}")
-        q = [x / r_jj for x in cols[j]]
-        row = []
-        for k in range(j + 1, N_COEFFS + 1):
-            r_jk = _dot(q, cols[k])
-            cols[k] = [w - r_jk * qi for w, qi in zip(cols[k], q)]
-            row.append(r_jk)
-        rows.append((r_jj, row))
-
-    c = []
-    for r_jj, (*r_j, z_j) in reversed(rows):
-        c.insert(0, (z_j - _dot(r_j, c)) / r_jj)
+    tol = (math.ulp(1.0) * m) ** 2 * m
+    b, alpha = math.fsum(ys) / m, math.fsum(us) / m  # k = 0 in closed form: p_0 = 1, |p_0|^2 = m
+    p_prev, p, norm_prev, r = [1.0] * m, [u - alpha for u in us], m, [y - b for y in ys]
+    zeros = [0.0] * (N_COEFFS - 2)
+    a_prev, a, c = [1.0, 0.0, *zeros], [-alpha, 1.0, *zeros], [b, 0.0, *zeros]  # of p_0, p_1 and the fit
+    for k in range(1, N_COEFFS):
+        pp = list(map(mul, p, p))
+        norm = math.fsum(pp)
+        if norm <= tol:
+            raise SingularSystem(f"design matrix rank {k} < {N_COEFFS}")
+        b = math.fsum(map(mul, p, r)) / norm
+        c = [ci + b * ai for ci, ai in zip(c, a)]
+        if k == N_COEFFS - 1:
+            break
+        r = [ri - b * pi for ri, pi in zip(r, p)]
+        alpha, beta = math.fsum(map(mul, us, pp)) / norm, norm / norm_prev
+        p_prev, p = p, [(u - alpha) * pi - beta * qi for u, pi, qi in zip(us, p, p_prev)]
+        a_prev, a = a, [s - alpha * ai - beta * qi for s, ai, qi in zip([0.0, *a], a, a_prev)]
+        norm_prev = norm
     sigma = math.sqrt(math.fsum((_horner(c, u) - y) ** 2 for u, y in zip(us, ys)) / m)
     return FitCoefficients(c=tuple(c), sigma=sigma, source="refit", grid=grid)
 

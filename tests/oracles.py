@@ -200,13 +200,10 @@ def pressure_derivative_oracle(
         return float((R(ad + h) - R(ad - h)) / (P(ad + h) - P(ad - h)))
 
 
-def refit_oracle(points: Sequence[tuple[float, float]]) -> list[float]:
-    """Exact least-squares coefficients of the degree-5 series in u = 1/n.
-
-    u is the rounded float 1.0/n and the design holds its exact powers; the
-    normal equations are formed and solved by Gaussian elimination in
-    Fractions, so the only rounding is the final conversion to float.
-    """
+def _exact_least_squares(
+    points: Sequence[tuple[float, float]],
+) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    # (u, y, c): the samples as Fractions and the exact coefficients.
     us = [Fraction(1.0 / n) for n, _ in points]
     ys = [Fraction(y) for _, y in points]
     design = [[u**k for k in range(6)] for u in us]
@@ -222,4 +219,21 @@ def refit_oracle(points: Sequence[tuple[float, float]]) -> list[float]:
     c = [Fraction(0)] * 6
     for j in reversed(range(6)):
         c[j] = (system[j][6] - sum(system[j][k] * c[k] for k in range(j + 1, 6))) / system[j][j]
-    return [float(ck) for ck in c]
+    return us, ys, c
+
+
+def refit_oracle(points: Sequence[tuple[float, float]]) -> list[float]:
+    """Exact least-squares coefficients of the degree-5 series in u = 1/n.
+
+    u is the rounded float 1.0/n and the design holds its exact powers; the
+    normal equations are formed and solved by Gaussian elimination in
+    Fractions, so the only rounding is the final conversion to float.
+    """
+    return [float(ck) for ck in _exact_least_squares(points)[2]]
+
+
+def refit_rms_oracle(points: Sequence[tuple[float, float]]) -> float:
+    """RMS residual of the exact least-squares solution, summed in Fractions."""
+    us, ys, c = _exact_least_squares(points)
+    squares = sum((sum(ck * u**k for k, ck in enumerate(c)) - y) ** 2 for u, y in zip(us, ys))
+    return math.sqrt(squares / len(us))

@@ -25,7 +25,7 @@ from finwell import (
     sample_energies,
 )
 
-from oracles import refit_oracle
+from oracles import refit_oracle, refit_rms_oracle
 
 # frozen from the bisection oracle
 RATIO_N2 = 0.26515626705456863
@@ -40,6 +40,14 @@ ORACLE_GRIDS = [
     DEFAULT_GRID, FitGrid(1.0, 10.0, 12), FitGrid(1.25, 9.5, 12), FitGrid(1.5, 10.0, 35),
     *(FitGrid(_rng.uniform(1.0, 2.0), _rng.uniform(8.0, 12.0), 16) for _ in range(8)),
 ]
+
+
+def assert_sigma_near_exact(points, fitted):
+    # The RMS residual of the exact least-squares solution, within 1e-6 of it
+    # plus the rounding of the float series: Horner's bound 10*eps*sum|c_k u^k|.
+    want = refit_rms_oracle(points)
+    horner = max(sum(abs(ck) * (1.0 / n) ** k for k, ck in enumerate(fitted.c)) for n, _ in points)
+    assert abs(fitted.sigma - want) <= 1e-6 * want + 10 * math.ulp(1.0) * horner, (fitted.sigma, want)
 
 
 class TestFitGrid:
@@ -59,6 +67,21 @@ class TestFitGrid:
     def test_infinite_stop(self):
         with pytest.raises(DomainError, match="n_stop must be finite, got inf"):
             FitGrid(1.0, math.inf, 13)
+
+    @pytest.mark.parametrize("count", [12.5, 13.0, "13", None])
+    def test_non_integer_count(self, count):
+        with pytest.raises(DomainError, match="n_count must be an integer"):
+            FitGrid(1.0, 10.0, count)
+        with pytest.raises(DomainError, match="n_count must be an integer"):
+            FitGrid(n_start=1.0, n_stop=10.0, n_count=count)
+        with pytest.raises(DomainError, match="n_count must be an integer"):
+            DEFAULT_GRID._replace(n_count=count)
+
+    def test_integer_like_count_is_stored_as_int(self):
+        # json.dump refuses numpy integers, so a refit's grid must hold an int.
+        grid = FitGrid(1.0, 10.0, np.int64(13))
+        assert grid == DEFAULT_GRID
+        assert type(grid.n_count) is int
 
     @settings(max_examples=300)
     @given(
@@ -166,6 +189,7 @@ class TestFitInversePoly:
         (0, math.nan, 0.5, DomainError),
         (0, 5e-324, 0.5, NumericalError),
         (0, 1e-31, 0.5, NumericalError),
+        (0, 1e-70, 0.5, NumericalError),
         (4, 3.0, math.nan, NumericalError),
         (4, 3.0, math.inf, NumericalError),
     ])
@@ -177,6 +201,52 @@ class TestFitInversePoly:
         points[k] = (n, y)
         with pytest.raises(error):
             fit_inverse_poly(points)
+
+    def test_default_grid_near_exact_least_squares(self):
+        # Tighter than test_matches_exact_least_squares: a modified
+        # Gram-Schmidt QR of the Vandermonde matrix is 8.3e-13 off here.
+        points = sample_energies(DEFAULT_GRID)
+        want = refit_oracle(points)
+        got = fit_inverse_poly(points).c
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 2e-13 * abs(w), (k, g, w)
+
+    @pytest.mark.parametrize("grid", [
+        FitGrid(1.0, 1e300, 13), FitGrid(1.0, 1.0000000000001, 13), FitGrid(1.0, 1e16, 13),
+    ], ids=str)
+    def test_rank_deficient_grid(self, grid):
+        with pytest.raises(SingularSystem) as caught:
+            fit_inverse_poly(sample_energies(grid))
+        assert str(caught.value) == "design matrix rank 2 < 6"
+
+    @pytest.mark.parametrize("grid", [FitGrid(5.0, 6.0, 12), FitGrid(1.0, 1000.0, 20)], ids=str)
+    def test_full_rank_near_miss(self, grid):
+        # Narrow and ill-conditioned, but of full rank: the rank test must not fire.
+        points = sample_energies(grid)
+        fitted = fit_inverse_poly(points)
+        assert all(math.isfinite(ck) for ck in fitted.c)
+        assert_sigma_near_exact(points, fitted)
+
+    @settings(max_examples=150)
+    @given(
+        st.floats(0.0, 3.0),
+        st.floats(math.log10(1.0 + 1e-6), 6.0),
+        st.integers(12, 40),
+    )
+    @example(0.0, 1.0, 13)
+    @example(0.0, 3.0, 20)
+    @example(math.log10(5.0), math.log10(1.2), 12)
+    def test_log_scale_grids(self, log_start, log_ratio, count):
+        # Any grid with n_start in [1, 1e3] and n_stop/n_start in [1 + 1e-6,
+        # 1e6], log-uniform: a typed numerical failure or the least-squares fit.
+        n_start = 10.0**log_start
+        points = sample_energies(FitGrid(n_start, n_start * 10.0**log_ratio, count))
+        try:
+            fitted = fit_inverse_poly(points)
+        except (SingularSystem, NumericalError):
+            return
+        assert all(math.isfinite(ck) for ck in fitted.c)
+        assert_sigma_near_exact(points, fitted)
 
     def test_singular_system(self):
         # twelve numerically coincident abscissae: rank collapses
@@ -247,6 +317,14 @@ class TestCoefficientsJson:
             doc["c"][1] = bad
         with pytest.raises(DomainError, match="must be finite"):
             FitCoefficients.from_dict(doc)
+
+    def test_load_rejects_non_integer_count(self, tmp_path):
+        path = tmp_path / "coeffs.json"
+        doc = refit().to_dict()
+        doc["grid"]["n_count"] = 12.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="n_count must be an integer, got 12.5"):
+            load_coefficients(str(path))
 
     def test_from_dict_rejects_wrong_length(self):
         with pytest.raises(DomainError):
