@@ -53,7 +53,7 @@ class PoleSingularity(NumericalError):
 
 
 class NoRoot(NumericalError):
-    """Root search found no sign change in the requested interval."""
+    """Root search found no root in the requested interval."""
 
 
 def check_positive(**values: float) -> None:

@@ -34,9 +34,7 @@ from .fitseries import FitCoefficients, _horner
 
 POLE_RTOL = 1e-12          # |denominator| below this times its largest term -> pole
 TIE_RTOL = 1e-12           # relative width of the classification tie band
-_SCAN_POINTS = 2000        # sign-scan resolution for the numeric critical width
-_SCAN_MAX_T = 20.0
-_BISECT_TOL = 1e-12
+_MAX_T = 20.0              # the numeric critical width is sought in t = a/K on (0, _MAX_T]
 
 
 class Response(Enum):
@@ -230,37 +228,72 @@ def expansion_small_k(
     return a / 2.0 - K * c[2] / (2.0 * c[1]) + 3.0 * K * K * third / (2.0 * a * c[1] ** 2)
 
 
-def _scan_smallest_root(poly_coeffs: tuple[float, ...]) -> float | None:
-    """Smallest root of the polynomial on (0, _SCAN_MAX_T], or None.
+def _polish(coeffs, lo: float, hi: float, f_lo: float) -> float:
+    # The root in (lo, hi) of the polynomial with ascending coefficients
+    # coeffs, which is f_lo at lo and of the other sign at hi.  Newton steps
+    # from the midpoint, on p and p' from one Horner pass; a step that leaves
+    # the bracket, or is not below half the one before, is replaced by
+    # bisection (rtsafe).  Stops at a step of at most 2 ulp, an exact zero,
+    # or a bracket of two adjacent doubles.
+    rising = f_lo < 0.0
+    t = 0.5 * (lo + hi)
+    step = hi - lo
+    while True:
+        f = slope = 0.0
+        for ck in reversed(coeffs):
+            slope = slope * t + f
+            f = f * t + ck
+        if f == 0.0:
+            return t
+        if (f < 0.0) == rising:
+            lo = t
+        else:
+            hi = t
+        last, step = step, f / slope if slope else math.inf
+        if not lo < t - step < hi or abs(2.0 * step) > abs(last):
+            step = t - 0.5 * (lo + hi)
+            if not lo < t - step < hi:
+                return t
+        t -= step
+        if abs(step) <= 2.0 * math.ulp(t):
+            return t
 
-    Uniform sign scan over _SCAN_POINTS points followed by bisection of the
-    first bracketing interval to _BISECT_TOL.
-    """
-    step = _SCAN_MAX_T / _SCAN_POINTS
-    t_prev = step
-    f_prev = _horner(poly_coeffs, t_prev)
-    if f_prev == 0.0:
-        return t_prev
-    for k in range(2, _SCAN_POINTS + 1):
-        t_next = k * step
-        f_next = _horner(poly_coeffs, t_next)
-        if f_next == 0.0:
-            return t_next
-        if (f_prev > 0.0) != (f_next > 0.0):
-            lo, hi = t_prev, t_next
-            f_lo = f_prev
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                f_mid = _horner(poly_coeffs, mid)
-                if f_mid == 0.0:
-                    return mid
-                if (f_mid > 0.0) == (f_lo > 0.0):
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        t_prev, f_prev = t_next, f_next
-    return None
+
+def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
+    # Real roots of c0 + c1 t + c2 t^2 (c2 != 0), by the formula that does
+    # not cancel: q = -(c1 + sign(c1) sqrt(disc))/2, roots q/c2 and c0/q.
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [q / c2, c0 / q] if q != 0.0 else [0.0]
+
+
+def _roots(coeffs) -> list[float]:
+    # Ascending roots in (0, _MAX_T] of the polynomial with ascending
+    # coefficients coeffs, not all 0.  Lines and quadratics are solved in
+    # closed form.  Above that the roots of the derivative, found the same
+    # way, cut (0, _MAX_T] into pieces where p is monotone, so each piece
+    # holds at most one root: at a knot where p is exactly 0, or inside a
+    # piece whose ends differ in sign.
+    while coeffs[-1] == 0.0:
+        coeffs = coeffs[:-1]
+    if len(coeffs) == 1:
+        return []
+    if len(coeffs) <= 3:
+        found = [-coeffs[0] / coeffs[1]] if len(coeffs) == 2 else sorted(_quadratic_roots(*coeffs))
+        return [t for t in found if 0.0 < t <= _MAX_T]
+    knots = _roots([k * coeffs[k] for k in range(1, len(coeffs))])
+    found = []
+    lo, f_lo = 0.0, coeffs[0]
+    for t in (*knots, _MAX_T):
+        f = _horner(coeffs, t)
+        if f == 0.0:
+            found.append(t)
+        elif f_lo != 0.0 and (f > 0.0) != (f_lo > 0.0):
+            found.append(_polish(coeffs, lo, t, f_lo))
+        lo, f_lo = t, f
+    return found
 
 
 def critical_width(
@@ -269,11 +302,17 @@ def critical_width(
     """Critical half-width a0 where dE/dP changes sign.
 
     method="paper" takes the zero of the small-width expansion,
-    a0 = -7.5*(c5/c4)*K.  method="numeric" root-finds the dE/dP numerator
-    polynomial c1 t^4 + 2 c2 t^3 + 3 c3 t^2 + 4 c4 t + 5 c5 in t = a/K on
-    (0, 20], and also locates the (consistent-form) denominator root, the
-    pole, when one exists.  The two disagree for the published coefficients;
-    both are reported, neither is silently preferred.
+    a0 = -7.5*(c5/c4)*K, and needs c4 != 0.  method="numeric" also reports
+    a0_numeric, the smallest root in t = a/K on (0, 20] of the dE/dP
+    numerator c1 t^4 + 2 c2 t^3 + 3 c3 t^2 + 4 c4 t + 5 c5, and
+    pole_location, the smallest root there of the (consistent-form)
+    denominator, or None.  The roots are isolated, not sampled: the roots
+    of each derivative cut (0, 20] into monotone pieces, so roots closer
+    than any fixed step are told apart, and a safeguarded Newton iteration
+    takes each to within a few ulp.  It raises DomainError when c1..c5 are
+    all 0 or not all finite, and NoRoot when the numerator has no root on
+    (0, 20].  The paper and numeric widths disagree for the published
+    coefficients; both are reported, neither is silently preferred.
     """
     check_positive(K=K)
     a0_paper = _small_width_zero(coeffs.c, K)
@@ -288,15 +327,22 @@ def critical_width(
     if method != "numeric":
         raise DomainError(f"method must be 'paper' or 'numeric', got {method!r}")
 
-    numerator, denominator = _rational_coefficients(coeffs.c)
-    t_zero = _scan_smallest_root(numerator)
-    if t_zero is None:
-        raise NoRoot(f"dE/dP numerator has no root in t = a/K on (0, {_SCAN_MAX_T}]")
-    t_pole = _scan_smallest_root(denominator)
+    c = coeffs.c
+    if not (all(map(math.isfinite, c[1:])) and any(c[1:])):
+        raise DomainError(f"numeric critical width needs c1..c5 finite and not all 0, got {c[1:]}")
+    # A power-of-two scale moves no root, and with every coefficient below 1
+    # in magnitude no Horner sum over t <= 20 or discriminant leaves the
+    # float range (unscaled, the quadratic's overflows from |c| ~ 1e154).
+    exponent = math.frexp(max(map(abs, c[1:])))[1]
+    numerator, denominator = _rational_coefficients([math.ldexp(ck, -exponent) for ck in c])
+    zeros = _roots(numerator)
+    if not zeros:
+        raise NoRoot(f"dE/dP numerator has no root in t = a/K on (0, {_MAX_T}]")
+    poles = _roots(denominator)
     return CriticalWidthReport(
         a0_paper=a0_paper,
-        a0_numeric=t_zero * K,
-        pole_location=None if t_pole is None else t_pole * K,
+        a0_numeric=zeros[0] * K,
+        pole_location=poles[0] * K if poles else None,
     )
 
 

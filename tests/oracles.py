@@ -237,3 +237,66 @@ def refit_rms_oracle(points: Sequence[tuple[float, float]]) -> float:
     us, ys, c = _exact_least_squares(points)
     squares = sum((sum(ck * u**k for k, ck in enumerate(c)) - y) ** 2 for u, y in zip(us, ys))
     return math.sqrt(squares / len(us))
+
+
+def _poly_value(p: Sequence[Fraction], x: Fraction) -> Fraction:
+    value = Fraction(0)
+    for ck in reversed(p):
+        value = value * x + ck
+    return value
+
+
+def _poly_remainder(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+    # Remainder of num / den (ascending coefficients, den with a nonzero lead),
+    # with its zero leading coefficients dropped.
+    num = list(num)
+    while len(num) >= len(den):
+        factor = num[-1] / den[-1]
+        shift = len(num) - len(den)
+        for k, dk in enumerate(den):
+            num[shift + k] -= factor * dk
+        num.pop()
+    while num and num[-1] == 0:
+        num.pop()
+    return num
+
+
+def smallest_root_oracle(
+    coeffs: Sequence[float], lo: float, hi: float
+) -> float | None:
+    """Smallest root in (lo, hi] of sum coeffs[i] t^i, or None.
+
+    The float coefficients are taken exactly as Fractions.  The Sturm
+    sequence p, p', -rem(p, p'), ... counts the distinct roots in (a, b] as
+    V(a) - V(b), V the sign changes with zeros dropped, so roots closer
+    than any float spacing are still told apart.  Bisection keeps a
+    (lo, hi] holding at least one root until both ends round to the same
+    double, which is then the root correctly rounded.
+    """
+    p = [Fraction(ck) for ck in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    assert p, "oracle polynomial is identically zero"
+    sturm = [p, [k * ck for k, ck in enumerate(p)][1:]]
+    while sturm[-1]:
+        sturm.append([-r for r in _poly_remainder(sturm[-2], sturm[-1])])
+    sturm.pop()
+
+    def changes(x: Fraction) -> int:
+        signs = [v > 0 for v in (_poly_value(q, x) for q in sturm) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    a, b = Fraction(lo), Fraction(hi)
+    v_a = changes(a)
+    if v_a == changes(b):
+        return None
+    for _ in range(2000):
+        if float(a) == float(b):
+            break
+        mid = (a + b) / 2
+        v_mid = changes(mid)
+        if v_mid < v_a:
+            b = mid
+        else:
+            a, v_a = mid, v_mid
+    return float(b)

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finwell import (
@@ -25,7 +26,7 @@ from finwell import (
 )
 from finwell.fitseries import refit
 
-from oracles import central_difference
+from oracles import central_difference, smallest_root_oracle
 
 C = PAPER_FIT.c
 EPS = 2.0 ** -52
@@ -34,6 +35,39 @@ ZERO_FIT = FitCoefficients(c=(0.0,) * 6, sigma=0.0, source="refit")
 
 def make_coeffs(c):
     return FitCoefficients(c=tuple(c), sigma=0.0, source="refit")
+
+
+def quartic_fit(roots):
+    """Coefficients whose dE/dP numerator is the monic quartic with these
+    roots: its ascending coefficients p, formed exactly and rounded, give
+    c = (0, p4, p3/2, p2/3, p1/4, p0/5)."""
+    p = [Fraction(1)]
+    for r in map(Fraction, roots):
+        p = [a - r * b for a, b in zip([Fraction(0)] + p, p + [Fraction(0)])]
+    p = [float(pk) for pk in p]
+    return make_coeffs((0.0, p[4], p[3] / 2, p[2] / 3, p[1] / 4, p[0] / 5))
+
+
+def rational_polys(c):
+    """The dE/dP numerator and (consistent) denominator in t = a/K, ascending."""
+    return (
+        (5.0 * c[5], 4.0 * c[4], 3.0 * c[3], 2.0 * c[2], c[1]),
+        (15.0 * c[5], 10.0 * c[4], 6.0 * c[3], 3.0 * c[2], c[1]),
+    )
+
+
+def assert_smallest_root(got, poly):
+    """got is the smallest root of poly in (0, 20], to the Horner rounding
+    bound 8 u sum|p_i t^i| / |p'(t)| of the exact root t."""
+    want = smallest_root_oracle(poly, 0.0, 20.0)
+    assert want is not None, poly
+    size = sum(abs(pk) * want**k for k, pk in enumerate(poly))
+    slope = sum(k * pk * want ** (k - 1) for k, pk in enumerate(poly) if k)
+    assert abs(got - want) <= 8 * EPS / 2 * size / abs(slope), (got, want)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 def dedp_series_oracle(a: float, K: float, c, V0: float = 1.0) -> float:
@@ -306,6 +340,64 @@ class TestCriticalWidth:
         assert report.pole_location == pytest.approx(smallest_positive_real(denom), abs=1e-9)
         assert report.a0_numeric == pytest.approx(0.89, abs=0.01)
         assert report.pole_location == pytest.approx(1.11, abs=0.01)
+
+    def test_numeric_method_within_2_ulp_of_exact_roots(self):
+        report = critical_width(1.0, PAPER_FIT, "numeric")
+        numer, denom = rational_polys(C)
+        for got, poly in ((report.a0_numeric, numer), (report.pole_location, denom)):
+            want = smallest_root_oracle(poly, 0.0, 20.0)
+            assert abs(got - want) <= 2 * math.ulp(want), (got, want)
+
+    def test_close_root_pair(self):
+        # Roots 1.0013 and 1.0047 lie inside one 0.01 step of a fixed scan,
+        # where the numerator keeps its sign at both ends.
+        coeffs = quartic_fit((1.0013, 1.0047, -1.0, -2.0))
+        report = critical_width(1.0, coeffs, "numeric")
+        assert report.a0_numeric == pytest.approx(1.0013, abs=1e-12)
+        numer, denom = rational_polys(coeffs.c)
+        assert_smallest_root(report.a0_numeric, numer)
+        assert_smallest_root(report.pole_location, denom)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_uniform(1e-4, 18.0),
+        log_uniform(1e-6, 1.0),
+        st.lists(st.tuples(log_uniform(1e-4, 18.0), st.booleans()), min_size=2, max_size=2),
+    )
+    def test_quartic_numerator_against_exact_oracle(self, r1, separation, others):
+        # One pair at relative separation down to 1e-6; each other positive
+        # root a factor 4 or more from every root, so the extremum between
+        # two roots stands clear of the Horner rounding.  All roots below 18,
+        # clear of the interval end 20.
+        roots = [r1, r1 * (1.0 + separation)] + [r if up else -r for r, up in others]
+        for i in (2, 3):
+            if roots[i] > 0.0:
+                near = [q for j, q in enumerate(roots) if j != i and q > 0.0]
+                assume(all(max(roots[i] / q, q / roots[i]) >= 4.0 for q in near))
+        coeffs = quartic_fit(roots)
+        assert_smallest_root(critical_width(1.0, coeffs, "numeric").a0_numeric,
+                             rational_polys(coeffs.c)[0])
+
+    @pytest.mark.parametrize(
+        "c", [(0.0,) * 6, (0.0, 1.0, math.nan, 0.0, 0.0, -1.0), (0.0, math.inf, 0.0, 0.0, 0.0, -1.0)]
+    )
+    def test_zero_or_non_finite_coefficients(self, c):
+        # c1..c5 all 0: the numerator is identically 0, no width is defined.
+        # An infinite c1 would put a root at the smallest double.
+        with pytest.raises(DomainError):
+            critical_width(1.0, make_coeffs(c), "numeric")
+
+    @pytest.mark.parametrize("lam", [2.0**-1000, 2.0**600, 2.0**1015])
+    @pytest.mark.parametrize("roots", [None, (2.0, 0.0, 0.0, 0.0)])
+    def test_numeric_width_power_of_two_invariant(self, roots, lam):
+        # Scaling c by a power of two moves no root; the search must not
+        # overflow or underflow on the way.  roots=None is PAPER_FIT; the
+        # root 2 of t^3 (t - 2) is reached only through the knots 1.5 and 1,
+        # the roots of its first and second derivatives.
+        coeffs = PAPER_FIT if roots is None else quartic_fit(roots)
+        base = critical_width(1.0, coeffs, "numeric")
+        scaled = critical_width(1.0, make_coeffs(lam * ck for ck in coeffs.c), "numeric")
+        assert (scaled.a0_numeric, scaled.pole_location) == (base.a0_numeric, base.pole_location)
 
     def test_paper_width_scale_invariant(self):
         base = critical_width(1.0, PAPER_FIT, "paper").a0_paper
