@@ -47,14 +47,10 @@ from .pressure import (
 )
 from .probability import (
     ProbabilityResult,
-    WavefunctionNorm,
     beta_from_fit,
-    normalization_constant,
     probability_columns,
     probability_interval,
     probability_pressure_derivative,
-    probability_small_beta,
-    wavefunction,
 )
 from .spectrum import (
     BoundState,

@@ -126,10 +126,6 @@ def _quantity_flags(args: argparse.Namespace, names: tuple[str, ...],
             for name in names}
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 # json.dumps(value, allow_nan=False) without a new encoder on every call
 _encode = json.JSONEncoder(allow_nan=False).encode
 
@@ -148,7 +144,7 @@ def _emit(values: dict, as_json: bool) -> None:
         return
     width = max(len(k) for k in values)
     for key, value in values.items():
-        rendered = _fmt(value) if isinstance(value, float) else str(value)
+        rendered = f"{value:.9g}" if isinstance(value, float) else str(value)
         print(f"{key:<{width}} = {rendered}")
 
 

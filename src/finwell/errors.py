@@ -3,8 +3,8 @@
 Two families matter for callers (and for CLI exit codes): ``DomainError``
 covers invalid or out-of-range inputs, ``NumericalError`` covers failures
 of the numerics themselves.  ``check_positive`` is the shared domain check
-for quantities that must be positive and finite, and
-``check_positive_columns`` the same check on arrays.
+for quantities that must be positive and finite, ``check_positive_columns``
+the same check on arrays, and ``check_finite`` the range check on a result.
 """
 
 from __future__ import annotations
@@ -61,6 +61,14 @@ def check_positive(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def check_finite(value: float, what: str, **at: float) -> float:
+    """value, or NumericalError "<what> overflows at <name> = <value>, ..."."""
+    if math.isfinite(value):
+        return value
+    where = ", ".join(f"{name} = {x:.6g}" for name, x in at.items())
+    raise NumericalError(f"{what} overflows at {where}")
 
 
 def check_positive_columns(**columns: np.ndarray) -> None:

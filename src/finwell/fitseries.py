@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 from operator import index, mul
 
-from .errors import DomainError, NumericalError, SingularSystem
+from .errors import DomainError, NumericalError, SingularSystem, check_finite
 from .spectrum import energy_ratio
 
 N_COEFFS = 6
@@ -179,10 +179,7 @@ def eval_fit(coeffs: FitCoefficients, n: float) -> float:
     """
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"strength n must be positive, got {n}")
-    value = _horner(coeffs.c, 1.0 / n)
-    if not math.isfinite(value):
-        raise NumericalError(f"fitted series overflows at n = {n:.6g}")
-    return value
+    return check_finite(_horner(coeffs.c, 1.0 / n), "fitted series", n=n)
 
 
 def dump_coefficients(coeffs: FitCoefficients, path: str) -> None:

@@ -29,7 +29,8 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import DomainError, NoRoot, NumericalError, PoleSingularity, check_positive
+from .errors import DomainError, NoRoot, NumericalError, PoleSingularity
+from .errors import check_finite, check_positive
 from .fitseries import FitCoefficients, _horner
 
 POLE_RTOL = 1e-12          # |denominator| below this times its largest term -> pole
@@ -73,10 +74,7 @@ def pressure_1d(a: float, K: float, coeffs: FitCoefficients, V0: float) -> float
     """
     check_positive(a=a, K=K, V0=V0)
     a, K, V0 = float(a), float(K), float(V0)  # a numpy scalar would warn on overflow
-    p = _pressure(a, K, coeffs.c, V0)
-    if not math.isfinite(p):
-        raise NumericalError(f"pressure overflows at a/K = {a / K:.6g}")
-    return p
+    return check_finite(_pressure(a, K, coeffs.c, V0), "pressure", **{"a/K": a / K})
 
 
 def _check_variant(variant: str) -> None:
@@ -123,7 +121,9 @@ def _rational_sums(t, c, variant: str):
 
 def _small_width_zero(c, K: float) -> float | None:
     # a0 = -7.5 (c5/c4) K, the zero of the small-width expansion; None if c4 = 0.
-    return None if c[4] == 0.0 else -7.5 * (c[5] / c[4]) * K
+    if c[4] == 0.0:
+        return None
+    return check_finite(-7.5 * (c[5] / c[4]) * K, "critical width -7.5 (c5/c4) K", K=K)
 
 
 def _rational_parts(
@@ -165,9 +165,7 @@ def denergy_dpressure(
     num, den = _rational_parts(a, K, coeffs, variant)
     dedp = 0.5 * a * num / den
     if math.isinf(dedp):
-        dedp = _wide_well_dedp(a, num, den)
-        if math.isinf(dedp):
-            raise NumericalError(f"dE/dP overflows at a/K = {a / K:.6g}")
+        dedp = check_finite(_wide_well_dedp(a, num, den), "dE/dP", **{"a/K": a / K})
     return dedp
 
 
@@ -200,11 +198,15 @@ def pressure_columns(
 
 
 def expansion_small_width(a: float, K: float, coeffs: FitCoefficients) -> float:
-    """Narrow-well expansion of dE/dP:  a/6 + (1/45)(c4/c5) a^2/K  [m]."""
+    """Narrow-well expansion of dE/dP:  a/6 + (1/45)(c4/c5) a^2/K  [m].
+
+    Raises NumericalError when it leaves the float range.
+    """
     check_positive(a=a, K=K)
     if coeffs.c[5] == 0.0:
         raise DomainError("small-width expansion needs c5 != 0")
-    return a / 6.0 + (coeffs.c[4] / coeffs.c[5]) * a * a / (45.0 * K)
+    dedp = a / 6.0 + (coeffs.c[4] / coeffs.c[5]) * a * a / (45.0 * K)
+    return check_finite(dedp, "small-width expansion", a=a, K=K)
 
 
 def expansion_small_k(
@@ -215,7 +217,8 @@ def expansion_small_k(
     printed:    a/2 - K c2/(2 c1) + (3 K^2 / (2 a c1^2)) (c2^2 - c3^2)
     consistent: a/2 - K c2/(2 c1) + (3 K^2 / (2 a c1^2)) (c2^2 - c1 c3)
 
-    K = 0 is allowed: it is the exact deep-well limit a/2.
+    K = 0 is allowed: it is the exact deep-well limit a/2.  Raises
+    NumericalError when the expansion leaves the float range.
     """
     check_positive(a=a)
     if not math.isfinite(K) or K < 0.0:
@@ -225,7 +228,8 @@ def expansion_small_k(
     if c[1] == 0.0:
         raise DomainError("small-K expansion needs c1 != 0")
     third = c[2] ** 2 - c[3] ** 2 if variant == "printed" else c[2] ** 2 - c[1] * c[3]
-    return a / 2.0 - K * c[2] / (2.0 * c[1]) + 3.0 * K * K * third / (2.0 * a * c[1] ** 2)
+    dedp = a / 2.0 - K * c[2] / (2.0 * c[1]) + 3.0 * K * K * third / (2.0 * a * c[1] ** 2)
+    return check_finite(dedp, "small-K expansion", a=a, K=K)
 
 
 def _polish(coeffs, lo: float, hi: float, f_lo: float) -> float:
@@ -310,9 +314,10 @@ def critical_width(
     of each derivative cut (0, 20] into monotone pieces, so roots closer
     than any fixed step are told apart, and a safeguarded Newton iteration
     takes each to within a few ulp.  It raises DomainError when c1..c5 are
-    all 0 or not all finite, and NoRoot when the numerator has no root on
-    (0, 20].  The paper and numeric widths disagree for the published
-    coefficients; both are reported, neither is silently preferred.
+    all 0 or not all finite, NoRoot when the numerator has no root on
+    (0, 20], and NumericalError when a width leaves the float range.  The
+    paper and numeric widths disagree for the published coefficients; both
+    are reported, neither is silently preferred.
     """
     check_positive(K=K)
     a0_paper = _small_width_zero(coeffs.c, K)
@@ -341,8 +346,8 @@ def critical_width(
     poles = _roots(denominator)
     return CriticalWidthReport(
         a0_paper=a0_paper,
-        a0_numeric=zeros[0] * K,
-        pole_location=poles[0] * K if poles else None,
+        a0_numeric=check_finite(zeros[0] * K, "numeric critical width", K=K),
+        pole_location=check_finite(poles[0] * K, "pole location", K=K) if poles else None,
     )
 
 
@@ -351,7 +356,7 @@ def classify_response(a: float, K: float, coeffs: FitCoefficients) -> ResponseRe
 
     A tie within TIE_RTOL relative is reported as PushedDeeper with the
     boundary flag set, since the published criterion only treats the strict
-    inequality.
+    inequality.  Raises NumericalError where a0 leaves the float range.
     """
     check_positive(a=a, K=K)
     a0 = _small_width_zero(coeffs.c, K)

@@ -1,27 +1,19 @@
-"""Wavefunction normalization and in-well interval probabilities.
+"""In-well interval probabilities and their pressure derivative.
 
-The in-well profile used throughout is u(x) = 2 C cosh(beta x) with the
-exterior decay constant beta, taken from the fitted energy (beta_from_fit) or
-from a solved level (spectrum.BoundState.beta); normalizing over |x| <= a gives
-
-    C = 1/(2 sqrt(a)) * (1 + sinh(2 a beta)/(2 a beta))^(-1/2)
-
-and the probability of |x| <= gamma*a (0 <= gamma <= 1) reduces to
+The in-well profile used throughout is u(x) proportional to cosh(beta x) with
+the exterior decay constant beta, taken from the fitted energy (beta_from_fit)
+or from a solved level (spectrum.BoundState.beta).  The probability of
+|x| <= gamma*a (0 <= gamma <= 1) relative to the whole well reduces to
 
     R = (2 a beta gamma + sinh(2 a beta gamma)) / (2 a beta + sinh(2 a beta)).
 
 beta -> 0 is a meaningful physical limit (energy near the top of the well),
 so sinh(z)/z and (z + sinh z) expressions carry Taylor guards below |z| =
-1e-4 to avoid 0/0.  Above z = 700, where sinh(z) nears overflow, both are
-rewritten with exp(-z) so that R and C stay finite for every z.  The
-small-beta expansion of R,
-
-    R = gamma * (1 + (a beta)^2 (gamma^2 - 1) / 3),
-
-is provided verbatim alongside the closed form.  Note cosh is even in x, so
-all formulas here are internally consistent, even though the conventional
-even interior solution of a finite well oscillates; see README for the
-physics note.
+1e-4 to avoid 0/0.  Above z = 700, where sinh(z) nears overflow, R is
+rewritten with exp(-z) so that it stays finite for every z.  Note cosh is
+even in x, so all formulas here are internally consistent, even though the
+conventional even interior solution of a finite well oscillates; see README
+for the physics note.
 """
 
 from __future__ import annotations
@@ -41,9 +33,6 @@ _EXP_Z = 700.0     # 2 a beta above this switches to exp(-z) forms
 # Q(w) (1 + sinh(w)/w) in powers of w^2 to 1e-18 for w <= 1: 2k/(2k+1)!, k = 1..9.
 _Q_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 10))
 
-
-# Normalization constant C [m^-1/2] with its defining beta [1/m] and a [m].
-WavefunctionNorm = namedtuple("WavefunctionNorm", "C beta a")
 
 # The in-well probability R of |x| <= gamma*a, and gamma.
 ProbabilityResult = namedtuple("ProbabilityResult", "probability gamma")
@@ -112,52 +101,6 @@ def _well_z(a: float, beta: float) -> float:
     return z
 
 
-def _exp_tail(z: float) -> float:
-    # 1 + sinh(z)/z = exp(z) * (exp(-z) - expm1(-2z)/(2z)); halving before
-    # dividing by z keeps the term finite where 2z overflows.
-    return math.exp(-z) - 0.5 * math.expm1(-2.0 * z) / z
-
-
-def normalization_constant(a: float, beta: float) -> WavefunctionNorm:
-    """C such that the interval probability over the whole well is one.
-
-    C underflows to 0.0 from 2 a beta of about 1490 upwards, as it should.
-    """
-    z = _well_z(a, beta)
-    if z > _EXP_Z:
-        C = math.exp(-0.5 * z) / (2.0 * math.sqrt(a) * math.sqrt(_exp_tail(z)))
-    else:
-        C = 1.0 / (2.0 * math.sqrt(a) * math.sqrt(1.0 + _sinhc(z)))
-    return WavefunctionNorm(C=C, beta=beta, a=a)
-
-
-def wavefunction(x: float, norm: WavefunctionNorm) -> float:
-    """u(x) = 2 C cosh(beta x)  [m^-1/2], defined on |x| <= a.
-
-    Above 2 a beta = 700 u is evaluated from a and beta in exp(-z) form, so
-    it stays finite and does not underflow with C.  Raises NumericalError
-    when u leaves the float range.
-    """
-    if not abs(x) <= norm.a:
-        raise DomainError(f"|x| = {abs(x):.6g} outside the well half-width {norm.a:.6g}")
-    a, beta = norm.a, norm.beta
-    z = _well_z(a, beta)
-    try:
-        if z > _EXP_Z:
-            # 2 cosh(beta x) exp(-a beta) over the rest of C, with the log of the
-            # rest folded into the exponents, none positive: no term underflows early.
-            log_rest = math.log(2.0 * math.sqrt(a) * math.sqrt(_exp_tail(z)))
-            u = (math.exp(beta * (abs(x) - a) - log_rest)
-                 + math.exp(-beta * (abs(x) + a) - log_rest))
-        else:
-            u = 2.0 * norm.C * math.cosh(beta * x)
-    except OverflowError:
-        u = math.inf
-    if not math.isfinite(u):
-        raise NumericalError(f"u(x) overflows at beta*x = {beta * x:.6g}")
-    return u
-
-
 def _check_gamma(gamma: float) -> None:
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
@@ -221,16 +164,6 @@ def probability_columns(
     return R, out_of_range, overflow
 
 
-def probability_small_beta(a: float, beta: float, gamma: float) -> ProbabilityResult:
-    """Small-beta expansion R = gamma (1 + (a beta)^2 (gamma^2 - 1)/3)."""
-    _check_gamma(gamma)
-    ab = 0.5 * _well_z(a, beta)
-    r = gamma * (1.0 + ab * ab * (gamma * gamma - 1.0) / 3.0)
-    if not math.isfinite(r):
-        raise NumericalError(f"small-beta expansion overflows at a*beta = {ab:.6g}")
-    return ProbabilityResult(probability=r, gamma=gamma)
-
-
 def _q(w: float) -> float:
     # Q(w) = (w cosh w - sinh w)/(w^2 (w + sinh w)) for w >= 0; no term overflows.
     if w <= 1.0:
@@ -261,7 +194,7 @@ def probability_pressure_derivative(
     drdp = (_q(z) - gamma * gamma * _q(gamma * z)) * zdz_da / dp_da if dp_da else math.nan
     if z > _EXP_Z and 0.0 < abs(drdp) < math.inf:
         # R, the one factor that can underflow, can be subnormal up here: fold
-        # log|dR/dP / R| into its exponents, as wavefunction folds its divisor.
+        # log|dR/dP / R| into the exponents of _r_exp's top through log_scale.
         # Neither exponent exceeds that finite log, so neither overflows.
         drdp = math.copysign(_r_exp(z, gamma, math, math.log(abs(drdp))), drdp)
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import index
 
 from .errors import ConvergenceFailure, DomainError, NoSuchBranch, NumericalError
 from .errors import check_positive, check_positive_columns
@@ -92,6 +93,8 @@ def well_strength(cfg: WellConfig) -> WellStrength:
 
 
 def _branch_bracket(n: float, branch: int) -> tuple[float, float]:
+    if branch > n:  # branch k needs n > k pi > k; refused before k pi can overflow
+        raise NoSuchBranch(f"branch exceeds the strength n = {n:.6g}; branch k needs n > k pi")
     lo = branch * math.pi
     hi = min(lo + 0.5 * math.pi, n)
     if hi <= lo:
@@ -129,10 +132,6 @@ def _backward_error(xi: float, n: float) -> float:
     return abs(_newton_step(xi, n, math)[1])
 
 
-def _accepted(xi: float, n: float) -> bool:
-    return _backward_error(xi, n) <= ROOT_ULPS_BACKWARD * math.ulp(xi)
-
-
 def _convergence_failure(
     reason: str, n: float, branch: int, iterations: int, lo: float, hi: float, xi: float
 ) -> ConvergenceFailure:
@@ -157,6 +156,10 @@ def solve_even_root(n: float, branch: int = 0) -> float:
     """
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"strength n must be positive, got {n}")
+    try:
+        branch = index(branch)
+    except TypeError:
+        raise DomainError(f"branch must be an integer, got {branch!r}") from None
     if branch < 0:
         raise DomainError(f"branch must be non-negative, got {branch}")
     lo, hi = _branch_bracket(n, branch)
@@ -172,7 +175,7 @@ def solve_even_root(n: float, branch: int = 0) -> float:
     if (f_lo > 0.0) == (f_hi > 0.0):
         # No sign change in floating point: the root rounds onto an end.
         for end in (hi, lo):
-            if _accepted(end, n):
+            if _backward_error(end, n) <= ROOT_ULPS_BACKWARD * math.ulp(end):
                 return end
         raise _convergence_failure(
             f"no sign change on ({lo!r}, {hi!r})", n, branch, 0, lo, hi,
@@ -268,7 +271,7 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
         eta = math.sqrt(n - xi) * math.sqrt(n + xi)  # no overflow of n*n
     a = cfg.half_width
     return BoundState(
-        branch=branch,
+        branch=index(branch),  # solve_even_root refuses a non-integer branch
         xi=xi,
         eta=eta,
         alpha=xi / a,

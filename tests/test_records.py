@@ -37,7 +37,6 @@ RECORDS = {
     "PressureProfile": lambda: fw.pressure_profile(1.0, 1.0, fw.PAPER_FIT, 1.0),
     "CriticalWidthReport": lambda: fw.critical_width(1.0, fw.PAPER_FIT, method="numeric"),
     "ResponseReport": lambda: fw.classify_response(1.0, 1.0, fw.PAPER_FIT),
-    "WavefunctionNorm": lambda: fw.normalization_constant(1.0, 0.5),
     "ProbabilityResult": lambda: fw.probability_interval(1.0, 0.5, 0.3),
     "VerifyCheck": lambda: build_verify_report()[0],
 }

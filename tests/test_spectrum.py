@@ -174,6 +174,19 @@ class TestSolveEvenRoot:
         with pytest.raises(DomainError):
             solve_even_root(2.0, branch=-1)
 
+    @pytest.mark.parametrize("branch", [10**400, 21, 2**1100], ids=["10**400", "21", "2**1100"])
+    def test_branch_above_strength(self, branch):
+        # 10**400 * pi raised a raw OverflowError before the bracket check.
+        with pytest.raises(NoSuchBranch, match="branch exceeds the strength n = 20"):
+            solve_even_root(20.0, branch)
+
+    @pytest.mark.parametrize("branch", [2.5, 2.0, "1", None])
+    def test_non_integer_branch(self, branch):
+        # 2.5 gave ConvergenceFailure, a numerical error, from a bracket
+        # (2.5 pi, 3 pi) that holds no root.
+        with pytest.raises(DomainError, match="branch must be an integer"):
+            solve_even_root(20.0, branch)
+
 
 class TestRootAcceptance:
     """Roots the former xi*tan(xi) residual test rejected, against the oracles."""
@@ -413,6 +426,18 @@ class TestEnergyExact:
         widths = np.linspace(0.5, 10.0, 40) * K
         energies = [energy_exact(WellConfig(float(a), V0, m)).energy for a in widths]
         assert all(e1 > e2 for e1, e2 in zip(energies, energies[1:]))
+
+    def test_branch_must_be_an_integer(self, hydrogen_scale):
+        # branch=2.0 returned a BoundState with branch 2.0; an integer-like
+        # numpy value is stored as int.
+        K, V0, m = hydrogen_scale
+        cfg = WellConfig(10.0 * K, V0, m)
+        with pytest.raises(DomainError, match="branch must be an integer, got 2.0"):
+            energy_exact(cfg, 2.0)
+        state = energy_exact(cfg, np.int64(2))
+        assert type(state.branch) is int and state == energy_exact(cfg, 2)
+        with pytest.raises(NoSuchBranch):
+            energy_exact(cfg, 10**400)
 
     def test_higher_branch_energy_ordering(self, hydrogen_scale):
         K, V0, m = hydrogen_scale
