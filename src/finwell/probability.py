@@ -64,7 +64,7 @@ def _r_exp(z, gamma, xp, log_scale=0.0):
     # gamma = 1 gives top == bottom exactly.  log_scale folded into the top's
     # exponents gives R exp(log_scale), normal where R alone is subnormal.
     num = (2.0 * (z * xp.exp(log_scale - z)) * gamma
-           - xp.exp(z * gamma - z + log_scale) * xp.expm1(-2.0 * z * gamma))
+           - xp.exp(z * gamma - z + log_scale) * xp.expm1(-2.0 * (z * gamma)))
     den = 2.0 * (z * xp.exp(-z)) - xp.expm1(-2.0 * z)
     return num / den
 

@@ -83,6 +83,11 @@ def quadrature_probability(a, beta, gamma):
             / adaptive_simpson(density, -a, a, tol=tol))
 
 
+def small_beta_expansion(ab, gamma):
+    """The paper's small-beta expansion R = gamma (1 + (a beta)^2 (gamma^2 - 1)/3)."""
+    return gamma * (1.0 + ab * ab * (gamma * gamma - 1.0) / 3.0)
+
+
 class TestBetaFromFit:
     def test_two_k_value(self, hydrogen_scale):
         K, V0, m = hydrogen_scale
@@ -168,14 +173,34 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("call", [
         lambda: probability_interval(1.0, math.nan, 0.5),
         lambda: probability_interval(math.inf, 1.0, 0.5),
+        lambda: probability_interval(1.0, -math.inf, 0.5),
+        lambda: probability_interval(math.nan, 1.0, 0.5),
     ])
     def test_non_finite_input_is_a_domain_error(self, call):
         with pytest.raises(DomainError, match="finite"):
             call()
 
-    def test_overflowing_2_a_beta_is_a_numerical_error(self):
+    @pytest.mark.parametrize("call", [
+        lambda: probability_interval(1.0, 1e308, 0.5),
+        lambda: probability_interval(1e308, 1.0, 0.5),
+        lambda: probability_interval(1e200, 1e200, 0.5),
+    ])
+    def test_overflowing_2_a_beta_is_a_numerical_error(self, call):
         with pytest.raises(NumericalError, match="overflows"):
-            probability_interval(1.0, 1e308, 0.5)
+            call()
+
+    def test_small_beta_square_overflow(self):
+        # (a beta)^2 overflows, so the small-beta expansion has no value here;
+        # the closed form never squares a beta and stays exact.
+        assert small_beta_expansion(1e160, 0.5) == -math.inf
+        assert probability_interval(1.0, 1e160, 0.5).probability == 0.0
+        assert probability_interval(1.0, 1e160, 1.0).probability == 1.0
+
+    def test_normalization_underflows_where_2z_overflows(self):
+        # 2 a beta = 1.2e308 is finite, twice it is not: in the exp(-z) form
+        # the normalization z exp(-z) underflows to 0 and expm1(-2z) sees -inf.
+        for gamma, want in ((0.0, 0.0), (0.5, 0.0), (1.0 - 1e-16, 0.0), (1.0, 1.0)):
+            assert probability_interval(1.0, 6e307, gamma).probability == want, gamma
 
 
 class TestOverflowSafeForms:
@@ -262,6 +287,33 @@ class TestProbabilityProperties:
         for values in (scalar, R.tolist()):
             assert all(0.0 <= r <= g for r, g in zip(values, gamma)), (z, values)
             assert all(r1 <= r2 for r1, r2 in zip(values, values[1:])), (z, values)
+
+
+class TestProbabilitySmallBeta:
+    # The closed form against the paper's small-beta expansion, in the test.
+    def test_zero_beta(self):
+        assert small_beta_expansion(0.0, 0.37) == 0.37
+        assert probability_interval(1.0, 0.0, 0.37).probability == pytest.approx(0.37)
+
+    def test_full_interval_exact(self):
+        assert small_beta_expansion(0.5, 1.0) == 1.0
+        assert probability_interval(1.0, 0.5, 1.0).probability == 1.0
+
+    def test_close_to_closed_form(self):
+        got = probability_interval(1.0, 0.01, 0.5).probability
+        assert abs(got - small_beta_expansion(0.01, 0.5)) <= 1e-7
+
+    def test_error_scales_fourth_order(self):
+        gamma = 0.5
+
+        def err(ab):
+            return abs(
+                small_beta_expansion(ab, gamma)
+                - probability_interval(1.0, ab, gamma).probability
+            )
+
+        ratio = err(0.02) / err(0.01)
+        assert 12.0 <= ratio <= 20.0
 
 
 class TestPressureDerivative:
