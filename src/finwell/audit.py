@@ -107,16 +107,16 @@ def hydrogen_report() -> dict:
     """
     cfg = hydrogen_well()
     K = well_strength(cfg).characteristic_length
-    report = critical_width(K, PAPER_FIT, method="paper")
     classification = classify_response(cfg.half_width, K, PAPER_FIT)
+    a0 = classification.critical_half_width
     k_dev = abs(K - HYDROGEN_K_REF) / HYDROGEN_K_REF
-    a0_dev = abs(report.a0_paper - HYDROGEN_A0_REF) / HYDROGEN_A0_REF
+    a0_dev = abs(a0 - HYDROGEN_A0_REF) / HYDROGEN_A0_REF
     return {
         "V0_eV": cfg.depth / CONSTANTS.electronvolt,
         "K_m": K,
         "K_reference_m": HYDROGEN_K_REF,
         "K_rel_dev": k_dev,
-        "a0_m": report.a0_paper,
+        "a0_m": a0,
         "a0_reference_m": HYDROGEN_A0_REF,
         "a0_rel_dev": a0_dev,
         "half_width_m": cfg.half_width,

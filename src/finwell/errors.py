@@ -77,7 +77,4 @@ def check_positive_columns(**columns: np.ndarray) -> None:
     bad = [~(np.isfinite(v) & (v > 0.0)) for v in columns.values()]
     rows = np.flatnonzero(np.logical_or.reduce(bad))
     if rows.size:
-        row = rows[0]
-        for (name, values), mask in zip(columns.items(), bad):
-            if mask[row]:
-                raise DomainError(f"{name} must be positive and finite, got {values[row]}")
+        check_positive(**{name: values[rows[0]] for name, values in columns.items()})

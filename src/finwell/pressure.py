@@ -187,8 +187,7 @@ def pressure_columns(
         pressure = _pressure(a, K, coeffs.c, V0)
         num, den, near_pole = _rational_sums(t, coeffs.c, variant)
         dedp = 0.5 * a * num / den
-        wide = np.isinf(dedp)
-        dedp[wide] = _wide_well_dedp(a[wide], num[wide], den[wide])
+        dedp = np.where(np.isinf(dedp), _wide_well_dedp(a, num, den), dedp)
     overflow = ~(np.isfinite(pressure) & np.isfinite(num) & np.isfinite(den))
     near_pole &= ~overflow
     overflow |= ~(near_pole | np.isfinite(dedp))

@@ -138,29 +138,21 @@ def probability_columns(
     check_positive_columns(n=n)
     bad = np.flatnonzero(~((0.0 <= gamma) & (gamma <= 1.0)))
     if bad.size:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma[bad[0]]}")
+        _check_gamma(gamma[bad[0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        # An overflowing series is out of range or flagged below.
+        # An overflowing series is out of range or flagged below, and so is
+        # a form evaluated outside its band of z, where it is not selected.
         bracket = 1.0 - _horner(coeffs.c, 1.0 / n)
         out_of_range = bracket < 0.0
         z = 2.0 * a * (np.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar)
-    overflow = ~(out_of_range | np.isfinite(z))
-    rows = np.flatnonzero(~(out_of_range | overflow))
-    z, g = z[rows], gamma[rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # A non-finite R from a finite z is reported below.
-        r = np.empty_like(z)
-        series, exp = z < _TAYLOR_Z, z > _EXP_Z
-        closed = ~(series | exp)
-        r[series] = _r_series(z[series], g[series])
-        r[closed] = _r_sinh(z[closed], g[closed], np)
-        r[exp] = _r_exp(z[exp], g[exp], np)
-        r = np.minimum(r, g)  # as in probability_interval
-    bad = np.flatnonzero(~np.isfinite(r))
+        overflow = ~(out_of_range | np.isfinite(z))
+        flagged = out_of_range | overflow
+        R = np.where(z < _TAYLOR_Z, _r_series(z, gamma),
+                     np.where(z <= _EXP_Z, _r_sinh(z, gamma, np), _r_exp(z, gamma, np)))
+        R = np.where(flagged, math.nan, np.minimum(R, gamma))  # as in probability_interval
+    bad = np.flatnonzero(~(flagged | np.isfinite(R)))
     if bad.size:
-        raise NumericalError(f"R is not finite at a/K = {n[rows[bad[0]]]:.6g}")
-    R = np.full_like(n, math.nan)
-    R[rows] = r
+        raise NumericalError(f"R is not finite at a/K = {n[bad[0]]:.6g}")
     return R, out_of_range, overflow
 
 

@@ -20,7 +20,7 @@ from operator import index
 
 from .errors import ConvergenceFailure, DomainError, NoSuchBranch, NumericalError
 from .errors import check_positive, check_positive_columns
-from .units import CONSTANTS, HYDROGEN_DEPTH, HYDROGEN_HALF_WIDTH, HYDROGEN_MASS
+from .units import CONSTANTS
 
 # A root is accepted when its backward error |f|/|f'| is at most
 # ROOT_ULPS_BACKWARD ulps of xi, or when its bracket has shrunk to
@@ -307,8 +307,4 @@ def ground_states(
 
 def hydrogen_well() -> WellConfig:
     """Hydrogen-like preset: depth 13.6058 eV, half-width the Bohr radius, electron mass."""
-    return WellConfig(
-        half_width=HYDROGEN_HALF_WIDTH.value,
-        depth=HYDROGEN_DEPTH.value,
-        mass=HYDROGEN_MASS.value,
-    )
+    return WellConfig(0.529e-10, 13.6058 * CONSTANTS.electronvolt, CONSTANTS.electron_mass)

@@ -111,9 +111,3 @@ def quantity(value: float, unit: str) -> Quantity:
     dim, factor = _lookup_unit(unit)
     return Quantity(value * factor, dim)
 
-
-# Bundled inputs for the worked hydrogen example: well depth equal to the
-# hydrogen ionization energy, half-width equal to the Bohr radius.
-HYDROGEN_DEPTH = quantity(13.6058, "eV")
-HYDROGEN_HALF_WIDTH = quantity(0.529e-10, "m")
-HYDROGEN_MASS = quantity(1.0, "me")
