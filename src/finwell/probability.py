@@ -10,10 +10,17 @@ or from a solved level (spectrum.BoundState.beta).  The probability of
 beta -> 0 is a meaningful physical limit (energy near the top of the well),
 so sinh(z)/z and (z + sinh z) expressions carry Taylor guards below |z| =
 1e-4 to avoid 0/0.  Above z = 700, where sinh(z) nears overflow, R is
-rewritten with exp(-z) so that it stays finite for every z.  Note cosh is
-even in x, so all formulas here are internally consistent, even though the
-conventional even interior solution of a finite well oscillates; see README
-for the physics note.
+rewritten with exp(-z) so that it stays finite for every z:
+
+    R = (2 z gamma e^-z - e^(z (gamma - 1)) expm1(-2 z gamma)) / (2 z e^-z - expm1(-2 z)).
+
+Its exponent z (gamma - 1) is exact for gamma >= 1/2, so R's relative error
+stays near z (1 - gamma) eps, a few eps where gamma is close to 1.
+probability_interval picks one of the three forms by z; probability_columns
+evaluates all three on every row and selects each row's form by the same
+thresholds.  Note cosh is even in x, so all formulas here are internally
+consistent, even though the conventional even interior solution of a finite
+well oscillates; see README for the physics note.
 """
 
 from __future__ import annotations
@@ -63,8 +70,10 @@ def _r_exp(z, gamma, xp, log_scale=0.0):
     # _r_sinh with top and bottom times 2 exp(-z); no term overflows, and
     # gamma = 1 gives top == bottom exactly.  log_scale folded into the top's
     # exponents gives R exp(log_scale), normal where R alone is subnormal.
+    # The exponent -z (1 - gamma) is formed as z (gamma - 1), exact for
+    # gamma >= 1/2; z gamma - z would carry an error of ulp(z) into it.
     num = (2.0 * (z * xp.exp(log_scale - z)) * gamma
-           - xp.exp(z * gamma - z + log_scale) * xp.expm1(-2.0 * (z * gamma)))
+           - xp.exp(z * (gamma - 1.0) + log_scale) * xp.expm1(-2.0 * (z * gamma)))
     den = 2.0 * (z * xp.exp(-z)) - xp.expm1(-2.0 * z)
     return num / den
 

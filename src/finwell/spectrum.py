@@ -98,8 +98,14 @@ def _branch_bracket(n: float, branch: int) -> tuple[float, float]:
     lo = branch * math.pi
     hi = min(lo + 0.5 * math.pi, n)
     if hi <= lo:
-        raise NoSuchBranch(
-            f"branch {branch} needs strength n > {lo:.6g}, got n = {n:.6g}"
+        if n <= lo:
+            raise NoSuchBranch(
+                f"branch {branch} needs strength n > {lo:.6g}, got n = {n:.6g}"
+            )
+        # pi/2 is below half an ulp of k pi (k above about 5.7e15)
+        raise NumericalError(
+            f"branch {branch} cannot be resolved: its bracket (k pi, k pi + pi/2) "
+            f"rounds to the single double k pi = {lo:.6g}"
         )
     return lo, hi
 
@@ -161,7 +167,7 @@ def solve_even_root(n: float, branch: int = 0) -> float:
     except TypeError:
         raise DomainError(f"branch must be an integer, got {branch!r}") from None
     if branch < 0:
-        raise DomainError(f"branch must be non-negative, got {branch}")
+        raise DomainError("branch must be non-negative")  # str() of a huge int raises
     lo, hi = _branch_bracket(n, branch)
     if branch == 0 and n < SERIES_STRENGTH:
         return _series_root(n)

@@ -120,12 +120,19 @@ def _decimal_sinh(z: Decimal) -> Decimal:
 
 
 def interval_probability_oracle(z: float, gamma: float) -> float:
-    """(z g + sinh(z g)) / (z + sinh z) in 60-digit decimal arithmetic, which
-    does not overflow for any double z."""
+    """(z g + sinh(z g)) / (z + sinh z) in 60-digit decimal arithmetic, with
+    top and bottom times 2 exp(-z) so that no exponent is positive:
+
+        (2 z g e^-z + [e^(z (g - 1)) - e^(-z (g + 1))]) / (2 z e^-z + [1 - e^(-2 z)]).
+
+    A power of e below decimal's range underflows to 0, so this does not
+    overflow for any double z > 0; the bracketed differences, taken first,
+    vanish where z is tiny rather than swallow the 2 z terms."""
     with localcontext() as ctx:
         ctx.prec = 60
-        zd, zg = Decimal(z), Decimal(z) * Decimal(gamma)
-        return float((zg + _decimal_sinh(zg)) / (zd + _decimal_sinh(zd)))
+        zd, g = Decimal(z), Decimal(gamma)
+        num = 2 * zd * g * (-zd).exp() + ((zd * (g - 1)).exp() - (-zd * (g + 1)).exp())
+        return float(num / (2 * zd * (-zd).exp() + (1 - (-2 * zd).exp())))
 
 
 def adaptive_simpson(

@@ -119,6 +119,20 @@ class TestSpectrum:
         assert proc.stderr == ("finwell spectrum: domain error: branch exceeds the "
                                "strength n = 0.999669; branch k needs n > k pi\n")
 
+    def test_sub_ulp_branch_numerical_failure(self):
+        # k pi + pi/2 rounds to k pi: this was a domain error saying that
+        # n = 5.12317e+16 is not above 3.14159e+16.
+        proc = subprocess.run(
+            [sys.executable, "-m", "finwell.cli", "spectrum", "--width", "1e7m",
+             "--depth", "1eV", "--mass", "me", "--branch", "10000000000000000"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "finwell spectrum: numerical failure: branch 10000000000000000 cannot be "
+            "resolved: its bracket (k pi, k pi + pi/2) rounds to the single double "
+            "k pi = 3.14159e+16\n")
+
     def test_json_matches_human(self, capsys):
         _, human, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS])
         _, machine, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS, "--json"])
@@ -337,6 +351,16 @@ class TestSweep:
             "--from", f"{0.5 * K!r}m", "--to", f"{5 * K!r}m", "--steps", str(steps),
             "--depth", "13.6058eV", "--mass", "me",
         ]
+
+    def test_exp_form_r_near_gamma_one(self, capsys):
+        # 2 a beta ~ 1e12 at 26 m: R was 0.906407221957345, 6e-5 off.
+        code, out, _ = run(capsys, [
+            "sweep", "--param", "width", "--from", "26m", "--to", "27m", "--steps", "2",
+            "--depth", "13.6058eV", "--mass", "me", "--gamma", "0.9999999999999",
+        ])
+        assert code == 0
+        R = float(out.splitlines()[1].split(",")[CSV_HEADER.index("R")])
+        assert R == pytest.approx(0.9063524156122018, rel=1e-12)
 
     def test_row_count_and_header(self, capsys):
         code, out, _ = run(capsys, self.width_args())

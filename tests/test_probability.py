@@ -36,6 +36,9 @@ from oracles import (
 EPS = 2.0 ** -52
 # 2 a beta from the Taylor band through the sinh/exp switch at 700 up to 1e4
 LARGE_Z = [1e-5, 1e-3, 0.5, 10.0, 200.0, 699.0, 700.0, 701.0, 710.0, 712.0, 1400.0, 1e4]
+# (2 a beta, gamma) in the exp(-z) form with z (1 - gamma) small; the first is
+# the 26 m row of a hydrogen-depth sweep at gamma = 1 - 1e-13.
+EXP_NEAR_ONE = [(982965040428.7626, 0.9999999999999), (1e4, 0.999999), (1e6, 0.99999)]
 
 
 def z_rtol(z: float) -> float:
@@ -217,24 +220,53 @@ class TestOverflowSafeForms:
         assert probability_interval(1.0, z / 2.0, 0.0).probability == 0.0
         assert probability_interval(1.0, z / 2.0, 1.0).probability == 1.0
 
+    @pytest.mark.parametrize("z, gamma", EXP_NEAR_ONE)
+    def test_exp_form_near_gamma_one(self, z, gamma):
+        # The exponent z gamma - z carried an error of ulp(z): the first case
+        # was 6e-5 off.  z (gamma - 1) leaves z (1 - gamma) eps.
+        want = interval_probability_oracle(z, gamma)
+        got = probability_interval(0.5, z, gamma).probability
+        assert abs(got - want) <= 8 * EPS * max(1.0, z * (1.0 - gamma)) * want
+
+    def test_oracle_at_huge_z(self):
+        # The oracle's sinh(z) once raised decimal.Overflow here.
+        assert interval_probability_oracle(1e8, 0.5) == 0.0
+        assert interval_probability_oracle(1e8, 1.0) == 1.0
+        assert probability_interval(0.5, 1e8, 0.5).probability == 0.0
+
     def test_published_overflow_case(self):
         r = probability_interval(1.0, 356.0, 0.5).probability
         assert r == pytest.approx(interval_probability_oracle(712.0, 0.5), rel=1e-13)
 
     def test_columns_match_scalar(self, hydrogen_scale):
+        # The published fit over a/K = 0.7..2e4 takes the sinh and exp forms.
+        # A bracket of 1e-12 (c0 = 1 - 1e-12) puts 2 a beta at 2e-6 a/K, so
+        # one call over a/K = 1..1e10 holds all three forms; every seventh
+        # row there has 2 m V0 overflow, is flagged and must be NaN.
         K, V0, m = hydrogen_scale
-        a = np.geomspace(0.7, 2e4, 400) * K
         rng = np.random.default_rng(5)
-        gamma = rng.uniform(0.0, 1.0, a.size)
-        gamma[:2] = (0.0, 1.0)
-        ones = np.ones_like(a)
-        R, out, _ = probability_columns(a, K * ones, PAPER_FIT, m * ones, V0 * ones, gamma)
-        assert not out.any()
-        for i, (ai, gi) in enumerate(zip(a.tolist(), gamma.tolist())):
-            beta = beta_from_fit(ai, K, PAPER_FIT, m, V0)
-            want = probability_interval(ai, beta, gi).probability
-            assert abs(R[i] - want) <= 8 * math.ulp(want), (ai / K, gi)
-        assert R[0] == 0.0 and R[1] == 1.0
+        near_one = FitCoefficients(c=(1.0 - 1e-12, 0, 0, 0, 0, 0), sigma=0.0, source="refit")
+        for coeffs, t, every in ((PAPER_FIT, (0.7, 2e4), 0), (near_one, (1.0, 1e10), 7)):
+            a = np.geomspace(*t, 400) * K
+            gamma = rng.uniform(0.0, 1.0, a.size)
+            gamma[:2] = (0.0, 1.0)
+            flagged = np.arange(a.size) % every == 3 if every else np.zeros(a.size, bool)
+            big = np.where(flagged, 1e300, 1.0)
+            ones = np.ones_like(a)
+            R, out, overflow = probability_columns(
+                a, K * ones, coeffs, m * big, V0 * big, gamma)
+            assert not out.any()
+            assert (overflow == flagged).all() and (np.isnan(R) == flagged).all()
+            forms = set()
+            for i, (ai, gi) in enumerate(zip(a.tolist(), gamma.tolist())):
+                if flagged[i]:
+                    continue
+                beta = beta_from_fit(ai, K, coeffs, m, V0)
+                forms.add((2.0 * ai * beta >= 1e-4) + (2.0 * ai * beta > 700.0))
+                want = probability_interval(ai, beta, gi).probability
+                assert abs(R[i] - want) <= 8 * math.ulp(want), (ai / K, gi)
+            assert R[0] == 0.0 and R[1] == 1.0
+        assert forms == {0, 1, 2}  # series, sinh and exp, in the second call
 
     def test_columns_flag_out_of_range(self, hydrogen_scale):
         K, V0, m = hydrogen_scale

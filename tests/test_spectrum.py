@@ -174,6 +174,19 @@ class TestSolveEvenRoot:
         with pytest.raises(DomainError):
             solve_even_root(2.0, branch=-1)
 
+    def test_huge_negative_branch(self):
+        # The message once turned the integer into text: a raw ValueError.
+        with pytest.raises(DomainError, match="branch must be non-negative"):
+            solve_even_root(20.0, -10**5000)
+
+    def test_sub_ulp_branch_bracket(self):
+        # From k ~ 5.7e15, k pi + pi/2 rounds to k pi: at n > k pi the branch
+        # exists, but its root cannot be told from k pi in doubles.
+        with pytest.raises(NumericalError, match="cannot be resolved"):
+            solve_even_root(5.12e16, 10**16)
+        with pytest.raises(NoSuchBranch, match=r"needs strength n > 3\.14159e\+16"):
+            solve_even_root(3.0e16, 10**16)
+
     @pytest.mark.parametrize("branch", [10**400, 21, 2**1100], ids=["10**400", "21", "2**1100"])
     def test_branch_above_strength(self, branch):
         # 10**400 * pi raised a raw OverflowError before the bracket check.
