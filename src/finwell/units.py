@@ -10,6 +10,9 @@ Pinned constants (CODATA 2018):
     hbar            1.054571817e-34 J*s   (h/2pi, h exact since 2019)
     electron mass   9.1093837015e-31 kg
     electronvolt    1.602176634e-19 J     (exact since 2019)
+
+Presets are built from these constants where they are defined; the
+hydrogen well, for one, is spectrum.hydrogen_well.
 """
 
 from __future__ import annotations
