@@ -149,8 +149,8 @@ def probability_columns(
     if bad.size:
         _check_gamma(gamma[bad[0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        # An overflowing series is out of range or flagged below, and so is
-        # a form evaluated outside its band of z, where it is not selected.
+        # An overflowing series is flagged below; a form that overflows
+        # outside its band of z is not selected there.
         bracket = 1.0 - _horner(coeffs.c, 1.0 / n)
         out_of_range = bracket < 0.0
         z = 2.0 * a * (np.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar)
