@@ -14,8 +14,8 @@ a bare unit means one of it (--mass me), and --gamma has no unit.
 Every command accepts --json; JSON and human output carry the same numbers.
 Exit codes: 0 ok, 1 domain error, 2 numerical failure (also a value that
 overflows the float range, or a nonzero one that underflows to 0 in SI
-units), 3 usage, 141 stdout closed by its reader (e.g. `finwell sweep ... |
-head`).
+units, or a sweep --steps too large to allocate), 3 usage, 141 stdout closed
+by its reader (e.g. `finwell sweep ... | head`).
 
 Sweep CSV schema (header exactly):
     param,a_m,n,K_m,xi,E_J,E_over_V0,P_N,dEdP_m,R,flags
@@ -245,7 +245,10 @@ def _sweep_rows(
     """The sweep of args.param from start to stop, the other parameters fixed."""
     import numpy as np
     steps = args.steps
-    values = (np.geomspace if args.scale == "log" else np.linspace)(start, stop, steps)
+    try:  # numpy refuses a grid too large to index (ValueError) or to allocate
+        values = (np.geomspace if args.scale == "log" else np.linspace)(start, stop, steps)
+    except (MemoryError, ValueError) as exc:
+        raise NumericalError(f"cannot allocate the columns of --steps {steps} ({exc})") from None
     params = {**base, args.param: values}
     a, V0, m, g = (None if params[k] is None else
                    np.broadcast_to(np.asarray(params[k], dtype=float), (steps,))
@@ -284,35 +287,54 @@ def _sweep_rows(
 def _render(table: SweepTable, out, as_json: bool) -> None:
     """The sweep as CSV or as the {"rows": [...]} JSON document, row by row.
 
-    Both write repr of each float, and empty or null for None.  repr runs
-    once per distinct column, not once per cell: a column of one nonzero
-    value (or of None only) is written into the row format as text, a column
-    equal to an earlier one reuses its field, and the rest are converted as
-    the rows are written.  Cells are not checked here: _sweep_rows refuses a
-    table with a non-finite cell.
+    Both write repr of each float, and empty or null for None.  A row is a
+    fixed run of literal text (the separators, and in JSON the ', "name": '
+    keys) with one stream of cell text between each two literals; each row
+    is one "".join over a zip of those streams.  repr runs once per distinct
+    column, not once per cell: a column of one nonzero value (or of None
+    only) is merged as text into the literal before it, a column equal to an
+    earlier one takes a tee'd copy of that column's text stream, and the
+    rest are converted as the rows are written.  Cells are not checked here:
+    _sweep_rows refuses a table with a non-finite cell.
     """
     empty = "null" if as_json else ""
-    fields, distinct = [], []
-    for column in table.columns.values():
+    if as_json:
+        leads = [f", {_json(name)}: " for name in CSV_HEADER]
+        leads[0] = ", {" + leads[0].removeprefix(", ")
+        head, sep, end, tail = '{"rows": [', ", ", "}", "]}\n"
+    else:
+        leads = [""] + [","] * (len(CSV_HEADER) - 1)
+        head, sep, end, tail = ",".join(CSV_HEADER) + "\n", "", "\n", ""
+    literals, sources, distinct = [""], [], []  # literals[k] precedes the k-th stream
+    for lead, column in zip(leads, table.columns.values()):
+        literals[-1] += lead
         first = column[0]
         # Zeros are left out of both shortcuts: 0.0 == -0.0, but their repr differs.
         if first != 0.0 and column == [first] * len(column):
-            fields.append(empty if first is None else repr(first))
-        elif column in distinct and 0.0 not in column:
-            fields.append("{%d}" % distinct.index(column))
+            literals[-1] += empty if first is None else repr(first)
+            continue
+        if column in distinct and 0.0 not in column:
+            sources.append(distinct.index(column))
         else:
-            fields.append("{%d}" % len(distinct))
+            sources.append(len(distinct))
             distinct.append(column)
-    fields.append("{%d}" % len(distinct))
-    cells = [(empty if v is None else repr(v) for v in column) if None in column
-             else map(repr, column) for column in distinct]
+        literals.append("")
+    literals[-1] += leads[-1]
+    literals.append(end)
+    copies = []
+    for k, column in enumerate(distinct):
+        text = ((empty if v is None else repr(v) for v in column) if None in column
+                else map(repr, column))
+        uses = sources.count(k)
+        copies.append(iter(itertools.tee(text, uses) if uses > 1 else (text,)))
     flag_text = {f: _json(f) if as_json else ";".join(f) for f in _ROW_FLAGS.values()}
-    if as_json:
-        fields = [f"{_json(name)}: {field}" for name, field in zip(CSV_HEADER, fields)]
-        head, sep, tail, row_format = '{"rows": [', ", ", "]}\n", ", {{" + ", ".join(fields) + "}}"
-    else:
-        head, sep, tail, row_format = ",".join(CSV_HEADER) + "\n", "", "", ",".join(fields) + "\n"
-    rows = map(row_format.format, *cells, map(flag_text.__getitem__, table.flags))
+    streams = [*(next(copies[k]) for k in sources), map(flag_text.__getitem__, table.flags)]
+    # Always 1 + 2 * len(streams) parts, never 20: CPython 3.11 puts freed
+    # 20-tuples on a free list it never takes them from (up to 2000, 0.4 MB).
+    parts = [itertools.repeat(literals[0])]
+    for stream, literal in zip(streams, literals[1:]):
+        parts += [stream, itertools.repeat(literal)]
+    rows = map("".join, zip(*parts))
     out.write(head + next(rows, "").removeprefix(sep))
     out.writelines(rows)
     out.write(tail)

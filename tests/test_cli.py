@@ -609,6 +609,34 @@ class TestSweep:
         code, _, _ = run(capsys, base + tweak)
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.parametrize("scale", ["log", "linear"])
+    @pytest.mark.parametrize("steps", [2**62, 10**30])
+    def test_unallocatable_steps_numerical_error(self, capsys, steps, scale, fmt):
+        # numpy refuses both grids before it maps any memory; each ended in a
+        # ValueError traceback.
+        code, out, err = run(capsys, [
+            "sweep", "--param", "width", "--from", "1e-11m", "--to", "1e-9m",
+            "--steps", str(steps), "--scale", scale, "--depth", "13.6eV", "--mass", "me", *fmt,
+        ])
+        assert (code, out) == (2, "")
+        assert f"cannot allocate the columns of --steps {steps}" in err
+
+    @pytest.mark.parametrize("scale, grid", [("log", "geomspace"), ("linear", "linspace")])
+    def test_grid_memory_error_numerical_error(self, capsys, monkeypatch, scale, grid):
+        import numpy as np
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(np, grid, no_memory)
+        code, out, err = run(capsys, [
+            "sweep", "--param", "width", "--from", "1e-11m", "--to", "1e-9m", "--steps", "5",
+            "--scale", scale, "--depth", "13.6eV", "--mass", "me",
+        ])
+        assert (code, out) == (2, "")
+        assert "cannot allocate the columns of --steps 5 (Unable to allocate" in err
+
 
 def naive_csv(table, out):
     """The sweep CSV with one repr per cell, empty for None."""
@@ -654,6 +682,31 @@ HAND_TABLES = {
 }
 
 
+CELLS = st.one_of(st.none(), st.sampled_from([0.0, -0.0]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sweep_tables(draw):
+    """A SweepTable of 1-5 rows whose columns are constant, free, or a copy
+    of an earlier column (equal as is, or with the sign of each zero flipped)."""
+    rows = draw(st.integers(1, 5))
+    columns = {}
+    for name in CSV_HEADER[:-1]:
+        kind = draw(st.sampled_from(["free", "constant", "copy", "flipped"] if columns
+                                    else ["free", "constant"]))
+        if kind == "constant":
+            columns[name] = [draw(CELLS)] * rows
+        elif kind == "free":
+            columns[name] = draw(st.lists(CELLS, min_size=rows, max_size=rows))
+        else:
+            source = columns[draw(st.sampled_from(sorted(columns)))]
+            columns[name] = [-v if kind == "flipped" and v == 0.0 else v for v in source]
+    flags = draw(st.lists(st.sampled_from(list(cli._ROW_FLAGS.values())),
+                          min_size=rows, max_size=rows))
+    return SweepTable(columns, flags)
+
+
 class TestRenderCsv:
     """_render writes exactly what one repr per cell (CSV) or one json.dumps
     per row (JSON) would; NaN and infinity tables are CSV only, since no
@@ -668,6 +721,17 @@ class TestRenderCsv:
             cli._render(table, fast, as_json)
             naive_render(table, naive, as_json)
             assert fast.getvalue() == naive.getvalue(), as_json
+
+    @settings(max_examples=150)
+    @given(sweep_tables(), st.booleans())
+    @example(SweepTable({**HAND_TABLES["mixed"].columns, "a_m": [None, -0.0],
+                         "E_J": [None, -0.0], "R": [None, -0.0]},
+                        [("overflow", "near_pole", "fit_out_of_range"), ()]), True)
+    def test_random_tables(self, table, as_json):
+        fast, naive = io.StringIO(), io.StringIO()
+        cli._render(table, fast, as_json)
+        naive_render(table, naive, as_json)
+        assert fast.getvalue() == naive.getvalue()
 
     def test_signed_zeros_keep_their_sign(self):
         out = io.StringIO()
