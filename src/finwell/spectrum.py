@@ -28,7 +28,7 @@ from .units import CONSTANTS
 ROOT_ULPS_BACKWARD = 8.0
 ROOT_ULPS_BRACKET = 4.0
 # Below this strength the ground root is taken from its series, whose first
-# omitted term is 0.75 n^7, under 1e-18 of xi; below 1e-8 the series rounds to n.
+# omitted term is 12.3 n^17, far under an ulp of xi; below 1e-8 it rounds to n.
 SERIES_STRENGTH = 1e-3
 # At or below this strength the ground level takes eta = xi*tan(xi), whose
 # condition number in xi, 1 + 2 xi/sin(2 xi), is 2 to 3 there; that of
@@ -110,16 +110,61 @@ def _branch_bracket(n: float, branch: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _stable_residual(xi: float, n: float) -> float:
+def _stable_residual(xi, n, xp=math):
     # cos(xi) * (xi*tan(xi) - sqrt(n^2 - xi^2)): same roots, no tan pole.
     # sqrt(n - xi) * sqrt(n + xi) neither cancels near xi = n nor overflows.
-    # Evaluated at the bracket ends, where xi = n leaves _newton_step undefined.
-    return xi * math.sin(xi) - math.cos(xi) * math.sqrt(n - xi) * math.sqrt(n + xi)
+    # Evaluated at the bracket ends, where xi = n leaves _newton_step undefined,
+    # rounded as the f of _newton_step is.
+    return xi * xp.sin(xi) - xp.cos(xi) * (xp.sqrt(n - xi) * xp.sqrt(n + xi))
 
 
-def _series_root(n):
-    # Ground root of xi*tan(xi) = sqrt(n^2 - xi^2) for small n, floats or arrays.
-    return n - n * n * n * (0.5 - 13.0 / 24.0 * n * n)
+def _nearer_end(lo, hi, n, xp):
+    # The bracket end with the smaller |residual|: the root where the last
+    # Newton point leaves its bracket.  Just above a branch threshold the root
+    # rounds onto xi = n, where f ~ sqrt(n - xi) makes each step overshoot
+    # twice over, so a point 4 ulp short passes the step test.
+    closer = abs(_stable_residual(lo, n, xp)) < abs(_stable_residual(hi, n, xp))
+    if xp is math:
+        return lo if closer else hi
+    return xp.where(closer, lo, hi)
+
+
+# On the ground branch xi tan(xi) = eta with xi^2 + eta^2 = n^2 is
+# cos(xi) = xi/n.  Below _START_CUT Newton starts from its series in n^2,
+# above it from xi = pi/2 - delta, sin(delta) = xi/n (tan(delta) = xi/eta),
+# in t = 1/(n + 1); each is cut after its n^15 or t^8 term.  The tests
+# derive both in exact rationals and bound their error: under 5% next to
+# the cut, where both near their radius of convergence, and under 3e-4
+# outside 0.5 < n < 2.
+_START_CUT = 0.7
+
+
+def _small_n_series(n):
+    m = n * n
+    return n * (1.0 + m * (-0.5 + m * (0.5416666666666666 + m * (-0.7513888888888889 + m * (
+        1.1791914682539681 + m * (-1.992890487213404 + m * (3.538831847325771 + m * (
+            -6.510188254079933))))))))
+
+
+def _large_n_series(n):
+    t = 1.0 / (n + 1.0)
+    return 1.5707963267948966 - t * (1.5707963267948966 + t * t * (0.6459640975062463 + t * (
+        -0.6459640975062463 + t * (0.7172336362155034 + t * (-1.5141598986771738 + t * (
+            1.8503209429083753 + t * (-3.4129987646473237)))))))
+
+
+def _ground_start(n, xp):
+    # Newton's start for the ground root: 0 < start < n and start <= pi/2
+    # from n = SERIES_STRENGTH on.  xp is math for a float, numpy for an
+    # array, whose rows each form only their own series (n^2 of a huge n
+    # would overflow).
+    if xp is math:
+        return _small_n_series(n) if n < _START_CUT else _large_n_series(n)
+    x = xp.empty_like(n)
+    small = n < _START_CUT
+    x[small] = _small_n_series(n[small])
+    x[~small] = _large_n_series(n[~small])
+    return x
 
 
 def _newton_step(x, n, xp):
@@ -153,12 +198,15 @@ def solve_even_root(n: float, branch: int = 0) -> float:
     Newton's method on the pole-free form xi*sin(xi) - cos(xi)*sqrt(n^2 - xi^2),
     kept inside the bracket (k*pi, min(k*pi + pi/2, n)) by bisection.  The
     bracket contains exactly one root, at which the residual changes sign
-    monotonically.  Branch 0 starts from min(pi/2 * n/(n+1), n/sqrt(1+n)),
-    higher branches from the bracket midpoint.  A root is accepted when its
-    Newton step (the backward error) is at most ROOT_ULPS_BACKWARD ulps or
-    its bracket at most ROOT_ULPS_BRACKET ulps; below SERIES_STRENGTH the
-    ground root comes from its series in n.  solve_ground_roots runs the
-    same iteration on arrays.
+    monotonically.  Branch 0 starts from a series of its root (in n^2 below
+    n = 0.7, in 1/(n + 1) above), higher branches from the bracket
+    midpoint.  The ground bracket's end signs are known in closed form for
+    SERIES_STRENGTH <= n < 1e15; elsewhere the end residuals are evaluated.
+    A root is accepted when its Newton step (the backward error) is at most
+    ROOT_ULPS_BACKWARD ulps or its bracket at most ROOT_ULPS_BRACKET ulps;
+    where the accepted Newton point leaves the bracket, the end with the
+    smaller |residual| is taken.  Below SERIES_STRENGTH the ground root is
+    its series in n.  solve_ground_roots runs the same iteration on arrays.
     """
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"strength n must be positive, got {n}")
@@ -168,47 +216,48 @@ def solve_even_root(n: float, branch: int = 0) -> float:
         raise DomainError(f"branch must be an integer, got {branch!r}") from None
     if branch < 0:
         raise DomainError("branch must be non-negative")  # str() of a huge int raises
-    lo, hi = _branch_bracket(n, branch)
     if branch == 0 and n < SERIES_STRENGTH:
-        return _series_root(n)
-
-    f_lo = _stable_residual(lo, n)
-    f_hi = _stable_residual(hi, n)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        # No sign change in floating point: the root rounds onto an end.
-        for end in (hi, lo):
-            if _backward_error(end, n) <= ROOT_ULPS_BACKWARD * math.ulp(end):
-                return end
-        raise _convergence_failure(
-            f"no sign change on ({lo!r}, {hi!r})", n, branch, 0, lo, hi,
-            lo if abs(f_lo) < abs(f_hi) else hi,
-        )
-
-    # The residual rises through the root on even branches, falls on odd ones.
-    rising = f_lo < 0.0
-    if branch == 0:
-        x = min(0.5 * math.pi * (n / (n + 1.0)), n / math.sqrt(1.0 + n))
+        return _small_n_series(n)
+    if branch == 0 and n < 1e15:
+        # The ground bracket's end signs are proved, not evaluated: f(0) = -n
+        # < 0, and f(hi) > 0 at hi = min(pi/2, n).  For n < pi/2, f(n) =
+        # n sin(n).  At hi = fl(pi/2), sin(hi) rounds to 1 and cos(hi) =
+        # 6.12e-17, so f(hi) = fl(pi/2) - 6.12e-17 eta > 0 while eta < 2.56e16;
+        # here eta < n < 1e15.  _nearer_end alone forms end residuals.
+        lo, hi, rising = 0.0, min(0.5 * math.pi, n), True
     else:
-        x = 0.5 * (lo + hi)
+        lo, hi = _branch_bracket(n, branch)
+        f_lo = _stable_residual(lo, n)
+        f_hi = _stable_residual(hi, n)
+        if f_lo == 0.0:
+            return lo
+        if f_hi == 0.0:
+            return hi
+        if (f_lo > 0.0) == (f_hi > 0.0):
+            # No sign change in floating point: the root rounds onto an end.
+            for end in (hi, lo):
+                if _backward_error(end, n) <= ROOT_ULPS_BACKWARD * math.ulp(end):
+                    return end
+            raise _convergence_failure(
+                f"no sign change on ({lo!r}, {hi!r})", n, branch, 0, lo, hi,
+                lo if abs(f_lo) < abs(f_hi) else hi,
+            )
+        # The residual rises through the root on even branches, falls on odd ones.
+        rising = f_lo < 0.0
+
+    x = _ground_start(n, math) if branch == 0 else 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
         f, step = _newton_step(x, n, math)
         if (f < 0.0) == rising:
-            lo, f_lo = x, f
+            lo = x
         else:
-            hi, f_hi = x, f
+            hi = x
         newton = x - step
         inside = lo < newton < hi
         if abs(step) <= ROOT_ULPS_BACKWARD * math.ulp(x):
-            if inside:
+            if inside or newton == x:  # a step under half an ulp keeps x, an end
                 return newton
-            # Just above a branch threshold the root rounds onto xi = n, where
-            # f ~ sqrt(n - xi) makes each step overshoot twice over, so a point
-            # 4 ulp short passes the step test: take the better bracket end.
-            return lo if abs(f_lo) < abs(f_hi) else hi
+            return _nearer_end(lo, hi, n, math)
         if hi - lo <= ROOT_ULPS_BRACKET * math.ulp(hi):
             return x
         x = newton if inside else 0.5 * (lo + hi)
@@ -218,24 +267,22 @@ def solve_even_root(n: float, branch: int = 0) -> float:
 def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     """Branch-0 roots xi for an array of strengths, all solved at once.
 
-    The iteration of solve_even_root on every row together: Newton's method
-    on the pole-free residual, kept inside each row's bracket
-    (0, min(pi/2, n)) by bisection, from the start
-    min(pi/2 * n/(n+1), n/sqrt(1+n)), with the same acceptance rule.  Where
-    an accepted Newton point leaves its bracket the row keeps its last
-    iterate.  Below SERIES_STRENGTH the root comes from its series.
+    The iteration of solve_even_root on every row together, bit for bit:
+    Newton's method on the pole-free residual, kept inside each row's
+    bracket (0, min(pi/2, n)) by bisection, from the same series start and
+    with the same acceptance rule, including the end with the smaller
+    |residual| where an accepted Newton point leaves its bracket (only
+    those rows evaluate end residuals).  Below SERIES_STRENGTH the root is
+    the series itself.
     """
     import numpy as np
     n = np.asarray(n, dtype=float)
     check_positive_columns(n=n)
-    xi = n.copy()
-    small = n < SERIES_STRENGTH
-    xi[small] = _series_root(n[small])
-    rows = np.flatnonzero(~small)
-    m = n[rows]
+    xi = _ground_start(n, np)  # the root itself below SERIES_STRENGTH
+    rows = np.flatnonzero(n >= SERIES_STRENGTH)
+    m, x = n[rows], xi[rows]
     lo = np.zeros_like(m)
     hi = np.minimum(0.5 * math.pi, m)
-    x = np.minimum(0.5 * math.pi * (m / (m + 1.0)), m / np.sqrt(1.0 + m))
     for _ in range(_MAX_ITER):
         if rows.size == 0:
             return xi
@@ -246,7 +293,10 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
         newton = x - step
         inside = (lo < newton) & (newton < hi)
         done = np.abs(step) <= ROOT_ULPS_BACKWARD * np.spacing(x)
-        xi[rows[done]] = np.where(inside, newton, x)[done]
+        ends = done & ~inside & (newton != x)
+        if ends.any():
+            newton[ends] = _nearer_end(lo[ends], hi[ends], m[ends], np)
+        xi[rows[done]] = newton[done]
         collapsed = ~done & (hi - lo <= ROOT_ULPS_BRACKET * np.spacing(hi))
         xi[rows[collapsed]] = x[collapsed]
         keep = ~(done | collapsed)

@@ -2,8 +2,8 @@
 
 Deliberately primitive implementations, sharing no code with the package:
 plain bisection, recursive adaptive Simpson, central differences, decimal
-arithmetic where doubles would overflow or cancel, and exact rational
-least squares.  These are
+arithmetic where doubles would overflow or cancel, exact rational least
+squares and exact rational power series.  These are
 the reference against which production closed forms are validated; keep them
 boring.
 """
@@ -113,6 +113,62 @@ def ground_root_eta_oracle(n: float) -> tuple[float, float]:
                 hi = mid
         xi = (lo + hi) / 2
         return float(xi), float((nd * nd - xi * xi).sqrt())
+
+
+# pi/2 to 55 significant digits
+HALF_PI = Fraction("1.570796326794896619231321691639751442098584699687552910")
+
+
+def _series_product(a: Sequence[Fraction], b: Sequence[Fraction], terms: int) -> list[Fraction]:
+    """Product of two power series given by their coefficients, cut after terms."""
+    out = [Fraction(0)] * terms
+    for i, x in enumerate(a[:terms]):
+        for j, y in enumerate(b[: terms - i]):
+            out[i + j] += x * y
+    return out
+
+
+def ground_series_small(terms: int) -> list[Fraction]:
+    """Exact u_k of the ground root xi = n * sum_k u_k n^(2k) for small n.
+
+    Squared, and with cos(xi) > 0 on (0, pi/2), xi sin(xi) = cos(xi)
+    sqrt(n^2 - xi^2) is xi = n cos(xi).  In u = xi/n and m = n^2 that is
+    u = sum_j (-m)^j u^(2j)/(2j)!, a fixed point in which each pass fixes
+    one more coefficient.
+    """
+    u = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    for _ in range(terms):
+        u2 = _series_product(u, u, terms)
+        new, power = [Fraction(0)] * terms, [Fraction(1)] + [Fraction(0)] * (terms - 1)
+        for j in range(terms):
+            for k in range(terms - j):
+                new[j + k] += Fraction((-1) ** j, math.factorial(2 * j)) * power[k]
+            power = _series_product(power, u2, terms)
+        u = new
+    return u
+
+
+def ground_series_large(terms: int) -> list[Fraction]:
+    """d_k of the ground root xi = pi/2 - sum_k d_k t^k, t = 1/(n + 1), for large n.
+
+    tan(delta) = cot(xi) = xi/eta for delta = pi/2 - xi, so sin(delta) = xi/n
+    with n = (1 - t)/t: delta = arcsin((pi/2 - delta) r), r = t/(1 - t),
+    arcsin(w) = sum_j (2j)!/(4^j j!^2 (2j + 1)) w^(2j+1), solved as a fixed
+    point like ground_series_small.  pi/2 is HALF_PI, so each d_k is within
+    about 1e-50 relative of the true one.
+    """
+    r = [Fraction(0)] + [Fraction(1)] * (terms - 1)
+    d = [Fraction(0)] * terms
+    for _ in range(terms):
+        w = _series_product([HALF_PI - d[0], *(-x for x in d[1:])], r, terms)
+        w2 = _series_product(w, w, terms)
+        new, power = [Fraction(0)] * terms, w
+        for j in range(terms):
+            c = Fraction(math.factorial(2 * j), 4**j * math.factorial(j) ** 2 * (2 * j + 1))
+            new = [a + c * b for a, b in zip(new, power)]
+            power = _series_product(power, w2, terms)
+        d = new
+    return d
 
 
 def _decimal_sinh(z: Decimal) -> Decimal:
