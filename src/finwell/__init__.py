@@ -3,7 +3,7 @@
 Bound-state energies from the even-parity quantization condition, the
 inverse-power fit of E/V0 against well strength, the 1D pressure calculus
 (P = -dE/da, dE/dP, expansions, critical width, ionization classification),
-and in-well interval probabilities with their pressure derivative.
+in-well interval probabilities with their pressure derivative, and sweeps.
 """
 
 from .errors import (
@@ -65,6 +65,7 @@ from .spectrum import (
     solve_ground_roots,
     well_strength,
 )
+from .sweep import SweepTable, sweep_table
 from .units import (
     CONSTANTS,
     Dimension,

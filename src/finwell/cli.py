@@ -44,9 +44,8 @@ from .fitseries import (
     load_coefficients,
     refit,
 )
-from .pressure import pressure_columns
-from .probability import probability_columns
-from .spectrum import WellConfig, energy_exact, ground_states, hydrogen_well, well_strength
+from .spectrum import WellConfig, energy_exact, hydrogen_well, well_strength
+from .sweep import COLUMNS, ROW_FLAGS, SweepTable, sweep_table
 from .units import CONSTANTS, Dimension, parse_quantity, quantity
 
 EXIT_OK = 0
@@ -55,7 +54,7 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
-CSV_HEADER = ["param", "a_m", "n", "K_m", "xi", "E_J", "E_over_V0", "P_N", "dEdP_m", "R", "flags"]
+CSV_HEADER = [*COLUMNS, "flags"]
 
 _PARAM_DIMENSION = {
     "width": Dimension.LENGTH,
@@ -211,30 +210,6 @@ def cmd_hydrogen(args: argparse.Namespace) -> int:
     return EXIT_OK if values["reproduced"] else EXIT_NUMERICAL
 
 
-class SweepTable:
-    """Sweep output as columns: one list per CSV column, None for an empty cell.
-
-    len(table) is the row count.
-    """
-
-    __slots__ = ("columns", "flags")
-
-    def __init__(self, columns: dict[str, list], flags: list[tuple[str, ...]]) -> None:
-        self.columns = columns  # CSV_HEADER[:-1] -> values
-        self.flags = flags
-
-    def __len__(self) -> int:
-        return len(self.flags)
-
-
-_FLAG_NAMES = ("overflow", "near_pole", "fit_out_of_range")
-# A row's flags, keyed by its value of each mask named in _FLAG_NAMES.
-_ROW_FLAGS = {
-    key: tuple(name for name, on in zip(_FLAG_NAMES, key) if on)
-    for key in itertools.product((False, True), repeat=len(_FLAG_NAMES))
-}
-
-
 def _sweep_rows(
     args: argparse.Namespace,
     base: dict[str, float | None],
@@ -249,39 +224,7 @@ def _sweep_rows(
         values = (np.geomspace if args.scale == "log" else np.linspace)(start, stop, steps)
     except (MemoryError, ValueError) as exc:
         raise NumericalError(f"cannot allocate the columns of --steps {steps} ({exc})") from None
-    params = {**base, args.param: values}
-    a, V0, m, g = (None if params[k] is None else
-                   np.broadcast_to(np.asarray(params[k], dtype=float), (steps,))
-                   for k in ("width", "depth", "mass", "gamma"))
-    states = ground_states(a, V0, m)
-    K = states.characteristic_length
-    p, dedp, near_pole, overflow = pressure_columns(a, K, coeffs, V0, args.variant)
-    no = np.zeros(steps, dtype=bool)
-    R, out_of_range, r_overflow = (
-        (None, no, no) if g is None else probability_columns(a, K, coeffs, m, V0, g))
-    arrays = {
-        "param": values, "a_m": a, "n": states.strength, "K_m": K, "xi": states.xi,
-        "E_J": states.energy, "E_over_V0": states.energy / V0, "P_N": p, "dEdP_m": dedp, "R": R,
-    }
-    empty = {"P_N": overflow, "dEdP_m": near_pole | overflow, "R": out_of_range | r_overflow}
-    for name, column in arrays.items():  # before any output, in either format
-        bad = [] if column is None else np.flatnonzero(~np.isfinite(column) & ~empty.get(name, no))
-        if len(bad):
-            raise NumericalError(f"{name} is not finite at {args.param} = {values[bad[0]]:.6g}")
-
-    def cells(name: str) -> list:
-        column, blank = arrays[name], empty.get(name, no)
-        if column is None:
-            return [None] * steps
-        if not blank.any():
-            return column.tolist()
-        return [None if e else v for v, e in zip(column.tolist(), blank.tolist())]
-
-    return SweepTable(
-        columns={name: cells(name) for name in arrays},
-        flags=[_ROW_FLAGS[k] for k in zip(
-            (overflow | r_overflow).tolist(), near_pole.tolist(), out_of_range.tolist())],
-    )
+    return sweep_table(args.param, values, **base, coeffs=coeffs, variant=args.variant)
 
 
 def _render(table: SweepTable, out, as_json: bool) -> None:
@@ -295,7 +238,7 @@ def _render(table: SweepTable, out, as_json: bool) -> None:
     only) is merged as text into the literal before it, a column equal to an
     earlier one takes a tee'd copy of that column's text stream, and the
     rest are converted as the rows are written.  Cells are not checked here:
-    _sweep_rows refuses a table with a non-finite cell.
+    sweep.sweep_table refuses a table with a non-finite cell.
     """
     empty = "null" if as_json else ""
     if as_json:
@@ -327,7 +270,7 @@ def _render(table: SweepTable, out, as_json: bool) -> None:
                 else map(repr, column))
         uses = sources.count(k)
         copies.append(iter(itertools.tee(text, uses) if uses > 1 else (text,)))
-    flag_text = {f: _json(f) if as_json else ";".join(f) for f in _ROW_FLAGS.values()}
+    flag_text = {f: _json(f) if as_json else ";".join(f) for f in ROW_FLAGS.values()}
     streams = [*(next(copies[k]) for k in sources), map(flag_text.__getitem__, table.flags)]
     # Always 1 + 2 * len(streams) parts, never 20: CPython 3.11 puts freed
     # 20-tuples on a free list it never takes them from (up to 2000, 0.4 MB).

@@ -4,7 +4,8 @@ Two families matter for callers (and for CLI exit codes): ``DomainError``
 covers invalid or out-of-range inputs, ``NumericalError`` covers failures
 of the numerics themselves.  ``check_positive`` is the shared domain check
 for quantities that must be positive and finite, ``check_positive_columns``
-the same check on arrays, and ``check_finite`` the range check on a result.
+the same check on arrays, ``check_columns`` the shape check of every array
+entry point, and ``check_finite`` the range check on a result.
 """
 
 from __future__ import annotations
@@ -71,9 +72,24 @@ def check_finite(value: float, what: str, **at: float) -> float:
     raise NumericalError(f"{what} overflows at {where}")
 
 
-def check_positive_columns(**columns: np.ndarray) -> None:
-    """check_positive on arrays, reporting the first offending row."""
+def check_columns(**columns: np.ndarray) -> None:
+    """Raise DomainError unless every column is a 1-D numpy array as long as the first."""
     import numpy as np
+    first = next(iter(columns))
+    for name, column in columns.items():
+        if not (isinstance(column, np.ndarray) and column.ndim == 1):
+            shape = getattr(column, "shape", None)
+            got = type(column).__name__ if shape is None else f"shape {shape}"
+            raise DomainError(f"{name} must be a 1-D array, got {got}")
+        if len(column) != len(columns[first]):
+            raise DomainError(
+                f"{name} has {len(column)} rows where {first} has {len(columns[first])}")
+
+
+def check_positive_columns(**columns: np.ndarray) -> None:
+    """check_columns, then check_positive on every row, reporting the first offending one."""
+    import numpy as np
+    check_columns(**columns)
     bad = [~(np.isfinite(v) & (v > 0.0)) for v in columns.values()]
     rows = np.flatnonzero(np.logical_or.reduce(bad))
     if rows.size:

@@ -30,7 +30,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, NoRoot, NumericalError, PoleSingularity
-from .errors import check_finite, check_positive
+from .errors import check_finite, check_positive, check_positive_columns
 from .fitseries import FitCoefficients, _horner
 
 POLE_RTOL = 1e-12          # |denominator| below this times its largest term -> pole
@@ -176,11 +176,12 @@ def pressure_columns(
     """(P, dE/dP, near_pole, overflow) for equal-length arrays of a, K and V0.
 
     The array counterpart of pressure_1d and denergy_dpressure: the same
-    formulas and pole rule, with dE/dP NaN where near_pole is set.  Where a
-    row's P or dE/dP leaves the float range, overflow is set instead of
-    raising, and both values are NaN.
+    domain check, formulas and pole rule, with dE/dP NaN where near_pole is
+    set.  Where a row's P or dE/dP leaves the float range, overflow is set
+    instead of raising, and both values are NaN.
     """
     import numpy as np
+    check_positive_columns(a=a, K=K, V0=V0)
     t = a / K
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Rows that overflow or sit on the pole are flagged below.

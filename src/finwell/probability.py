@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, FitOutOfRange, NumericalError
-from .errors import check_positive, check_positive_columns
+from .errors import check_columns, check_positive, check_positive_columns
 from .fitseries import FitCoefficients, _horner, eval_fit
 from .pressure import _rational_parts, pressure_1d
 from .spectrum import WellConfig, well_strength
@@ -143,6 +143,8 @@ def probability_columns(
     flagged or not.
     """
     import numpy as np
+    check_columns(a=a, gamma=gamma)
+    check_positive_columns(a=a, K=K, m=m, V0=V0)
     n = a / K
     check_positive_columns(n=n)
     bad = np.flatnonzero(~((0.0 <= gamma) & (gamma <= 1.0)))

@@ -22,7 +22,9 @@ from finwell import (
     well_strength,
 )
 import finwell.cli as cli
-from finwell.cli import CSV_HEADER, EXIT_BROKEN_PIPE, SweepTable, build_parser, main
+import finwell.sweep
+from finwell.cli import CSV_HEADER, EXIT_BROKEN_PIPE, build_parser, main
+from finwell.sweep import ROW_FLAGS, SweepTable
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -702,7 +704,7 @@ def sweep_tables(draw):
         else:
             source = columns[draw(st.sampled_from(sorted(columns)))]
             columns[name] = [-v if kind == "flipped" and v == 0.0 else v for v in source]
-    flags = draw(st.lists(st.sampled_from(list(cli._ROW_FLAGS.values())),
+    flags = draw(st.lists(st.sampled_from(list(ROW_FLAGS.values())),
                           min_size=rows, max_size=rows))
     return SweepTable(columns, flags)
 
@@ -763,7 +765,7 @@ class TestRenderCsv:
     def test_non_finite_cell_is_refused_before_output(self, capsys, monkeypatch, fmt):
         # An unflagged inf from a column function: CSV printed it and exited 0,
         # and JSON failed only after writing the rows before it.
-        real = cli.pressure_columns
+        real = finwell.sweep.pressure_columns
 
         def unflagged_inf(*args):
             p, dedp, near_pole, overflow = real(*args)
@@ -771,7 +773,7 @@ class TestRenderCsv:
             p[2] = math.inf
             return p, dedp, near_pole, overflow
 
-        monkeypatch.setattr(cli, "pressure_columns", unflagged_inf)
+        monkeypatch.setattr(finwell.sweep, "pressure_columns", unflagged_inf)
         code, out, err = run(capsys, ["sweep", "--param", "width", "--from", "1e-11m",
                                       "--to", "1e-9m", "--steps", "5", "--depth", "13.6eV",
                                       "--mass", "me", *fmt])
