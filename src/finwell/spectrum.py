@@ -92,38 +92,64 @@ def well_strength(cfg: WellConfig) -> WellStrength:
     return WellStrength(strength=n, characteristic_length=K)
 
 
-def _branch_bracket(n: float, branch: int) -> tuple[float, float]:
+# pi = math.pi + _PI_LO to about 2^-107 relative, and math.pi = _PI_HEAD +
+# _PI_TAIL, Veltkamp's split into parts of at most 26 significant bits, so
+# that their products with the parts of a split k are exact.
+_PI_LO = 1.2246467991473532e-16
+_PI_HEAD = 3.1415926814079285
+_PI_TAIL = -2.781813535079891e-08
+
+
+def _branch_offset(n: float, branch: int) -> tuple[float, float, float]:
+    # (b, b_lo, eps) of branch k >= 1: k pi = b + b_lo to about 2^-106
+    # relative, and eps = n - k pi, whose only rounding is the last one where
+    # n is within a factor 2 of k pi (n - b is then exact).
     if branch > n:  # branch k needs n > k pi > k; refused before k pi can overflow
         raise NoSuchBranch(f"branch exceeds the strength n = {n:.6g}; branch k needs n > k pi")
-    lo = branch * math.pi
-    hi = min(lo + 0.5 * math.pi, n)
-    if hi <= lo:
-        if n <= lo:
-            raise NoSuchBranch(
-                f"branch {branch} needs strength n > {lo:.6g}, got n = {n:.6g}"
-            )
-        # pi/2 is below half an ulp of k pi (k above about 5.7e15)
+    b = branch * math.pi
+    if b + 0.5 * math.pi > b:
+        # Dekker's exact product k * math.pi = b + err, k < 2^53 a double
+        # here, split by Veltkamp as pi is; k below 2^26 needs no split.
+        k = float(branch)
+        if branch < 67108864:
+            err = (k * _PI_HEAD - b) + k * _PI_TAIL
+        else:
+            c = 134217729.0 * k  # 2^27 + 1
+            k_head = c - (c - k)
+            k_tail = k - k_head
+            err = ((k_head * _PI_HEAD - b) + k_head * _PI_TAIL
+                   + k_tail * _PI_HEAD) + k_tail * _PI_TAIL
+        b_lo = err + k * _PI_LO
+        eps = (n - b) - b_lo
+        if eps > 0.0:
+            return b, b_lo, eps
+    elif n > b:  # pi/2 is below half an ulp of k pi (k above about 5.7e15)
         raise NumericalError(
             f"branch {branch} cannot be resolved: its bracket (k pi, k pi + pi/2) "
-            f"rounds to the single double k pi = {lo:.6g}"
+            f"rounds to the single double k pi = {b:.6g}"
         )
-    return lo, hi
+    raise NoSuchBranch(f"branch {branch} needs strength n > {b:.6g}, got n = {n:.6g}")
 
 
-def _stable_residual(xi, n, xp=math):
-    # cos(xi) * (xi*tan(xi) - sqrt(n^2 - xi^2)): same roots, no tan pole.
-    # sqrt(n - xi) * sqrt(n + xi) neither cancels near xi = n nor overflows.
-    # Evaluated at the bracket ends, where xi = n leaves _newton_step undefined,
-    # rounded as the f of _newton_step is.
-    return xi * xp.sin(xi) - xp.cos(xi) * (xp.sqrt(n - xi) * xp.sqrt(n + xi))
+# Each root solve is in theta = xi - k pi, b = fl(k pi) and eps = n - k pi:
+# xi sin(xi) - cos(xi) sqrt(n^2 - xi^2) is (-1)^k times
+#     f(theta) = xi sin(theta) - cos(theta) sqrt(eps - theta) sqrt(n + xi),
+# which rises through the root on (0, min(pi/2, eps)) on every branch.  For
+# k = 0 (b = 0, eps = n) it is the xi form, rounded as it.
 
 
-def _nearer_end(lo, hi, n, xp):
-    # The bracket end with the smaller |residual|: the root where the last
-    # Newton point leaves its bracket.  Just above a branch threshold the root
-    # rounds onto xi = n, where f ~ sqrt(n - xi) makes each step overshoot
-    # twice over, so a point 4 ulp short passes the step test.
-    closer = abs(_stable_residual(lo, n, xp)) < abs(_stable_residual(hi, n, xp))
+def _stable_residual(theta, xi, gap, n, xp=math):
+    # f at theta, xi = b + theta and gap = eps - theta, rounded as the
+    # numerator of _newton_step: evaluated only at the bracket ends, where
+    # theta = eps leaves _newton_step undefined.
+    return xi * xp.sin(theta) - xp.cos(theta) * (xp.sqrt(gap) * xp.sqrt(n + xi))
+
+
+def _nearer_end(lo, hi, b, eps, n, xp):
+    # The bracket end with the smaller |residual|: the root where an accepted
+    # Newton point leaves its bracket.
+    closer = abs(_stable_residual(lo, b + lo, eps - lo, n, xp)) < abs(
+        _stable_residual(hi, b + hi, eps - hi, n, xp))
     if xp is math:
         return lo if closer else hi
     return xp.where(closer, lo, hi)
@@ -167,20 +193,20 @@ def _ground_start(n, xp):
     return x
 
 
-def _newton_step(x, n, xp):
-    # (f, f/f') of the pole-free residual f = x sin x - cos x sqrt(n^2 - x^2),
-    # for x < n; xp is math for floats, numpy for arrays.
-    sin, cos = xp.sin(x), xp.cos(x)
-    eta = xp.sqrt(n - x) * xp.sqrt(n + x)
-    f = x * sin - cos * eta
-    return f, f / (sin * (1.0 + eta) + x * cos * (1.0 + 1.0 / eta))
+def _newton_step(theta, xi, gap, n, xp):
+    # The step f/f' of f(theta) above at xi = b + theta and gap = eps - theta
+    # > 0; xp is math for floats, numpy for arrays.  f' > 0 on the bracket,
+    # so the step has the sign of f.
+    sin, cos = xp.sin(theta), xp.cos(theta)
+    eta = xp.sqrt(gap) * xp.sqrt(n + xi)
+    return (xi * sin - cos * eta) / (sin * (1.0 + eta) + xi * cos * (1.0 + 1.0 / eta))
 
 
 def _backward_error(xi: float, n: float) -> float:
-    """|f|/|f'| of the pole-free residual: how far xi is from its root."""
+    """|f|/|f'| of the pole-free residual in xi: how far xi is from its root."""
     if xi == n:
         return 0.0  # f' is infinite where xi meets n
-    return abs(_newton_step(xi, n, math)[1])
+    return abs(_newton_step(xi, xi, n - xi, n, math))
 
 
 def _convergence_failure(
@@ -192,21 +218,35 @@ def _convergence_failure(
     )
 
 
+def _gap_step(x, step, gap):
+    # Newton's point in u = sqrt(eps - theta), u -> u + step/(2u), for x next
+    # to eps (|step| >= gap/2, gap = eps - x).  There f ~ sqrt(eps - theta), so
+    # f' changes over the step: the step in theta overshoots past eps, or,
+    # from above the root, is far shorter than the distance to it and can pass
+    # the step test many ulp away.  In u the residual is nearly linear.
+    return x - step * (1.0 + 0.25 * step / gap)
+
+
 def solve_even_root(n: float, branch: int = 0) -> float:
     """Root xi of the even-parity condition on the given branch.
 
-    Newton's method on the pole-free form xi*sin(xi) - cos(xi)*sqrt(n^2 - xi^2),
-    kept inside the bracket (k*pi, min(k*pi + pi/2, n)) by bisection.  The
-    bracket contains exactly one root, at which the residual changes sign
-    monotonically.  Branch 0 starts from a series of its root (in n^2 below
-    n = 0.7, in 1/(n + 1) above), higher branches from the bracket
-    midpoint.  The ground bracket's end signs are known in closed form for
-    SERIES_STRENGTH <= n < 1e15; elsewhere the end residuals are evaluated.
-    A root is accepted when its Newton step (the backward error) is at most
-    ROOT_ULPS_BACKWARD ulps or its bracket at most ROOT_ULPS_BRACKET ulps;
-    where the accepted Newton point leaves the bracket, the end with the
-    smaller |residual| is taken.  Below SERIES_STRENGTH the ground root is
-    its series in n.  solve_ground_roots runs the same iteration on arrays.
+    One Newton loop serves every branch k, in theta = xi - k*pi with
+    eps = n - k*pi.  k*pi is held as two doubles, so eps keeps its digits
+    just above a threshold.  The residual is the pole-free
+    xi*sin(theta) - cos(theta)*sqrt(eps - theta)*sqrt(n + xi) ((-1)^k times
+    xi*sin(xi) - cos(xi)*sqrt(n^2 - xi^2)), kept inside the bracket
+    (0, min(pi/2, eps)) by bisection.  It rises through the one root there
+    on every branch, and the signs of the bracket ends are proved, not
+    evaluated, for n < (k + 1/2)*2e15; past that the residual at pi/2 is
+    evaluated.  Branch 0 starts from a series of its root (in n^2 below
+    n = 0.7, in 1/(n + 1) above), higher branches from acos(k*pi/n) with
+    one trig-free correction.  A root is accepted when its Newton step (the
+    backward error) is at most ROOT_ULPS_BACKWARD ulps of xi or its bracket
+    at most ROOT_ULPS_BRACKET ulps; where the accepted Newton point leaves
+    the bracket, the end with the smaller |residual| is taken.  Next to
+    theta = eps, where the step in theta misleads, Newton steps in
+    sqrt(eps - theta) instead.  Below SERIES_STRENGTH the ground root is its
+    series in n.  solve_ground_roots runs the same iteration on arrays.
     """
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"strength n must be positive, got {n}")
@@ -216,64 +256,71 @@ def solve_even_root(n: float, branch: int = 0) -> float:
         raise DomainError(f"branch must be an integer, got {branch!r}") from None
     if branch < 0:
         raise DomainError("branch must be non-negative")  # str() of a huge int raises
-    if branch == 0 and n < SERIES_STRENGTH:
-        return _small_n_series(n)
-    if branch == 0 and n < 1e15:
-        # The ground bracket's end signs are proved, not evaluated: f(0) = -n
-        # < 0, and f(hi) > 0 at hi = min(pi/2, n).  For n < pi/2, f(n) =
-        # n sin(n).  At hi = fl(pi/2), sin(hi) rounds to 1 and cos(hi) =
-        # 6.12e-17, so f(hi) = fl(pi/2) - 6.12e-17 eta > 0 while eta < 2.56e16;
-        # here eta < n < 1e15.  _nearer_end alone forms end residuals.
-        lo, hi, rising = 0.0, min(0.5 * math.pi, n), True
+    if branch == 0:
+        if n < SERIES_STRENGTH:
+            return _small_n_series(n)
+        b = b_lo = 0.0
+        eps = n
     else:
-        lo, hi = _branch_bracket(n, branch)
-        f_lo = _stable_residual(lo, n)
-        f_hi = _stable_residual(hi, n)
-        if f_lo == 0.0:
-            return lo
-        if f_hi == 0.0:
-            return hi
-        if (f_lo > 0.0) == (f_hi > 0.0):
-            # No sign change in floating point: the root rounds onto an end.
-            for end in (hi, lo):
-                if _backward_error(end, n) <= ROOT_ULPS_BACKWARD * math.ulp(end):
-                    return end
-            raise _convergence_failure(
-                f"no sign change on ({lo!r}, {hi!r})", n, branch, 0, lo, hi,
-                lo if abs(f_lo) < abs(f_hi) else hi,
-            )
-        # The residual rises through the root on even branches, falls on odd ones.
-        rising = f_lo < 0.0
-
-    x = _ground_start(n, math) if branch == 0 else 0.5 * (lo + hi)
+        b, b_lo, eps = _branch_offset(n, branch)
+    lo, hi = 0.0, min(0.5 * math.pi, eps)
+    # The bracket's end signs are proved: f(0) = -sqrt(eps) sqrt(n + k pi) < 0,
+    # f(eps) = n sin(eps) > 0, and at hi = fl(pi/2), where sin(hi) rounds to 1
+    # and cos(hi) = 6.12e-17, f(hi) = xi - 6.12e-17 eta > 0 while eta <
+    # (k + 1/2) pi 1.6e16; below the bound on n, eta < n is 25 times inside
+    # that.  Past it, where f(hi) <= 0 the root lies between fl(pi/2) and
+    # pi/2, under half an ulp from hi.  Below the bound only _nearer_end forms
+    # end residuals.
+    if n >= (branch + 0.5) * 2e15 and _stable_residual(hi, b + hi, eps - hi, n) <= 0.0:
+        return b + (hi + b_lo)
+    if branch == 0:
+        x = _ground_start(n, math)
+    else:
+        # cos(theta) = xi/n on every branch, so theta0 = acos(k pi/n), here
+        # atan2(r, k pi) with r = n sin(theta0) = sqrt(eps (n + k pi)).  One
+        # Newton step on cos(theta) = (k pi + theta)/n from theta0, with
+        # sin(theta0) = r/n, gives theta0 r/(r + 1); just above the threshold
+        # that lands near 2 eps, past hi = eps, and the midpoint is taken.
+        r = math.sqrt(eps) * math.sqrt(n + b)
+        x = math.atan2(r, b) * r / (r + 1.0)
+        if x >= hi:
+            x = 0.5 * hi
+    ulp = math.ulp
     for _ in range(_MAX_ITER):
-        f, step = _newton_step(x, n, math)
-        if (f < 0.0) == rising:
+        xi = b + x
+        step = _newton_step(x, xi, eps - x, n, math)
+        if step < 0.0:
             lo = x
         else:
             hi = x
         newton = x - step
+        if abs(step) <= ROOT_ULPS_BACKWARD * ulp(xi):
+            if abs(step) < 0.5 * (eps - x):
+                # a step under half an ulp keeps x, an end
+                if not (lo < newton < hi or newton == x):
+                    newton = _nearer_end(lo, hi, b, eps, n, math)
+                return b + (newton + b_lo)
+            newton = _gap_step(x, step, eps - x)
         inside = lo < newton < hi
-        if abs(step) <= ROOT_ULPS_BACKWARD * math.ulp(x):
-            if inside or newton == x:  # a step under half an ulp keeps x, an end
-                return newton
-            return _nearer_end(lo, hi, n, math)
-        if hi - lo <= ROOT_ULPS_BRACKET * math.ulp(hi):
-            return x
+        if not inside and abs(step) >= 0.5 * (eps - x):
+            newton = _gap_step(x, step, eps - x)
+            inside = lo < newton < hi
+        if hi - lo <= ROOT_ULPS_BRACKET * ulp(b + hi):
+            return b + ((newton if inside else x) + b_lo)
         x = newton if inside else 0.5 * (lo + hi)
-    raise _convergence_failure("root unresolved", n, branch, _MAX_ITER, lo, hi, x)
+    raise _convergence_failure("root unresolved", n, branch, _MAX_ITER, lo, hi, b + (x + b_lo))
 
 
 def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     """Branch-0 roots xi for an array of strengths, all solved at once.
 
     The iteration of solve_even_root on every row together, bit for bit:
-    Newton's method on the pole-free residual, kept inside each row's
-    bracket (0, min(pi/2, n)) by bisection, from the same series start and
-    with the same acceptance rule, including the end with the smaller
-    |residual| where an accepted Newton point leaves its bracket (only
-    those rows evaluate end residuals).  Below SERIES_STRENGTH the root is
-    the series itself.
+    its kernel with k = 0 (theta = xi, eps = n), kept inside each row's
+    proved bracket (0, min(pi/2, n)) by bisection, from the same series
+    start and with the same acceptance rule, including the end with the
+    smaller |residual| where an accepted Newton point leaves its bracket
+    (only those rows evaluate end residuals) and the step in sqrt(n - xi)
+    next to n.  Below SERIES_STRENGTH the root is the series itself.
     """
     import numpy as np
     n = np.asarray(n, dtype=float)
@@ -286,19 +333,26 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     for _ in range(_MAX_ITER):
         if rows.size == 0:
             return xi
-        f, step = _newton_step(x, m, np)
-        below = f < 0.0
+        gap = m - x
+        step = _newton_step(x, x, gap, m, np)
+        below = step < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         newton = x - step
         inside = (lo < newton) & (newton < hi)
-        done = np.abs(step) <= ROOT_ULPS_BACKWARD * np.spacing(x)
+        size = np.abs(step)
+        small = size <= ROOT_ULPS_BACKWARD * np.spacing(x)
+        near = (small | ~inside) & (size >= 0.5 * gap)
+        if near.any():
+            newton[near] = _gap_step(x[near], step[near], gap[near])
+            inside = (lo < newton) & (newton < hi)
+        done = small & ~near
         ends = done & ~inside & (newton != x)
         if ends.any():
-            newton[ends] = _nearer_end(lo[ends], hi[ends], m[ends], np)
+            newton[ends] = _nearer_end(lo[ends], hi[ends], 0.0, m[ends], m[ends], np)
         xi[rows[done]] = newton[done]
         collapsed = ~done & (hi - lo <= ROOT_ULPS_BRACKET * np.spacing(hi))
-        xi[rows[collapsed]] = x[collapsed]
+        xi[rows[collapsed]] = np.where(inside, newton, x)[collapsed]
         keep = ~(done | collapsed)
         x = np.where(inside, newton, 0.5 * (lo + hi))[keep]
         rows, m, lo, hi = rows[keep], m[keep], lo[keep], hi[keep]
@@ -310,6 +364,30 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     return xi
 
 
+def _gap(xi: float, n: float, branch: int) -> float:
+    # u = sqrt(eps - theta) at the root of branch k >= 1, so that eta =
+    # u sqrt(n + xi) keeps its digits: next to a threshold eps - theta ~
+    # k pi eps^2/2 lies far below an ulp of xi, so eps - theta at the rounded
+    # root keeps few of them.  Newton's method in u, du = step/(2u), from the
+    # theta of xi: the residual is nearly linear in u there and well
+    # conditioned everywhere.  theta follows each step by its change,
+    # -du (2u + du), not by eps - u^2, which would cancel where eps is large.
+    b, b_lo, eps = _branch_offset(n, branch)
+    theta = (xi - b) - b_lo  # xi - b is exact
+    if theta < eps:
+        u = math.sqrt(eps - theta)
+    else:  # xi rounds onto n: the first step from u = 0, where f = n sin(eps)
+        u = math.tan(eps) * math.sqrt(0.5 * n)
+        theta = eps - u * u
+    for _ in range(_MAX_ITER):
+        du = _newton_step(theta, b + theta, u * u, n, math) / (2.0 * u)
+        theta -= du * (2.0 * u + du)
+        u += du
+        if abs(du) <= 2.0 * math.ulp(u):
+            return u
+    raise ConvergenceFailure(f"eta unresolved for n={n}, branch={branch}: last u={u!r}")
+
+
 def energy_ratio(n: float, branch: int = 0) -> float:
     """E/V0 for the given strength and branch."""
     xi = solve_even_root(n, branch)
@@ -317,11 +395,20 @@ def energy_ratio(n: float, branch: int = 0) -> float:
 
 
 def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
-    """Fully solved bound state for a physical well configuration."""
+    """Fully solved bound state for a physical well configuration.
+
+    xi is solve_even_root's.  On a branch k >= 1, eta comes from the gap
+    u = sqrt(eps - theta), eps = n - k*pi and theta = xi - k*pi, refined by
+    Newton's method in u, as eta = u*sqrt(n + xi): next to a threshold,
+    where eta ~ k*pi*eps, it keeps its digits.  On the ground branch eta is
+    xi*tan(xi) up to n = TAN_ETA_STRENGTH and sqrt(n - xi)*sqrt(n + xi) above.
+    """
     strength = well_strength(cfg)
     n = strength.strength
     xi = solve_even_root(n, branch)
-    if branch == 0 and n <= TAN_ETA_STRENGTH:
+    if branch:
+        eta = _gap(xi, n, branch) * math.sqrt(n + xi)
+    elif n <= TAN_ETA_STRENGTH:
         eta = xi * math.tan(xi)
     else:
         eta = math.sqrt(n - xi) * math.sqrt(n + xi)  # no overflow of n*n

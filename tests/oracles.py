@@ -115,6 +115,43 @@ def ground_root_eta_oracle(n: float) -> tuple[float, float]:
         return float(xi), float((nd * nd - xi * xi).sqrt())
 
 
+# pi to 100 significant digits
+PI_DIGITS = Decimal(
+    "3.141592653589793238462643383279502884197169399375105820974944592307816406286208998628034825342117068"
+)
+
+
+def branch_root_eta_oracle(n: float, branch: int) -> tuple[float, float]:
+    """(xi, eta) of the level on branch k >= 1, in 60-digit decimal.
+
+    Bisection in d = xi - k pi of xi sin(d) - cos(d) sqrt((e - d)(n + xi))
+    over (0, min(e, pi/2)), e = n - k pi formed from the 100-digit pi, where
+    it changes sign once (the cos-multiplied residual times (-1)^k); then
+    eta = sqrt((e - d)(n + xi)), with no cancellation of n^2 - xi^2.  200
+    halvings leave d within 2^-200 of the bracket width.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        nd = Decimal(n)
+        base = branch * PI_DIGITS
+        e = nd - base
+        assert e > 0, (n, branch)
+
+        def g(d: Decimal) -> Decimal:
+            sin, cos = _decimal_sin_cos(d)
+            return (base + d) * sin - cos * ((e - d) * (nd + base + d)).sqrt()
+
+        lo, hi = Decimal(0), min(e, PI_DIGITS / 2)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if g(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        d = (lo + hi) / 2
+        return float(base + d), float(((e - d) * (nd + base + d)).sqrt())
+
+
 # pi/2 to 55 significant digits
 HALF_PI = Fraction("1.570796326794896619231321691639751442098584699687552910")
 

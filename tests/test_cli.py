@@ -135,6 +135,18 @@ class TestSpectrum:
             "resolved: its bracket (k pi, k pi + pi/2) rounds to the single double "
             "k pi = 3.14159e+16\n")
 
+    def test_eta_just_above_branch_threshold(self):
+        # n - pi = 3.1e-10: eta printed 0 (E_over_V0 = 1), because xi rounds
+        # next to pi; the decimal root gives eta = 9.869603686116153e-10.
+        proc = subprocess.run(
+            [sys.executable, "-m", "finwell.cli", "spectrum", "--branch", "1",
+             "--width", "1.3711859141472058e-10m", "--depth", "20eV", "--mass", "me", "--json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["eta"] == pytest.approx(9.869603686116153e-10, rel=1e-12)
+
     def test_json_matches_human(self, capsys):
         _, human, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS])
         _, machine, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS, "--json"])

@@ -30,6 +30,8 @@ from finwell.cli import main
 
 from oracles import (
     HALF_PI,
+    PI_DIGITS,
+    branch_root_eta_oracle,
     branch_root_oracle,
     even_root_oracle,
     eta_oracle,
@@ -41,6 +43,9 @@ from oracles import (
 # frozen from the bisection oracle
 XI_N2 = 1.0298665293222586
 RATIO_N2 = 0.26515626705456863
+# eta of a level on branch k >= 1, relative to the decimal root's; the same
+# bound holds from n = k pi + 1e-12 up (eta ~ k pi eps next to a threshold).
+BRANCH_ETA_RTOL = 1e-15
 
 
 def residual(xi: float, n: float) -> float:
@@ -310,15 +315,25 @@ class TestGroundStart:
         assert np.all((0.0 < x) & (x < n) & (x <= 0.5 * math.pi))
         assert [spectrum._ground_start(ni, math) for ni in n.tolist()] == x.tolist()
 
-    @pytest.mark.parametrize("lo, hi, bound", [(1e-3, 0.6, 1.6), (0.1, 1e4, 2.0), (1.0, 12.0, 3.0)])
-    def test_newton_evaluations_per_root(self, monkeypatch, lo, hi, bound):
+    @pytest.mark.parametrize("lo, hi, bound, branches", [
+        pytest.param(1e-3, 0.6, 1.6, False, id="0.001-0.6-1.6"),
+        pytest.param(0.1, 1e4, 2.0, False, id="0.1-10000.0-2.0"),
+        pytest.param(1.0, 12.0, 3.0, False, id="1.0-12.0-3.0"),
+        pytest.param(1.5 * math.pi, 3e3, 2.7, True, id="branches"),
+    ])
+    def test_newton_evaluations_per_root(self, monkeypatch, lo, hi, bound, branches):
         # Means on these draws from the start min(pi/2 n/(n+1), n/sqrt(1+n)):
         # 10.1, 3.31 and 3.52; from the series start 1.44, 1.88 and 2.80.
+        # Higher branches, k uniform on 1..(n - pi/2)/pi as in the benchmark's
+        # draw: 4.20 from the bracket midpoint, 2.53 from acos(k pi/n)
+        # corrected once.
         step, calls = spectrum._newton_step, []
         monkeypatch.setattr(spectrum, "_newton_step", lambda *args: calls.append(1) or step(*args))
-        draws = np.exp(np.random.default_rng(21).uniform(math.log(lo), math.log(hi), 2000))
+        rng = np.random.default_rng(21)
+        draws = np.exp(rng.uniform(math.log(lo), math.log(hi), 2000))
         for n in draws.tolist():
-            solve_even_root(n)
+            k = int(rng.integers(1, int((n - 0.5 * math.pi) // math.pi) + 1)) if branches else 0
+            solve_even_root(n, k)
         assert len(calls) / draws.size <= bound
 
 
@@ -333,6 +348,61 @@ class TestHigherBranchProperty:
         k = data.draw(st.integers(1, top))
         xi = solve_even_root(n, k)
         assert abs(xi - branch_root_oracle(n, k)) <= 2 * math.ulp(xi), (n, k)
+
+
+def unit_well(n: float) -> WellConfig:
+    # sqrt(2 m V0) is hbar exactly, so K = 1 m and the strength is n to an ulp.
+    return WellConfig(n, 1.0, CONSTANTS.hbar**2 / 2)
+
+
+class TestBranchThreshold:
+    """Branch k >= 1 solved in theta = xi - k pi, next to its threshold n = k pi."""
+
+    @pytest.mark.parametrize("k", [1, 3, 1000, 2**26 + 1, 2**40 + 12345, 5 * 10**15])
+    def test_k_pi_two_double(self, k):
+        # k pi = b + b_lo to 2^-104 relative, also where k needs a split
+        b, b_lo, eps = spectrum._branch_offset(4.0 * k, k)
+        want = k * Fraction(PI_DIGITS)
+        assert abs(Fraction(b) + Fraction(b_lo) - want) <= want * Fraction(2) ** -104
+        assert abs(Fraction(eps) - (Fraction(4.0 * k) - want)) <= Fraction(math.ulp(eps))
+
+    def check_level(self, k, eps):
+        cfg = unit_well(k * math.pi + eps)
+        n = well_strength(cfg).strength
+        state = energy_exact(cfg, k)
+        want_xi, want_eta = branch_root_eta_oracle(n, k)
+        assert abs(state.xi - want_xi) <= 2 * math.ulp(want_xi), (n, k)
+        assert abs(state.eta - want_eta) <= BRANCH_ETA_RTOL * want_eta, (n, k, state.eta / want_eta)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_eta_next_to_threshold(self, k, eps):
+        # eta ~ k pi eps: it was 0.0 from eps ~ 1e-9 down, and 1.5e-5 to
+        # 3.5e-5 off at eps = 1e-6, from n - xi with xi rounded next to k pi.
+        self.check_level(k, eps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 1000), st.floats(math.log(1e-12), 0.0))
+    def test_eta_property(self, k, log_eps):
+        self.check_level(k, math.exp(log_eps))
+
+    def test_no_end_residuals_in_the_proved_range(self, monkeypatch):
+        # The bracket (0, min(pi/2, eps)) has proved end signs: only
+        # _nearer_end, where an accepted Newton point leaves it, forms end
+        # residuals (two per call); the bracket-midpoint solver evaluated two
+        # per root.
+        residual, ends, calls = spectrum._stable_residual, spectrum._nearer_end, []
+        monkeypatch.setattr(spectrum, "_stable_residual",
+                            lambda *args: calls.append("residual") or residual(*args))
+        monkeypatch.setattr(spectrum, "_nearer_end",
+                            lambda *args: calls.append("end") or ends(*args))
+        rng = np.random.default_rng(5)
+        for n in np.exp(rng.uniform(math.log(1.5 * math.pi), math.log(3e3), 500)).tolist():
+            solve_even_root(n, int(rng.integers(1, int((n - 0.5 * math.pi) // math.pi) + 1)))
+        for k in range(1, 40):
+            for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.1):
+                solve_even_root(k * math.pi + eps, k)
+        assert calls.count("residual") == 2 * calls.count("end")
 
 
 class TestConvergenceDiagnostics:
@@ -435,13 +505,16 @@ class TestEnergyExact:
     def test_eta_against_decimal_oracle(self, hydrogen_scale, n, branch):
         # sqrt(n*n - xi*xi) was 3e5 ulp off near n = 1e-3, 1.6e11 ulp just
         # above a branch threshold, and inf from n = 1.34e154.  Where the
-        # ground level takes eta = xi tan(xi), the reference is the true eta
-        # of the decimal root, not sqrt(n^2 - xi^2) at the rounded xi.
+        # ground level takes eta = xi tan(xi), and on every higher branch, the
+        # reference is the true eta of the decimal root, not sqrt(n^2 - xi^2)
+        # at the rounded xi (7e-5 off the true eta at n = pi + 1e-6).
         K, V0, m = hydrogen_scale
         cfg = WellConfig(n * K, V0, m)
         state = energy_exact(cfg, branch)
         strength = well_strength(cfg).strength
-        if branch == 0 and strength <= spectrum.TAN_ETA_STRENGTH:
+        if branch:
+            want = branch_root_eta_oracle(strength, branch)[1]
+        elif strength <= spectrum.TAN_ETA_STRENGTH:
             want = ground_root_eta_oracle(strength)[1]
         else:
             want = eta_oracle(strength, state.xi)
