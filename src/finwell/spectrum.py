@@ -37,6 +37,7 @@ SERIES_STRENGTH = 1e-3
 # form within 2 ulp above it; with the switch at 0.1 it was up to 35 ulp off.
 TAN_ETA_STRENGTH = 1.0
 _MAX_ITER = 200
+_HALF_PI = 0.5 * math.pi  # fl(pi/2), the top of every bracket
 
 
 class WellConfig(namedtuple("WellConfig", "half_width depth mass")):
@@ -107,18 +108,15 @@ def _branch_offset(n: float, branch: int) -> tuple[float, float, float]:
     if branch > n:  # branch k needs n > k pi > k; refused before k pi can overflow
         raise NoSuchBranch(f"branch exceeds the strength n = {n:.6g}; branch k needs n > k pi")
     b = branch * math.pi
-    if b + 0.5 * math.pi > b:
+    if b + _HALF_PI > b:
         # Dekker's exact product k * math.pi = b + err, k < 2^53 a double
-        # here, split by Veltkamp as pi is; k below 2^26 needs no split.
+        # here, split by Veltkamp as pi is.
         k = float(branch)
-        if branch < 67108864:
-            err = (k * _PI_HEAD - b) + k * _PI_TAIL
-        else:
-            c = 134217729.0 * k  # 2^27 + 1
-            k_head = c - (c - k)
-            k_tail = k - k_head
-            err = ((k_head * _PI_HEAD - b) + k_head * _PI_TAIL
-                   + k_tail * _PI_HEAD) + k_tail * _PI_TAIL
+        c = 134217729.0 * k  # 2^27 + 1
+        k_head = c - (c - k)
+        k_tail = k - k_head
+        err = ((k_head * _PI_HEAD - b) + k_head * _PI_TAIL
+               + k_tail * _PI_HEAD) + k_tail * _PI_TAIL
         b_lo = err + k * _PI_LO
         eps = (n - b) - b_lo
         if eps > 0.0:
@@ -227,7 +225,7 @@ def _gap_step(x, step, gap):
     return x - step * (1.0 + 0.25 * step / gap)
 
 
-def solve_even_root(n: float, branch: int = 0) -> float:
+def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
     """Root xi of the even-parity condition on the given branch.
 
     One Newton loop serves every branch k, in theta = xi - k*pi with
@@ -246,8 +244,20 @@ def solve_even_root(n: float, branch: int = 0) -> float:
     the bracket, the end with the smaller |residual| is taken.  Next to
     theta = eps, where the step in theta misleads, Newton steps in
     sqrt(eps - theta) instead.  Below SERIES_STRENGTH the ground root is its
-    series in n.  solve_ground_roots runs the same iteration on arrays.
+    series in n.  solve_ground_roots runs the same iteration on arrays, and
+    energy_exact takes eta on k >= 1 from this loop's last theta.
     """
+    # _gap is energy_exact's, on a branch k >= 1: it returns (xi, u) with
+    # u = sqrt(eps - theta) for eta.  Next to a threshold eps - theta ~
+    # k pi eps^2/2 lies far below an ulp of xi, and the theta that the loop
+    # accepts leaves it few digits, so Newton's method in u, du = step/(2u),
+    # polishes it: the residual is nearly linear in u there and well
+    # conditioned everywhere.  theta follows each step by its change,
+    # -du (2u + du), not by eps - u^2, which would cancel where eps is large.
+    # The polish takes 1 to 5 steps (5 for k near 1e6), so it runs to a step
+    # test, on what is left of the loop's iteration budget.  The flag sits on
+    # this function, not on a private kernel behind it, because that extra
+    # call made every scalar root about 4% slower (CPython 3.11).
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"strength n must be positive, got {n}")
     try:
@@ -263,7 +273,7 @@ def solve_even_root(n: float, branch: int = 0) -> float:
         eps = n
     else:
         b, b_lo, eps = _branch_offset(n, branch)
-    lo, hi = 0.0, min(0.5 * math.pi, eps)
+    lo, hi = 0.0, min(_HALF_PI, eps)
     # The bracket's end signs are proved: f(0) = -sqrt(eps) sqrt(n + k pi) < 0,
     # f(eps) = n sin(eps) > 0, and at hi = fl(pi/2), where sin(hi) rounds to 1
     # and cos(hi) = 6.12e-17, f(hi) = xi - 6.12e-17 eta > 0 while eta <
@@ -272,7 +282,8 @@ def solve_even_root(n: float, branch: int = 0) -> float:
     # pi/2, under half an ulp from hi.  Below the bound only _nearer_end forms
     # end residuals.
     if n >= (branch + 0.5) * 2e15 and _stable_residual(hi, b + hi, eps - hi, n) <= 0.0:
-        return b + (hi + b_lo)
+        xi = b + (hi + b_lo)
+        return (xi, math.sqrt(eps - hi)) if _gap else xi  # eps - hi > 1e15: u is exact
     if branch == 0:
         x = _ground_start(n, math)
     else:
@@ -286,29 +297,47 @@ def solve_even_root(n: float, branch: int = 0) -> float:
         if x >= hi:
             x = 0.5 * hi
     ulp = math.ulp
-    for _ in range(_MAX_ITER):
+    for iterations in range(_MAX_ITER):
         xi = b + x
-        step = _newton_step(x, xi, eps - x, n, math)
+        u2 = eps - x
+        step = _newton_step(x, xi, u2, n, math)
         if step < 0.0:
             lo = x
         else:
             hi = x
         newton = x - step
-        if abs(step) <= ROOT_ULPS_BACKWARD * ulp(xi):
-            if abs(step) < 0.5 * (eps - x):
-                # a step under half an ulp keeps x, an end
-                if not (lo < newton < hi or newton == x):
-                    newton = _nearer_end(lo, hi, b, eps, n, math)
-                return b + (newton + b_lo)
-            newton = _gap_step(x, step, eps - x)
         inside = lo < newton < hi
-        if not inside and abs(step) >= 0.5 * (eps - x):
-            newton = _gap_step(x, step, eps - x)
+        small = abs(step) <= ROOT_ULPS_BACKWARD * ulp(xi)
+        if (small or not inside) and abs(step) >= 0.5 * u2:
+            newton = _gap_step(x, step, u2)
             inside = lo < newton < hi
+        elif small:
+            # a step under half an ulp keeps x, an end
+            if not (inside or newton == x):
+                newton = _nearer_end(lo, hi, b, eps, n, math)
+            theta = newton
+            break
         if hi - lo <= ROOT_ULPS_BRACKET * ulp(b + hi):
-            return b + ((newton if inside else x) + b_lo)
+            theta = newton if inside else x
+            break
         x = newton if inside else 0.5 * (lo + hi)
-    raise _convergence_failure("root unresolved", n, branch, _MAX_ITER, lo, hi, b + (x + b_lo))
+    else:
+        raise _convergence_failure("root unresolved", n, branch, _MAX_ITER, lo, hi, b + (x + b_lo))
+    xi = b + (theta + b_lo)
+    if not _gap:
+        return xi
+    if theta < eps:
+        u = math.sqrt(eps - theta)
+    else:  # the root is the end eps: the first step from u = 0, where f = n sin(eps)
+        u = math.tan(eps) * math.sqrt(0.5 * n)
+        theta = eps - u * u
+    for _ in range(iterations + 1, _MAX_ITER):
+        du = _newton_step(theta, b + theta, u * u, n, math) / (2.0 * u)
+        theta -= du * (2.0 * u + du)
+        u += du
+        if abs(du) <= 2.0 * math.ulp(u):
+            return xi, u
+    raise _convergence_failure("eta unresolved", n, branch, _MAX_ITER, lo, hi, xi)
 
 
 def solve_ground_roots(n: np.ndarray) -> np.ndarray:
@@ -329,7 +358,7 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(n >= SERIES_STRENGTH)
     m, x = n[rows], xi[rows]
     lo = np.zeros_like(m)
-    hi = np.minimum(0.5 * math.pi, m)
+    hi = np.minimum(_HALF_PI, m)
     for _ in range(_MAX_ITER):
         if rows.size == 0:
             return xi
@@ -364,30 +393,6 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _gap(xi: float, n: float, branch: int) -> float:
-    # u = sqrt(eps - theta) at the root of branch k >= 1, so that eta =
-    # u sqrt(n + xi) keeps its digits: next to a threshold eps - theta ~
-    # k pi eps^2/2 lies far below an ulp of xi, so eps - theta at the rounded
-    # root keeps few of them.  Newton's method in u, du = step/(2u), from the
-    # theta of xi: the residual is nearly linear in u there and well
-    # conditioned everywhere.  theta follows each step by its change,
-    # -du (2u + du), not by eps - u^2, which would cancel where eps is large.
-    b, b_lo, eps = _branch_offset(n, branch)
-    theta = (xi - b) - b_lo  # xi - b is exact
-    if theta < eps:
-        u = math.sqrt(eps - theta)
-    else:  # xi rounds onto n: the first step from u = 0, where f = n sin(eps)
-        u = math.tan(eps) * math.sqrt(0.5 * n)
-        theta = eps - u * u
-    for _ in range(_MAX_ITER):
-        du = _newton_step(theta, b + theta, u * u, n, math) / (2.0 * u)
-        theta -= du * (2.0 * u + du)
-        u += du
-        if abs(du) <= 2.0 * math.ulp(u):
-            return u
-    raise ConvergenceFailure(f"eta unresolved for n={n}, branch={branch}: last u={u!r}")
-
-
 def energy_ratio(n: float, branch: int = 0) -> float:
     """E/V0 for the given strength and branch."""
     xi = solve_even_root(n, branch)
@@ -398,20 +403,23 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
     """Fully solved bound state for a physical well configuration.
 
     xi is solve_even_root's.  On a branch k >= 1, eta comes from the gap
-    u = sqrt(eps - theta), eps = n - k*pi and theta = xi - k*pi, refined by
-    Newton's method in u, as eta = u*sqrt(n + xi): next to a threshold,
-    where eta ~ k*pi*eps, it keeps its digits.  On the ground branch eta is
-    xi*tan(xi) up to n = TAN_ETA_STRENGTH and sqrt(n - xi)*sqrt(n + xi) above.
+    u = sqrt(eps - theta), eps = n - k*pi and theta = xi - k*pi, which the
+    same solve takes from its last theta and refines by Newton's method in
+    u, as eta = u*sqrt(n + xi): next to a threshold, where eta ~ k*pi*eps,
+    it keeps its digits.  On the ground branch eta is xi*tan(xi) up to
+    n = TAN_ETA_STRENGTH and sqrt(n - xi)*sqrt(n + xi) above.
     """
     strength = well_strength(cfg)
     n = strength.strength
-    xi = solve_even_root(n, branch)
     if branch:
-        eta = _gap(xi, n, branch) * math.sqrt(n + xi)
-    elif n <= TAN_ETA_STRENGTH:
-        eta = xi * math.tan(xi)
+        xi, u = solve_even_root(n, branch, True)
+        eta = u * math.sqrt(n + xi)
     else:
-        eta = math.sqrt(n - xi) * math.sqrt(n + xi)  # no overflow of n*n
+        xi = solve_even_root(n, branch)
+        if n <= TAN_ETA_STRENGTH:
+            eta = xi * math.tan(xi)
+        else:
+            eta = math.sqrt(n - xi) * math.sqrt(n + xi)  # no overflow of n*n
     a = cfg.half_width
     return BoundState(
         branch=index(branch),  # solve_even_root refuses a non-integer branch

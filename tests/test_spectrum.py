@@ -426,6 +426,23 @@ class TestConvergenceDiagnostics:
             solve_even_root(n, branch)
         self.check_message(exc, n, 1, 0.5 * math.pi)
 
+    def test_eta_polish(self, monkeypatch):
+        # The polish of u = sqrt(eps - theta) for eta runs on the root loop's
+        # iteration budget: with just enough budget for the root, eta fails
+        # with the same diagnostics.
+        cfg = unit_well(math.pi + 1e-9)
+        n = well_strength(cfg).strength
+        for budget in range(1, spectrum._MAX_ITER):
+            monkeypatch.setattr(spectrum, "_MAX_ITER", budget)
+            try:
+                solve_even_root(n, 1)
+                break
+            except ConvergenceFailure:
+                pass
+        with pytest.raises(ConvergenceFailure, match=f"eta unresolved for n={n}, branch=1") as exc:
+            energy_exact(cfg, 1)
+        self.check_message(exc, n, budget, 0.5 * math.pi)
+
     def test_batched(self, monkeypatch):
         monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceFailure, match="2 ground roots unresolved") as exc:
