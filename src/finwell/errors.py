@@ -11,6 +11,13 @@ entry point, and ``check_finite`` the range check on a result.
 from __future__ import annotations
 
 import math
+import sys
+
+# The largest double.  The scalar input checks compare with it (0 < x <=
+# FLOAT_MAX) in place of math.isfinite: the comparison refuses NaN and the
+# infinities as well, and also an int beyond the float range, for which
+# math.isfinite raises OverflowError.
+FLOAT_MAX = sys.float_info.max
 
 
 class FinwellError(Exception):
@@ -60,7 +67,7 @@ class NoRoot(NumericalError):
 def check_positive(**values: float) -> None:
     """Raise DomainError naming the first value that is not positive and finite."""
     for name, value in values.items():
-        if not math.isfinite(value) or value <= 0.0:
+        if not 0.0 < value <= FLOAT_MAX:
             raise DomainError(f"{name} must be positive and finite, got {value}")
 
 

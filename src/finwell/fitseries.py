@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 from operator import index, mul
 
-from .errors import DomainError, NumericalError, SingularSystem, check_finite
+from .errors import FLOAT_MAX, DomainError, NumericalError, SingularSystem, check_finite
 from .spectrum import energy_ratio
 
 N_COEFFS = 6
@@ -43,7 +43,7 @@ class FitGrid(namedtuple("FitGrid", "n_start n_stop n_count")):
             raise DomainError(f"n_count must be an integer, got {n_count!r}") from None
         if not (1.0 <= n_start < n_stop):
             raise DomainError(f"need 1 <= n_start < n_stop, got [{n_start}, {n_stop}]")
-        if not math.isfinite(n_stop):
+        if not n_stop <= FLOAT_MAX:
             raise DomainError(f"n_stop must be finite, got {n_stop}")
         if n_count < 2 * N_COEFFS:
             raise DomainError(f"n_count must be at least {2 * N_COEFFS}, got {n_count}")
@@ -87,7 +87,7 @@ class FitCoefficients(namedtuple("FitCoefficients", "c sigma source grid", defau
                 grid = FitGrid(g["n_start"], g["n_stop"], g["n_count"])
             c, sigma = tuple(float(x) for x in c), float(data["sigma"])
             source = str(data["source"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed coefficients document: {exc}") from exc
         if not all(math.isfinite(x) for x in (*c, sigma)):
             raise DomainError(f"coefficients and sigma must be finite, got c={c}, sigma={sigma}")
@@ -177,7 +177,7 @@ def eval_fit(coeffs: FitCoefficients, n: float) -> float:
     Raises NumericalError when the series leaves the float range (n far
     below 1).
     """
-    if not math.isfinite(n) or n <= 0.0:
+    if not 0.0 < n <= FLOAT_MAX:
         raise DomainError(f"strength n must be positive, got {n}")
     return check_finite(_horner(coeffs.c, 1.0 / n), "fitted series", n=n)
 

@@ -30,7 +30,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, NoRoot, NumericalError, PoleSingularity
-from .errors import check_finite, check_positive, check_positive_columns
+from .errors import FLOAT_MAX, check_finite, check_positive, check_positive_columns
 from .fitseries import FitCoefficients, _horner
 
 POLE_RTOL = 1e-12          # |denominator| below this times its largest term -> pole
@@ -221,7 +221,7 @@ def expansion_small_k(
     NumericalError when the expansion leaves the float range.
     """
     check_positive(a=a)
-    if not math.isfinite(K) or K < 0.0:
+    if not 0.0 <= K <= FLOAT_MAX:
         raise DomainError(f"K must be non-negative and finite, got {K}")
     _check_variant(variant)
     c = coeffs.c

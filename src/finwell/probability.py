@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, FitOutOfRange, NumericalError
-from .errors import check_columns, check_positive, check_positive_columns
+from .errors import FLOAT_MAX, check_columns, check_positive, check_positive_columns
 from .fitseries import FitCoefficients, _horner, eval_fit
 from .pressure import _rational_parts, pressure_1d
 from .spectrum import WellConfig, well_strength
@@ -100,9 +100,9 @@ def beta_from_fit(
 
 def _well_z(a: float, beta: float) -> float:
     """z = 2 a beta, after the domain checks on a and beta."""
-    if not math.isfinite(a) or a <= 0.0:
+    if not 0.0 < a <= FLOAT_MAX:
         raise DomainError(f"half-width must be positive and finite, got {a}")
-    if not math.isfinite(beta) or beta < 0.0:
+    if not 0.0 <= beta <= FLOAT_MAX:
         raise DomainError(f"decay constant must be non-negative and finite, got {beta}")
     z = 2.0 * a * beta
     if z == math.inf:

@@ -19,7 +19,7 @@ from collections import namedtuple
 from operator import index
 
 from .errors import ConvergenceFailure, DomainError, NoSuchBranch, NumericalError
-from .errors import check_positive, check_positive_columns
+from .errors import FLOAT_MAX, check_positive, check_positive_columns
 from .units import CONSTANTS
 
 # A root is accepted when its backward error |f|/|f'| is at most
@@ -136,21 +136,20 @@ def _branch_offset(n: float, branch: int) -> tuple[float, float, float]:
 # k = 0 (b = 0, eps = n) it is the xi form, rounded as it.
 
 
-def _stable_residual(theta, xi, gap, n, xp=math):
+def _stable_residual(theta, xi, gap, n):
     # f at theta, xi = b + theta and gap = eps - theta, rounded as the
     # numerator of _newton_step: evaluated only at the bracket ends, where
     # theta = eps leaves _newton_step undefined.
-    return xi * xp.sin(theta) - xp.cos(theta) * (xp.sqrt(gap) * xp.sqrt(n + xi))
+    return xi * math.sin(theta) - math.cos(theta) * (math.sqrt(gap) * math.sqrt(n + xi))
 
 
-def _nearer_end(lo, hi, b, eps, n, xp):
+def _nearer_end(lo, hi, b, eps, n):
     # The bracket end with the smaller |residual|: the root where an accepted
     # Newton point leaves its bracket.
-    closer = abs(_stable_residual(lo, b + lo, eps - lo, n, xp)) < abs(
-        _stable_residual(hi, b + hi, eps - hi, n, xp))
-    if xp is math:
-        return lo if closer else hi
-    return xp.where(closer, lo, hi)
+    if abs(_stable_residual(lo, b + lo, eps - lo, n)) < abs(
+            _stable_residual(hi, b + hi, eps - hi, n)):
+        return lo
+    return hi
 
 
 # On the ground branch xi tan(xi) = eta with xi^2 + eta^2 = n^2 is
@@ -216,15 +215,6 @@ def _convergence_failure(
     )
 
 
-def _gap_step(x, step, gap):
-    # Newton's point in u = sqrt(eps - theta), u -> u + step/(2u), for x next
-    # to eps (|step| >= gap/2, gap = eps - x).  There f ~ sqrt(eps - theta), so
-    # f' changes over the step: the step in theta overshoots past eps, or,
-    # from above the root, is far shorter than the distance to it and can pass
-    # the step test many ulp away.  In u the residual is nearly linear.
-    return x - step * (1.0 + 0.25 * step / gap)
-
-
 def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
     """Root xi of the even-parity condition on the given branch.
 
@@ -244,7 +234,8 @@ def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
     the bracket, the end with the smaller |residual| is taken.  Next to
     theta = eps, where the step in theta misleads, Newton steps in
     sqrt(eps - theta) instead.  Below SERIES_STRENGTH the ground root is its
-    series in n.  solve_ground_roots runs the same iteration on arrays, and
+    series in n.  solve_ground_roots takes this loop's plain Newton steps on
+    arrays and hands every row that needs a safeguard back here, and
     energy_exact takes eta on k >= 1 from this loop's last theta.
     """
     # _gap is energy_exact's, on a branch k >= 1: it returns (xi, u) with
@@ -258,7 +249,7 @@ def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
     # test, on what is left of the loop's iteration budget.  The flag sits on
     # this function, not on a private kernel behind it, because that extra
     # call made every scalar root about 4% slower (CPython 3.11).
-    if not math.isfinite(n) or n <= 0.0:
+    if not 0.0 < n <= FLOAT_MAX:
         raise DomainError(f"strength n must be positive, got {n}")
     try:
         branch = index(branch)
@@ -309,12 +300,17 @@ def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
         inside = lo < newton < hi
         small = abs(step) <= ROOT_ULPS_BACKWARD * ulp(xi)
         if (small or not inside) and abs(step) >= 0.5 * u2:
-            newton = _gap_step(x, step, u2)
+            # Newton's point in u = sqrt(eps - theta), u -> u + step/(2u), for x
+            # next to eps.  There f ~ sqrt(eps - theta), so f' changes over the
+            # step: the step in theta overshoots past eps, or, from above the
+            # root, is far shorter than the distance to it and can pass the
+            # step test many ulp away.  In u the residual is nearly linear.
+            newton = x - step * (1.0 + 0.25 * step / u2)
             inside = lo < newton < hi
         elif small:
             # a step under half an ulp keeps x, an end
             if not (inside or newton == x):
-                newton = _nearer_end(lo, hi, b, eps, n, math)
+                newton = _nearer_end(lo, hi, b, eps, n)
             theta = newton
             break
         if hi - lo <= ROOT_ULPS_BRACKET * ulp(b + hi):
@@ -343,13 +339,15 @@ def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
 def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     """Branch-0 roots xi for an array of strengths, all solved at once.
 
-    The iteration of solve_even_root on every row together, bit for bit:
-    its kernel with k = 0 (theta = xi, eps = n), kept inside each row's
-    proved bracket (0, min(pi/2, n)) by bisection, from the same series
-    start and with the same acceptance rule, including the end with the
-    smaller |residual| where an accepted Newton point leaves its bracket
-    (only those rows evaluate end residuals) and the step in sqrt(n - xi)
-    next to n.  Below SERIES_STRENGTH the root is the series itself.
+    The vectorised fast path of solve_even_root's loop with k = 0
+    (theta = xi, eps = n): every row starts from the same series and takes
+    the same plain Newton step, bracket update and step test, so a row
+    accepted here has the scalar root bit for bit.  A row stays in the
+    batch only while the scalar loop would take that plain step: its Newton
+    point is inside the bracket or is an accepted step that keeps x, the
+    step is under half of n - xi, and the bracket has not collapsed.  Any
+    other row is solved by solve_even_root itself, with every safeguard.
+    Below SERIES_STRENGTH the root is the series itself.
     """
     import numpy as np
     n = np.asarray(n, dtype=float)
@@ -371,19 +369,14 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
         inside = (lo < newton) & (newton < hi)
         size = np.abs(step)
         small = size <= ROOT_ULPS_BACKWARD * np.spacing(x)
-        near = (small | ~inside) & (size >= 0.5 * gap)
-        if near.any():
-            newton[near] = _gap_step(x[near], step[near], gap[near])
-            inside = (lo < newton) & (newton < hi)
-        done = small & ~near
-        ends = done & ~inside & (newton != x)
-        if ends.any():
-            newton[ends] = _nearer_end(lo[ends], hi[ends], 0.0, m[ends], m[ends], np)
+        # The rows on which the scalar loop takes the plain Newton point.
+        plain = (inside | small & (newton == x)) & (size < 0.5 * gap)
+        done = plain & small
         xi[rows[done]] = newton[done]
-        collapsed = ~done & (hi - lo <= ROOT_ULPS_BRACKET * np.spacing(hi))
-        xi[rows[collapsed]] = np.where(inside, newton, x)[collapsed]
-        keep = ~(done | collapsed)
-        x = np.where(inside, newton, 0.5 * (lo + hi))[keep]
+        keep = plain & ~small & (hi - lo > ROOT_ULPS_BRACKET * np.spacing(hi))
+        for i in rows[~(done | keep)].tolist():
+            xi[i] = solve_even_root(float(n[i]))
+        x = newton[keep]
         rows, m, lo, hi = rows[keep], m[keep], lo[keep], hi[keep]
     if rows.size:
         raise _convergence_failure(

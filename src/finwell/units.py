@@ -22,7 +22,7 @@ import re
 from collections import namedtuple
 from enum import Enum
 
-from .errors import DomainError, MalformedNumber, NumericalError, UnknownUnit
+from .errors import FLOAT_MAX, DomainError, MalformedNumber, NumericalError, UnknownUnit
 
 
 # Fixed constants table; values are pinned, never user-mutable.
@@ -68,7 +68,7 @@ class Quantity(namedtuple("Quantity", "value dimension")):
     __slots__ = ()
 
     def __new__(cls, value: float, dimension: Dimension) -> Quantity:
-        if not math.isfinite(value):
+        if not abs(value) <= FLOAT_MAX:
             raise DomainError(f"quantity value must be finite, got {value}")
         return super().__new__(cls, value, dimension)
 
@@ -112,5 +112,6 @@ def parse_quantity(text: str) -> Quantity:
 def quantity(value: float, unit: str) -> Quantity:
     """Construct a Quantity from a value expressed in ``unit``."""
     dim, factor = _lookup_unit(unit)
-    return Quantity(value * factor, dim)
+    # An int beyond the float range cannot be scaled; Quantity refuses it unscaled.
+    return Quantity(value * factor if abs(value) <= FLOAT_MAX else value, dim)
 

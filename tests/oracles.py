@@ -50,17 +50,6 @@ def even_root_oracle(n: float) -> float:
     return bisect_root(g, 1e-300, min(0.5 * math.pi, n))
 
 
-def branch_root_oracle(n: float, branch: int) -> float:
-    """Root on branch k >= 1 by bisection of the cos-multiplied form over
-    (k*pi, min(k*pi + pi/2, n))."""
-
-    def g(x: float) -> float:
-        return x * math.sin(x) - math.cos(x) * math.sqrt(max(n * n - x * x, 0.0))
-
-    lo = branch * math.pi
-    return bisect_root(g, lo, min(lo + 0.5 * math.pi, n))
-
-
 def eta_oracle(n: float, xi: float) -> float:
     """sqrt(n^2 - xi^2) in 60-digit decimal, which neither cancels nor overflows."""
     with localcontext() as ctx:
@@ -121,14 +110,18 @@ PI_DIGITS = Decimal(
 )
 
 
-def branch_root_eta_oracle(n: float, branch: int) -> tuple[float, float]:
+def branch_root_eta_oracle(
+    n: float, branch: int, halvings: int = 200
+) -> tuple[float, float]:
     """(xi, eta) of the level on branch k >= 1, in 60-digit decimal.
 
     Bisection in d = xi - k pi of xi sin(d) - cos(d) sqrt((e - d)(n + xi))
     over (0, min(e, pi/2)), e = n - k pi formed from the 100-digit pi, where
     it changes sign once (the cos-multiplied residual times (-1)^k); then
     eta = sqrt((e - d)(n + xi)), with no cancellation of n^2 - xi^2.  200
-    halvings leave d within 2^-200 of the bracket width.
+    halvings leave d within 2^-200 of the bracket width.  For xi alone 80
+    are plenty: they leave d within pi/2 * 2^-80 = 1.3e-24, under 1e-8 of
+    an ulp of xi > pi; eta next to a threshold needs all 200.
     """
     with localcontext() as ctx:
         ctx.prec = 60
@@ -142,7 +135,7 @@ def branch_root_eta_oracle(n: float, branch: int) -> tuple[float, float]:
             return (base + d) * sin - cos * ((e - d) * (nd + base + d)).sqrt()
 
         lo, hi = Decimal(0), min(e, PI_DIGITS / 2)
-        for _ in range(200):
+        for _ in range(halvings):
             mid = (lo + hi) / 2
             if g(mid) < 0:
                 lo = mid

@@ -32,7 +32,6 @@ from oracles import (
     HALF_PI,
     PI_DIGITS,
     branch_root_eta_oracle,
-    branch_root_oracle,
     even_root_oracle,
     eta_oracle,
     ground_root_eta_oracle,
@@ -228,7 +227,7 @@ class TestRootAcceptance:
         for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.1):
             n = k * math.pi + eps
             xi = solve_even_root(n, k)
-            assert abs(xi - branch_root_oracle(n, k)) <= 2 * math.ulp(xi), (n, k)
+            assert abs(xi - branch_root_eta_oracle(n, k, 80)[0]) <= 2 * math.ulp(xi), (n, k)
 
     @pytest.mark.parametrize("n", [1e-300, 1e-100, 1e-9])
     def test_tiny_strength(self, n):
@@ -347,7 +346,7 @@ class TestHigherBranchProperty:
             top -= 1
         k = data.draw(st.integers(1, top))
         xi = solve_even_root(n, k)
-        assert abs(xi - branch_root_oracle(n, k)) <= 2 * math.ulp(xi), (n, k)
+        assert abs(xi - branch_root_eta_oracle(n, k, 80)[0]) <= 2 * math.ulp(xi), (n, k)
 
 
 def unit_well(n: float) -> WellConfig:
@@ -455,9 +454,42 @@ class TestBatchedRoots:
     @settings(max_examples=200)
     @given(st.lists(st.floats(math.log(1e-12), math.log(1e300)), min_size=1, max_size=40))
     @example([math.log(1.5955634434013662e16)])  # the batched root was 1 ulp low
+    @example([math.log(9129563212616468.0)])  # a row handed to solve_even_root
     def test_matches_scalar_solver(self, logs):
         n = np.exp(np.array(logs))
         assert solve_ground_roots(n).tolist() == [solve_even_root(ni) for ni in n.tolist()]
+
+    def handed_off(self, monkeypatch, n):
+        # The strengths solve_ground_roots hands to solve_even_root, after
+        # checking its roots against the scalar solver's.
+        calls = []
+        monkeypatch.setattr(spectrum, "solve_even_root",
+                            lambda ni: calls.append(ni) or solve_even_root(ni))
+        xi = solve_ground_roots(n)
+        assert xi.tolist() == [solve_even_root(ni) for ni in n.tolist()]
+        return calls
+
+    def test_hand_offs(self, monkeypatch):
+        # Rows leave the plain Newton batch only where the scalar loop takes
+        # a safeguard: none on the benchmark's sweep grid or in the log-uniform
+        # draw, a few where the root is within ulps of pi/2.
+        rng = np.random.default_rng(0)
+        loguniform = np.exp(rng.uniform(math.log(1e-3), math.log(1e12), 20000))
+        assert self.handed_off(monkeypatch, np.geomspace(0.09, 110.0, 3000)) == []
+        assert self.handed_off(monkeypatch, loguniform) == []
+        assert len(self.handed_off(monkeypatch, np.geomspace(1e15, 1e300, 100001))) >= 1
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.999999])
+    def test_poor_start_hands_off_bit_equal(self, monkeypatch, fraction):
+        # From a start of the bracket midpoint, or just under its top, both
+        # solvers need the bisection, the step in sqrt(n - xi) and the nearer
+        # bracket end; the batch hands those rows to the scalar loop.
+        def start(n, xp):
+            top = min(n, 0.5 * math.pi) if xp is math else np.minimum(n, 0.5 * math.pi)
+            return fraction * top
+
+        monkeypatch.setattr(spectrum, "_ground_start", start)
+        assert len(self.handed_off(monkeypatch, np.geomspace(1e-3, 1e300, 20001))) > 1000
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_bad_strength(self, bad):
