@@ -166,7 +166,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "eta": state.eta,
         "E_J": state.energy,
         "E_eV": energy_ev,
-        "E_over_V0": state.energy / cfg.depth,
+        "E_over_V0": state.energy_ratio,
     }
     _emit(values, args.json)
     return EXIT_OK

@@ -6,6 +6,7 @@ of the numerics themselves.  ``check_positive`` is the shared domain check
 for quantities that must be positive and finite, ``check_positive_columns``
 the same check on arrays, ``check_columns`` the shape check of every array
 entry point, and ``check_finite`` the range check on a result.
+``value_text`` is the text of a refused value in every domain message.
 """
 
 from __future__ import annotations
@@ -64,11 +65,20 @@ class NoRoot(NumericalError):
     """Root search found no root in the requested interval."""
 
 
+def value_text(value: object) -> str:
+    """str(value), or the sign and bit length of an int too long for str()."""
+    try:
+        return str(value)
+    except ValueError:  # more than sys.get_int_max_str_digits() digits
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {abs(value).bit_length()} bits"
+
+
 def check_positive(**values: float) -> None:
     """Raise DomainError naming the first value that is not positive and finite."""
     for name, value in values.items():
         if not 0.0 < value <= FLOAT_MAX:
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+            raise DomainError(f"{name} must be positive and finite, got {value_text(value)}")
 
 
 def check_finite(value: float, what: str, **at: float) -> float:

@@ -26,6 +26,7 @@ from collections import namedtuple
 from operator import index, mul
 
 from .errors import FLOAT_MAX, DomainError, NumericalError, SingularSystem, check_finite
+from .errors import value_text
 from .spectrum import energy_ratio
 
 N_COEFFS = 6
@@ -42,11 +43,14 @@ class FitGrid(namedtuple("FitGrid", "n_start n_stop n_count")):
         except TypeError:
             raise DomainError(f"n_count must be an integer, got {n_count!r}") from None
         if not (1.0 <= n_start < n_stop):
-            raise DomainError(f"need 1 <= n_start < n_stop, got [{n_start}, {n_stop}]")
+            raise DomainError(
+                f"need 1 <= n_start < n_stop, got [{value_text(n_start)}, {value_text(n_stop)}]")
         if not n_stop <= FLOAT_MAX:
-            raise DomainError(f"n_stop must be finite, got {n_stop}")
+            raise DomainError(f"n_stop must be finite, got {value_text(n_stop)}")
         if n_count < 2 * N_COEFFS:
-            raise DomainError(f"n_count must be at least {2 * N_COEFFS}, got {n_count}")
+            raise DomainError(f"n_count must be at least {2 * N_COEFFS}, got {value_text(n_count)}")
+        if not n_count <= FLOAT_MAX:  # its step (n_stop - n_start)/(n_count - 1) would overflow
+            raise DomainError(f"n_count must be within the float range, got {value_text(n_count)}")
         return super().__new__(cls, n_start, n_stop, n_count)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
@@ -178,7 +182,7 @@ def eval_fit(coeffs: FitCoefficients, n: float) -> float:
     below 1).
     """
     if not 0.0 < n <= FLOAT_MAX:
-        raise DomainError(f"strength n must be positive, got {n}")
+        raise DomainError(f"strength n must be positive, got {value_text(n)}")
     return check_finite(_horner(coeffs.c, 1.0 / n), "fitted series", n=n)
 
 

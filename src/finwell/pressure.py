@@ -30,7 +30,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, NoRoot, NumericalError, PoleSingularity
-from .errors import FLOAT_MAX, check_finite, check_positive, check_positive_columns
+from .errors import FLOAT_MAX, check_finite, check_positive, check_positive_columns, value_text
 from .fitseries import FitCoefficients, _horner
 
 POLE_RTOL = 1e-12          # |denominator| below this times its largest term -> pole
@@ -222,7 +222,7 @@ def expansion_small_k(
     """
     check_positive(a=a)
     if not 0.0 <= K <= FLOAT_MAX:
-        raise DomainError(f"K must be non-negative and finite, got {K}")
+        raise DomainError(f"K must be non-negative and finite, got {value_text(K)}")
     _check_variant(variant)
     c = coeffs.c
     if c[1] == 0.0:

@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, FitOutOfRange, NumericalError
-from .errors import FLOAT_MAX, check_columns, check_positive, check_positive_columns
+from .errors import FLOAT_MAX, check_columns, check_positive, check_positive_columns, value_text
 from .fitseries import FitCoefficients, _horner, eval_fit
 from .pressure import _rational_parts, pressure_1d
 from .spectrum import WellConfig, well_strength
@@ -101,9 +101,10 @@ def beta_from_fit(
 def _well_z(a: float, beta: float) -> float:
     """z = 2 a beta, after the domain checks on a and beta."""
     if not 0.0 < a <= FLOAT_MAX:
-        raise DomainError(f"half-width must be positive and finite, got {a}")
+        raise DomainError(f"half-width must be positive and finite, got {value_text(a)}")
     if not 0.0 <= beta <= FLOAT_MAX:
-        raise DomainError(f"decay constant must be non-negative and finite, got {beta}")
+        raise DomainError(
+            f"decay constant must be non-negative and finite, got {value_text(beta)}")
     z = 2.0 * a * beta
     if z == math.inf:
         raise NumericalError(f"2 a beta overflows at a = {a:.6g} m, beta = {beta:.6g} 1/m")
@@ -112,7 +113,7 @@ def _well_z(a: float, beta: float) -> float:
 
 def _check_gamma(gamma: float) -> None:
     if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
+        raise DomainError(f"gamma must lie in [0, 1], got {value_text(gamma)}")
 
 
 def probability_interval(a: float, beta: float, gamma: float) -> ProbabilityResult:

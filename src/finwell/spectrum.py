@@ -19,7 +19,7 @@ from collections import namedtuple
 from operator import index
 
 from .errors import ConvergenceFailure, DomainError, NoSuchBranch, NumericalError
-from .errors import FLOAT_MAX, check_positive, check_positive_columns
+from .errors import FLOAT_MAX, check_positive, check_positive_columns, value_text
 from .units import CONSTANTS
 
 # A root is accepted when its backward error |f|/|f'| is at most
@@ -57,13 +57,15 @@ WellStrength = namedtuple("WellStrength", "strength characteristic_length")
 
 # One solved even-parity level.  xi is the interior phase alpha*a, eta the
 # exterior decay phase beta*a; alpha [1/m] is the interior wavenumber and
-# beta [1/m] the exterior decay constant; energy E [J].  xi^2 + eta^2 = n^2
-# and E = (xi/n)^2 * V0.
-BoundState = namedtuple("BoundState", "branch xi eta alpha beta energy")
+# beta [1/m] the exterior decay constant; energy E [J] and energy_ratio E/V0.
+# xi^2 + eta^2 = n^2 and E = (xi/n)^2 * V0; energy_ratio is (xi/n)^2 itself,
+# which keeps its digits where E is subnormal.
+BoundState = namedtuple("BoundState", "branch xi eta alpha beta energy energy_ratio")
 
 # Branch-0 columns of a batch of wells, one array entry per well: strength n,
-# characteristic_length K [m], xi and energy E [J].
-GroundStates = namedtuple("GroundStates", "strength characteristic_length xi energy")
+# characteristic_length K [m], xi, energy E [J] and energy_ratio E/V0.
+GroundStates = namedtuple(
+    "GroundStates", "strength characteristic_length xi energy energy_ratio")
 
 
 def _strength(a, momentum):
@@ -77,8 +79,9 @@ def _out_of_float_range(quantity: str, a: float, m: float, V0: float) -> Numeric
     )
 
 
-def _energy(xi, n, V0):
-    return (xi / n) ** 2 * V0
+def _ratio(xi, n):
+    # E/V0 = (xi/n)^2; floats or arrays.
+    return (xi / n) ** 2
 
 
 def well_strength(cfg: WellConfig) -> WellStrength:
@@ -134,22 +137,6 @@ def _branch_offset(n: float, branch: int) -> tuple[float, float, float]:
 #     f(theta) = xi sin(theta) - cos(theta) sqrt(eps - theta) sqrt(n + xi),
 # which rises through the root on (0, min(pi/2, eps)) on every branch.  For
 # k = 0 (b = 0, eps = n) it is the xi form, rounded as it.
-
-
-def _stable_residual(theta, xi, gap, n):
-    # f at theta, xi = b + theta and gap = eps - theta, rounded as the
-    # numerator of _newton_step: evaluated only at the bracket ends, where
-    # theta = eps leaves _newton_step undefined.
-    return xi * math.sin(theta) - math.cos(theta) * (math.sqrt(gap) * math.sqrt(n + xi))
-
-
-def _nearer_end(lo, hi, b, eps, n):
-    # The bracket end with the smaller |residual|: the root where an accepted
-    # Newton point leaves its bracket.
-    if abs(_stable_residual(lo, b + lo, eps - lo, n)) < abs(
-            _stable_residual(hi, b + hi, eps - hi, n)):
-        return lo
-    return hi
 
 
 # On the ground branch xi tan(xi) = eta with xi^2 + eta^2 = n^2 is
@@ -224,19 +211,17 @@ def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
     xi*sin(theta) - cos(theta)*sqrt(eps - theta)*sqrt(n + xi) ((-1)^k times
     xi*sin(xi) - cos(xi)*sqrt(n^2 - xi^2)), kept inside the bracket
     (0, min(pi/2, eps)) by bisection.  It rises through the one root there
-    on every branch, and the signs of the bracket ends are proved, not
-    evaluated, for n < (k + 1/2)*2e15; past that the residual at pi/2 is
-    evaluated.  Branch 0 starts from a series of its root (in n^2 below
-    n = 0.7, in 1/(n + 1) above), higher branches from acos(k*pi/n) with
-    one trig-free correction.  A root is accepted when its Newton step (the
-    backward error) is at most ROOT_ULPS_BACKWARD ulps of xi or its bracket
-    at most ROOT_ULPS_BRACKET ulps; where the accepted Newton point leaves
-    the bracket, the end with the smaller |residual| is taken.  Next to
-    theta = eps, where the step in theta misleads, Newton steps in
-    sqrt(eps - theta) instead.  Below SERIES_STRENGTH the ground root is its
-    series in n.  solve_ground_roots takes this loop's plain Newton steps on
-    arrays and hands every row that needs a safeguard back here, and
-    energy_exact takes eta on k >= 1 from this loop's last theta.
+    on every branch, and no residual is evaluated at a bracket end.  Branch
+    0 starts from a series of its root (in n^2 below n = 0.7, in 1/(n + 1)
+    above), higher branches from acos(k*pi/n) with one trig-free
+    correction.  A root is accepted when its Newton step (the backward
+    error) is at most ROOT_ULPS_BACKWARD ulps of xi or its bracket at most
+    ROOT_ULPS_BRACKET ulps; an accepted Newton point past a bracket end is
+    that end.  Next to theta = eps, where the step in theta misleads, Newton
+    steps in sqrt(eps - theta) instead.  Below SERIES_STRENGTH the ground
+    root is its series in n.  solve_ground_roots takes this loop's plain
+    Newton steps on arrays and hands every row that needs a safeguard back
+    here, and energy_exact takes eta on k >= 1 from this loop's last theta.
     """
     # _gap is energy_exact's, on a branch k >= 1: it returns (xi, u) with
     # u = sqrt(eps - theta) for eta.  Next to a threshold eps - theta ~
@@ -250,7 +235,7 @@ def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
     # this function, not on a private kernel behind it, because that extra
     # call made every scalar root about 4% slower (CPython 3.11).
     if not 0.0 < n <= FLOAT_MAX:
-        raise DomainError(f"strength n must be positive, got {n}")
+        raise DomainError(f"strength n must be positive, got {value_text(n)}")
     try:
         branch = index(branch)
     except TypeError:
@@ -265,16 +250,10 @@ def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
     else:
         b, b_lo, eps = _branch_offset(n, branch)
     lo, hi = 0.0, min(_HALF_PI, eps)
-    # The bracket's end signs are proved: f(0) = -sqrt(eps) sqrt(n + k pi) < 0,
-    # f(eps) = n sin(eps) > 0, and at hi = fl(pi/2), where sin(hi) rounds to 1
-    # and cos(hi) = 6.12e-17, f(hi) = xi - 6.12e-17 eta > 0 while eta <
-    # (k + 1/2) pi 1.6e16; below the bound on n, eta < n is 25 times inside
-    # that.  Past it, where f(hi) <= 0 the root lies between fl(pi/2) and
-    # pi/2, under half an ulp from hi.  Below the bound only _nearer_end forms
-    # end residuals.
-    if n >= (branch + 0.5) * 2e15 and _stable_residual(hi, b + hi, eps - hi, n) <= 0.0:
-        xi = b + (hi + b_lo)
-        return (xi, math.sqrt(eps - hi)) if _gap else xi  # eps - hi > 1e15: u is exact
+    # f(0) = -sqrt(eps) sqrt(n + k pi) < 0 and f(eps) = n sin(eps) > 0.  At
+    # hi = fl(pi/2), f(hi) = xi - 6.12e-17 eta, which can be <= 0 only from
+    # n ~ (k + 1/2) 2e15 on; the root then lies under half an ulp above hi,
+    # and the accepted Newton point past hi is hi.
     if branch == 0:
         x = _ground_start(n, math)
     else:
@@ -308,10 +287,8 @@ def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
             newton = x - step * (1.0 + 0.25 * step / u2)
             inside = lo < newton < hi
         elif small:
-            # a step under half an ulp keeps x, an end
-            if not (inside or newton == x):
-                newton = _nearer_end(lo, hi, b, eps, n)
-            theta = newton
+            # An accepted Newton point past a bracket end is that end.
+            theta = newton if inside else hi if newton >= hi else lo
             break
         if hi - lo <= ROOT_ULPS_BRACKET * ulp(b + hi):
             theta = newton if inside else x
@@ -341,12 +318,13 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
 
     The vectorised fast path of solve_even_root's loop with k = 0
     (theta = xi, eps = n): every row starts from the same series and takes
-    the same plain Newton step, bracket update and step test, so a row
-    accepted here has the scalar root bit for bit.  A row stays in the
-    batch only while the scalar loop would take that plain step: its Newton
-    point is inside the bracket or is an accepted step that keeps x, the
-    step is under half of n - xi, and the bracket has not collapsed.  Any
-    other row is solved by solve_even_root itself, with every safeguard.
+    the same plain Newton step, bracket update and step test, and an
+    accepted Newton point past a bracket end is that end, so a row accepted
+    here has the scalar root bit for bit.  A row stays in the batch only
+    while the scalar loop would take that plain step: its Newton point is
+    inside the bracket or accepted, the step is under half of n - xi, and
+    the bracket has not collapsed.  Any other row is solved by
+    solve_even_root itself, with every safeguard.
     Below SERIES_STRENGTH the root is the series itself.
     """
     import numpy as np
@@ -365,12 +343,14 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
         below = step < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        newton = x - step
+        # An accepted Newton point past a bracket end is that end; the clip
+        # leaves inside exactly the points that were strictly inside.
+        newton = np.minimum(np.maximum(x - step, lo), hi)  # np.clip is twice as slow
         inside = (lo < newton) & (newton < hi)
         size = np.abs(step)
         small = size <= ROOT_ULPS_BACKWARD * np.spacing(x)
         # The rows on which the scalar loop takes the plain Newton point.
-        plain = (inside | small & (newton == x)) & (size < 0.5 * gap)
+        plain = (inside | small) & (size < 0.5 * gap)
         done = plain & small
         xi[rows[done]] = newton[done]
         keep = plain & ~small & (hi - lo > ROOT_ULPS_BRACKET * np.spacing(hi))
@@ -388,8 +368,7 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
 
 def energy_ratio(n: float, branch: int = 0) -> float:
     """E/V0 for the given strength and branch."""
-    xi = solve_even_root(n, branch)
-    return (xi / n) ** 2
+    return _ratio(solve_even_root(n, branch), n)
 
 
 def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
@@ -414,13 +393,15 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
         else:
             eta = math.sqrt(n - xi) * math.sqrt(n + xi)  # no overflow of n*n
     a = cfg.half_width
+    ratio = _ratio(xi, n)
     return BoundState(
         branch=index(branch),  # solve_even_root refuses a non-integer branch
         xi=xi,
         eta=eta,
         alpha=xi / a,
         beta=eta / a,
-        energy=_energy(xi, n, cfg.depth),
+        energy=ratio * cfg.depth,
+        energy_ratio=ratio,
     )
 
 
@@ -444,8 +425,9 @@ def ground_states(
             i = bad[0]
             raise _out_of_float_range(quantity, half_width[i], mass[i], depth[i])
     xi = solve_ground_roots(n)
+    ratio = _ratio(xi, n)
     return GroundStates(
-        strength=n, characteristic_length=K, xi=xi, energy=_energy(xi, n, depth)
+        strength=n, characteristic_length=K, xi=xi, energy=ratio * depth, energy_ratio=ratio
     )
 
 

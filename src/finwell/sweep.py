@@ -87,7 +87,7 @@ def sweep_table(
     R, out_of_range, r_overflow = (
         (None, no, no) if g is None else probability_columns(a, K, coeffs, m, V0, g))
     arrays = dict(zip(COLUMNS, (values, a, states.strength, K, states.xi, states.energy,
-                                states.energy / V0, p, dedp, R)))
+                                states.energy_ratio, p, dedp, R)))
     empty = {"P_N": overflow, "dEdP_m": near_pole | overflow, "R": out_of_range | r_overflow}
     for name, column in arrays.items():  # before any table exists
         bad = [] if column is None else np.flatnonzero(~np.isfinite(column) & ~empty.get(name, no))

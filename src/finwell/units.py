@@ -23,6 +23,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import FLOAT_MAX, DomainError, MalformedNumber, NumericalError, UnknownUnit
+from .errors import value_text
 
 
 # Fixed constants table; values are pinned, never user-mutable.
@@ -69,7 +70,7 @@ class Quantity(namedtuple("Quantity", "value dimension")):
 
     def __new__(cls, value: float, dimension: Dimension) -> Quantity:
         if not abs(value) <= FLOAT_MAX:
-            raise DomainError(f"quantity value must be finite, got {value}")
+            raise DomainError(f"quantity value must be finite, got {value_text(value)}")
         return super().__new__(cls, value, dimension)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too

@@ -25,6 +25,7 @@ import finwell.cli as cli
 import finwell.sweep
 from finwell.cli import CSV_HEADER, EXIT_BROKEN_PIPE, build_parser, main
 from finwell.sweep import ROW_FLAGS, SweepTable
+from oracles import ground_root_eta_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,7 +50,24 @@ def hydrogen_k():
     return well_strength(hydrogen_well()).characteristic_length
 
 
+SUBNORMAL_WELL = ["--depth", "1e-320J", "--mass", "1e300kg"]
+
+
+def check_energy_ratio(ratio, n):
+    # E/V0 = (xi/n)^2 from the decimal root, whatever the precision of E_J.
+    want = (ground_root_eta_oracle(n)[0] / n) ** 2
+    assert abs(ratio - want) <= 4 * math.ulp(want), (n, ratio, want)
+
+
 class TestSpectrum:
+    def test_subnormal_energy(self, capsys):
+        # E_J rounds to 0 and E_J / V0 printed 0.0 for E/V0 = 1.37e-8.
+        code, out, _ = run(capsys, ["spectrum", "--width", "1e-20m", *SUBNORMAL_WELL, "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["E_J"] == 0.0
+        check_energy_ratio(doc["E_over_V0"], doc["n"])
+
     def test_hydrogen_flags(self, capsys):
         code, out, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS])
         assert code == 0
@@ -299,6 +317,12 @@ class TestFit:
         assert code == 1
         assert err == "finwell fit: domain error: n_stop must be finite, got inf\n"
 
+    def test_grid_count_beyond_float_range_domain_error(self, capsys):
+        code, out, err = run(capsys, ["fit", "--grid", "1:10:1" + "0" * 400])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("finwell fit: domain error: n_count must be within the float range")
+
     def test_malformed_grid_usage_error(self, capsys):
         code, _, _ = run(capsys, ["fit", "--grid", "1:10"])
         assert code == 3
@@ -375,6 +399,18 @@ class TestSweep:
         assert code == 0
         R = float(out.splitlines()[1].split(",")[CSV_HEADER.index("R")])
         assert R == pytest.approx(0.9063524156122018, rel=1e-12)
+
+    def test_subnormal_energy(self, capsys):
+        # E_J is subnormal: E_J / V0 printed 0.41847826086956524 for
+        # E/V0 = 0.41837032306769917 in the first row.
+        code, out, _ = run(capsys, [
+            "sweep", "--param", "width", "--from", "1e-24m", "--to", "2e-24m", "--steps", "3",
+            *SUBNORMAL_WELL,
+        ])
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            row = dict(zip(CSV_HEADER, line.split(",")))
+            check_energy_ratio(float(row["E_over_V0"]), float(row["n"]))
 
     def test_row_count_and_header(self, capsys):
         code, out, _ = run(capsys, self.width_args())

@@ -68,6 +68,14 @@ class TestFitGrid:
         with pytest.raises(DomainError, match="n_stop must be finite, got inf"):
             FitGrid(1.0, math.inf, 13)
 
+    @pytest.mark.parametrize("count", [10**400, 10**5000], ids=["10**400", "10**5000"])
+    def test_count_beyond_float_range(self, count):
+        # refit raised a raw OverflowError from the grid step.  A finite
+        # count too large to allocate, such as 10**11, is not tested: its
+        # list of points fills memory slowly rather than raising.
+        with pytest.raises(DomainError, match="n_count must be within the float range"):
+            FitGrid(1.0, 10.0, count)
+
     @pytest.mark.parametrize("count", [12.5, 13.0, "13", None])
     def test_non_integer_count(self, count):
         with pytest.raises(DomainError, match="n_count must be an integer"):

@@ -385,23 +385,18 @@ class TestBranchThreshold:
     def test_eta_property(self, k, log_eps):
         self.check_level(k, math.exp(log_eps))
 
-    def test_no_end_residuals_in_the_proved_range(self, monkeypatch):
-        # The bracket (0, min(pi/2, eps)) has proved end signs: only
-        # _nearer_end, where an accepted Newton point leaves it, forms end
-        # residuals (two per call); the bracket-midpoint solver evaluated two
-        # per root.
-        residual, ends, calls = spectrum._stable_residual, spectrum._nearer_end, []
-        monkeypatch.setattr(spectrum, "_stable_residual",
-                            lambda *args: calls.append("residual") or residual(*args))
-        monkeypatch.setattr(spectrum, "_nearer_end",
-                            lambda *args: calls.append("end") or ends(*args))
-        rng = np.random.default_rng(5)
-        for n in np.exp(rng.uniform(math.log(1.5 * math.pi), math.log(3e3), 500)).tolist():
-            solve_even_root(n, int(rng.integers(1, int((n - 0.5 * math.pi) // math.pi) + 1)))
-        for k in range(1, 40):
-            for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.1):
-                solve_even_root(k * math.pi + eps, k)
-        assert calls.count("residual") == 2 * calls.count("end")
+    @pytest.mark.parametrize(
+        "n, k", [(1e20, 1), (3e16, 2), (1e300, 3), (1.7976931348623157e308, 7)])
+    def test_past_the_bracket_top(self, n, k):
+        # From n ~ (k + 1/2) 2e15 on the residual at fl(pi/2) can be <= 0:
+        # the root lies under half an ulp above the bracket top, and Newton
+        # leaves the bracket through it.
+        cfg = unit_well(n)
+        n = well_strength(cfg).strength
+        state = energy_exact(cfg, k)
+        want_xi, want_eta = branch_root_eta_oracle(n, k)
+        assert abs(state.xi - want_xi) <= 2 * math.ulp(want_xi)
+        assert abs(state.eta - want_eta) <= 2 * math.ulp(want_eta)
 
 
 class TestConvergenceDiagnostics:
@@ -454,7 +449,7 @@ class TestBatchedRoots:
     @settings(max_examples=200)
     @given(st.lists(st.floats(math.log(1e-12), math.log(1e300)), min_size=1, max_size=40))
     @example([math.log(1.5955634434013662e16)])  # the batched root was 1 ulp low
-    @example([math.log(9129563212616468.0)])  # a row handed to solve_even_root
+    @example([math.log(9129563212616468.0)])  # a row once handed to solve_even_root
     def test_matches_scalar_solver(self, logs):
         n = np.exp(np.array(logs))
         assert solve_ground_roots(n).tolist() == [solve_even_root(ni) for ni in n.tolist()]
@@ -471,19 +466,21 @@ class TestBatchedRoots:
 
     def test_hand_offs(self, monkeypatch):
         # Rows leave the plain Newton batch only where the scalar loop takes
-        # a safeguard: none on the benchmark's sweep grid or in the log-uniform
-        # draw, a few where the root is within ulps of pi/2.
+        # a safeguard (bisection, the step in sqrt(n - xi), a collapsed
+        # bracket): none on the benchmark's sweep grid, in the log-uniform
+        # draw, or from n = 1e15 up, where the root is within ulps of pi/2.
         rng = np.random.default_rng(0)
         loguniform = np.exp(rng.uniform(math.log(1e-3), math.log(1e12), 20000))
         assert self.handed_off(monkeypatch, np.geomspace(0.09, 110.0, 3000)) == []
         assert self.handed_off(monkeypatch, loguniform) == []
-        assert len(self.handed_off(monkeypatch, np.geomspace(1e15, 1e300, 100001))) >= 1
+        assert self.handed_off(monkeypatch, np.geomspace(1e15, 1e300, 100001)) == []
+        assert self.handed_off(monkeypatch, np.geomspace(1e15, 1e17, 200001)) == []
 
     @pytest.mark.parametrize("fraction", [0.5, 0.999999])
     def test_poor_start_hands_off_bit_equal(self, monkeypatch, fraction):
         # From a start of the bracket midpoint, or just under its top, both
-        # solvers need the bisection, the step in sqrt(n - xi) and the nearer
-        # bracket end; the batch hands those rows to the scalar loop.
+        # solvers need the bisection and the step in sqrt(n - xi); the batch
+        # hands those rows to the scalar loop.
         def start(n, xp):
             top = min(n, 0.5 * math.pi) if xp is math else np.minimum(n, 0.5 * math.pi)
             return fraction * top
