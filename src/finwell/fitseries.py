@@ -75,6 +75,17 @@ class FitCoefficients(namedtuple("FitCoefficients", "c sigma source grid", defau
 
     __slots__ = ()
 
+    def __new__(cls, c, sigma: float, source: str, grid: FitGrid | None = None) -> FitCoefficients:
+        c = tuple(c)
+        if len(c) != N_COEFFS:
+            raise DomainError(f"expected {N_COEFFS} coefficients, got {len(c)}")
+        for x in (*c, sigma):
+            if not -FLOAT_MAX <= x <= FLOAT_MAX:
+                raise DomainError(f"coefficients and sigma must be finite, got {value_text(x)}")
+        return super().__new__(cls, tuple(map(float, c)), float(sigma), source, grid)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
     def to_dict(self) -> dict:
         grid = None if self.grid is None else self.grid._asdict()
         return {"c": list(self.c), "sigma": self.sigma, "source": self.source, "grid": grid}
@@ -82,20 +93,12 @@ class FitCoefficients(namedtuple("FitCoefficients", "c sigma source grid", defau
     @classmethod
     def from_dict(cls, data: dict) -> "FitCoefficients":
         try:
-            c = data["c"]
-            if len(c) != N_COEFFS:
-                raise DomainError(f"expected {N_COEFFS} coefficients, got {len(c)}")
-            grid = None
-            if data.get("grid") is not None:
-                g = data["grid"]
-                grid = FitGrid(g["n_start"], g["n_stop"], g["n_count"])
-            c, sigma = tuple(float(x) for x in c), float(data["sigma"])
-            source = str(data["source"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            c, sigma, source, grid = data["c"], data["sigma"], str(data["source"]), data.get("grid")
+            if grid is not None:
+                grid = FitGrid(grid["n_start"], grid["n_stop"], grid["n_count"])
+            return cls(c, sigma, source, grid)
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed coefficients document: {exc}") from exc
-        if not all(math.isfinite(x) for x in (*c, sigma)):
-            raise DomainError(f"coefficients and sigma must be finite, got c={c}, sigma={sigma}")
-        return cls(c=c, sigma=sigma, source=source, grid=grid)
 
 
 # Published constants of the inverse-power series and the quoted sigma.

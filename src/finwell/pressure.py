@@ -141,14 +141,6 @@ def _rational_parts(
     return num, den
 
 
-def _wide_well_dedp(a, num, den):
-    # dE/dP with the quotient taken first.  For very wide wells (from a/K ~
-    # 1e62 at K = 1) a * num overflows although dE/dP ~ a/2 does not.  Only
-    # where the usual 0.5 * a * num / den is inf is this order used, so every
-    # other result keeps its bits.
-    return 0.5 * a * (num / den)
-
-
 def denergy_dpressure(
     a: float, K: float, coeffs: FitCoefficients, variant: str = "consistent"
 ) -> float:
@@ -163,9 +155,11 @@ def denergy_dpressure(
     check_positive(a=a, K=K)
     a, K = float(a), float(K)  # a numpy scalar would warn on overflow
     num, den = _rational_parts(a, K, coeffs, variant)
-    dedp = 0.5 * a * num / den
+    # The quotient first: a * num overflows for very wide wells (from a/K ~
+    # 1e62 at K = 1), although dE/dP ~ a/2 does not.
+    dedp = 0.5 * a * (num / den)
     if math.isinf(dedp):
-        dedp = check_finite(_wide_well_dedp(a, num, den), "dE/dP", **{"a/K": a / K})
+        raise NumericalError(f"dE/dP overflows at a/K = {a / K:.6g}")
     return dedp
 
 
@@ -187,8 +181,7 @@ def pressure_columns(
         # Rows that overflow or sit on the pole are flagged below.
         pressure = _pressure(a, K, coeffs.c, V0)
         num, den, near_pole = _rational_sums(t, coeffs.c, variant)
-        dedp = 0.5 * a * num / den
-        dedp = np.where(np.isinf(dedp), _wide_well_dedp(a, num, den), dedp)
+        dedp = 0.5 * a * (num / den)  # the order of denergy_dpressure
     overflow = ~(np.isfinite(pressure) & np.isfinite(num) & np.isfinite(den))
     near_pole &= ~overflow
     overflow |= ~(near_pole | np.isfinite(dedp))
@@ -314,7 +307,7 @@ def critical_width(
     of each derivative cut (0, 20] into monotone pieces, so roots closer
     than any fixed step are told apart, and a safeguarded Newton iteration
     takes each to within a few ulp.  It raises DomainError when c1..c5 are
-    all 0 or not all finite, NoRoot when the numerator has no root on
+    all 0, NoRoot when the numerator has no root on
     (0, 20], and NumericalError when a width leaves the float range.  The
     paper and numeric widths disagree for the published coefficients; both
     are reported, neither is silently preferred.
@@ -333,8 +326,8 @@ def critical_width(
         raise DomainError(f"method must be 'paper' or 'numeric', got {method!r}")
 
     c = coeffs.c
-    if not (all(map(math.isfinite, c[1:])) and any(c[1:])):
-        raise DomainError(f"numeric critical width needs c1..c5 finite and not all 0, got {c[1:]}")
+    if not any(c[1:]):
+        raise DomainError(f"numeric critical width needs c1..c5 not all 0, got {c[1:]}")
     # A power-of-two scale moves no root, and with every coefficient below 1
     # in magnitude no Horner sum over t <= 20 or discriminant leaves the
     # float range (unscaled, the quadratic's overflows from |c| ~ 1e154).

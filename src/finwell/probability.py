@@ -8,19 +8,22 @@ or from a solved level (spectrum.BoundState.beta).  The probability of
     R = (2 a beta gamma + sinh(2 a beta gamma)) / (2 a beta + sinh(2 a beta)).
 
 beta -> 0 is a meaningful physical limit (energy near the top of the well),
-so sinh(z)/z and (z + sinh z) expressions carry Taylor guards below |z| =
-1e-4 to avoid 0/0.  Above z = 700, where sinh(z) nears overflow, R is
+so with z = 2 a beta and sinhc(x) = sinh(x)/x (1 at x = 0) R is evaluated as
+
+    R = gamma (1 + sinhc(z gamma)) / (1 + sinhc(z)),
+
+which neither cancels nor divides 0 by 0, and keeps its digits where z gamma
+is tiny or subnormal.  Above z = 700, where sinh(z) nears overflow, R is
 rewritten with exp(-z) so that it stays finite for every z:
 
     R = (2 z gamma e^-z - e^(z (gamma - 1)) expm1(-2 z gamma)) / (2 z e^-z - expm1(-2 z)).
 
 Its exponent z (gamma - 1) is exact for gamma >= 1/2, so R's relative error
-stays near z (1 - gamma) eps, a few eps where gamma is close to 1.
-probability_interval picks one of the three forms by z; probability_columns
-evaluates all three on every row and selects each row's form by the same
-thresholds.  Note cosh is even in x, so all formulas here are internally
-consistent, even though the conventional even interior solution of a finite
-well oscillates; see README for the physics note.
+stays near z (1 - gamma) eps, a few eps where gamma is close to 1.  One
+helper, _r, picks the form by z for floats and arrays alike.  Note cosh is
+even in x, so all formulas here are internally consistent, even though the
+conventional even interior solution of a finite well oscillates; see README
+for the physics note.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .pressure import _rational_parts, pressure_1d
 from .spectrum import WellConfig, well_strength
 from .units import CONSTANTS
 
-_TAYLOR_Z = 1e-4   # |2 a beta| below this switches to series forms
 _EXP_Z = 700.0     # 2 a beta above this switches to exp(-z) forms
 # Q(w) (1 + sinh(w)/w) in powers of w^2 to 1e-18 for w <= 1: 2k/(2k+1)!, k = 1..9.
 _Q_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 10))
@@ -45,37 +47,39 @@ _Q_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 10))
 ProbabilityResult = namedtuple("ProbabilityResult", "probability gamma")
 
 
-def _sinhc(z: float) -> float:
-    # sinh(z)/z with its removable singularity filled in
-    if abs(z) < _TAYLOR_Z:
-        z2 = z * z
-        return 1.0 + z2 / 6.0 + z2 * z2 / 120.0
-    return math.sinh(z) / z
-
-
-def _r_series(z, gamma):
-    # (z g + sinh(z g)) / (z + sinh z) via the series of sinh
-    zg = z * gamma
-    num = gamma * (2.0 + zg * zg / 6.0 + zg ** 4 / 120.0)
-    den = 2.0 + z * z / 6.0 + z ** 4 / 120.0
-    return num / den
-
-
-def _r_sinh(z, gamma, xp):
-    # xp is math for floats, numpy for arrays
-    return (z * gamma + xp.sinh(z * gamma)) / (z + xp.sinh(z))
+def _sinhc(x: float) -> float:
+    # sinh(x)/x, 1 at x = 0
+    return math.sinh(x) / x if x else 1.0
 
 
 def _r_exp(z, gamma, xp, log_scale=0.0):
-    # _r_sinh with top and bottom times 2 exp(-z); no term overflows, and
-    # gamma = 1 gives top == bottom exactly.  log_scale folded into the top's
-    # exponents gives R exp(log_scale), normal where R alone is subnormal.
+    # (z g + sinh(z g))/(z + sinh z) with top and bottom times 2 exp(-z): no
+    # term overflows, and gamma = 1 gives top == bottom exactly.  log_scale
+    # folded into the top's exponents gives R exp(log_scale), normal where R
+    # alone is subnormal.
     # The exponent -z (1 - gamma) is formed as z (gamma - 1), exact for
     # gamma >= 1/2; z gamma - z would carry an error of ulp(z) into it.
     num = (2.0 * (z * xp.exp(log_scale - z)) * gamma
            - xp.exp(z * (gamma - 1.0) + log_scale) * xp.expm1(-2.0 * (z * gamma)))
     den = 2.0 * (z * xp.exp(-z)) - xp.expm1(-2.0 * z)
     return num / den
+
+
+def _r(z, gamma, xp):
+    # R at z = 2 a beta >= 0, at most gamma: R <= gamma holds exactly, but
+    # next to gamma = 1 rounding can put R an ulp above.  xp is math for
+    # floats, numpy for arrays, whose rows each take their own form.
+    if xp is math:
+        if z <= _EXP_Z:
+            r = gamma * (1.0 + _sinhc(z * gamma)) / (1.0 + _sinhc(z))
+        else:
+            r = _r_exp(z, gamma, math)
+        return gamma if r > gamma else r  # min(r, gamma), NaN included, without a call
+    zg = z * gamma
+    sinhc_zg = xp.where(zg == 0.0, 1.0, xp.sinh(zg) / zg)
+    sinhc_z = xp.where(z == 0.0, 1.0, xp.sinh(z) / z)
+    r = xp.where(z <= _EXP_Z, gamma * (1.0 + sinhc_zg) / (1.0 + sinhc_z), _r_exp(z, gamma, xp))
+    return xp.minimum(r, gamma)
 
 
 def beta_from_fit(
@@ -119,15 +123,7 @@ def _check_gamma(gamma: float) -> None:
 def probability_interval(a: float, beta: float, gamma: float) -> ProbabilityResult:
     """Closed-form probability of |x| <= gamma*a."""
     _check_gamma(gamma)
-    z = _well_z(a, beta)
-    if z < _TAYLOR_Z:
-        r = _r_series(z, gamma)
-    elif z <= _EXP_Z:
-        r = _r_sinh(z, gamma, math)
-    else:
-        r = _r_exp(z, gamma, math)
-    # R <= gamma holds exactly; next to gamma = 1 rounding can put R an ulp above.
-    return ProbabilityResult(probability=min(r, gamma), gamma=gamma)
+    return ProbabilityResult(probability=_r(_well_z(a, beta), gamma, math), gamma=gamma)
 
 
 def probability_columns(
@@ -159,9 +155,7 @@ def probability_columns(
         z = 2.0 * a * (np.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar)
         overflow = ~(out_of_range | np.isfinite(z))
         flagged = out_of_range | overflow
-        R = np.where(z < _TAYLOR_Z, _r_series(z, gamma),
-                     np.where(z <= _EXP_Z, _r_sinh(z, gamma, np), _r_exp(z, gamma, np)))
-        R = np.where(flagged, math.nan, np.minimum(R, gamma))  # as in probability_interval
+        R = np.where(flagged, math.nan, _r(z, gamma, np))
     bad = np.flatnonzero(~(flagged | np.isfinite(R)))
     if bad.size:
         raise NumericalError(f"R is not finite at a/K = {n[bad[0]]:.6g}")
@@ -202,7 +196,7 @@ def probability_pressure_derivative(
         # Neither exponent exceeds that finite log, so neither overflows.
         drdp = math.copysign(_r_exp(z, gamma, math, math.log(abs(drdp))), drdp)
     else:
-        drdp *= probability_interval(a, beta, gamma).probability
+        drdp *= _r(z, gamma, math)
     if not math.isfinite(drdp):
         raise NumericalError(f"dR/dP leaves the float range at a/K = {a / K:.6g}")
     return drdp

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -165,6 +166,11 @@ class TestSpectrum:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["eta"] == pytest.approx(9.869603686116153e-10, rel=1e-12)
 
+    def test_preset_json(self, capsys):
+        code, out, _ = run(capsys, ["spectrum", "--preset", "hydrogen", "--json"])
+        assert code == 0
+        assert 0.0 < json.loads(out, parse_constant=reject_constant)["E_over_V0"] < 1.0
+
     def test_json_matches_human(self, capsys):
         _, human, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS])
         _, machine, _ = run(capsys, ["spectrum", *HYDROGEN_FLAGS, "--json"])
@@ -285,7 +291,7 @@ class TestFit:
     def test_default_sigma(self, capsys):
         code, out, _ = run(capsys, ["fit", "--json"])
         assert code == 0
-        doc = json.loads(out)
+        doc = json.loads(out, parse_constant=reject_constant)
         assert doc["sigma"] <= 1e-5
         assert doc["source"] == "refit"
         assert doc["grid"] == {"n_start": 1.0, "n_stop": 10.0, "n_count": 13}
@@ -476,6 +482,37 @@ class TestSweep:
                     assert cells[idx] == ""
                 else:
                     assert float(cells[idx]) == row[key]
+
+    def test_json_matches_csv_text_on_flagged_rows(self, capsys):
+        # Cell by cell the same text, on a sweep whose narrow rows are flagged
+        # and have no R.
+        argv = ["sweep", "--param", "width", "--scale", "log", "--from", "1e-80m",
+                "--to", "1e-10m", "--steps", "200", "--depth", "13.6eV", "--mass", "me",
+                "--gamma", "0.5"]
+        _, csv_out, _ = run(capsys, argv)
+        _, json_out, _ = run(capsys, argv + ["--json"])
+        header, *lines = list(csv.reader(io.StringIO(csv_out)))
+        rows = json.loads(json_out, parse_constant=reject_constant)["rows"]
+        assert len(lines) == len(rows) == 200
+        assert any(row["R"] is None for row in rows) and any(row["flags"] for row in rows)
+        for line, row in zip(lines, rows):
+            assert list(row) == header
+            text = ["" if v is None else repr(v) for v in list(row.values())[:-1]]
+            assert line == [*text, ";".join(row["flags"])], (line, row)
+
+    def test_xi_bounded_and_rising_over_n(self, capsys):
+        # n from 2e-6 to 2e300: 0 < xi <= min(n, pi/2), and xi never falls.
+        code, out, _ = run(capsys, [
+            "sweep", "--param", "width", "--scale", "log", "--from", "1e-16m", "--to", "1e290m",
+            "--steps", "400", "--depth", "13.6eV", "--mass", "me", "--json",
+        ])
+        assert code == 0
+        rows = json.loads(out, parse_constant=reject_constant)["rows"]
+        assert len(rows) == 400
+        for row in rows:
+            assert 0.0 < row["xi"] <= min(row["n"], 0.5 * math.pi), row
+        for prev, row in zip(rows, rows[1:]):
+            assert prev["n"] < row["n"] and prev["xi"] <= row["xi"], (prev, row)
 
     def test_all_rows_failing_exit(self, capsys, tmp_path):
         from finwell import FitCoefficients, dump_coefficients
@@ -841,7 +878,7 @@ class TestVerify:
     def test_verdicts(self, capsys):
         code, out, _ = run(capsys, ["verify", "--json"])
         assert code == 0
-        checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
+        checks = {c["check_id"]: c for c in json.loads(out, parse_constant=reject_constant)["checks"]}
         assert {k: c["verdict"] for k, c in checks.items()} == self.EXPECTED
 
     def test_critical_width_values(self, capsys):

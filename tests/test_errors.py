@@ -3,8 +3,11 @@
 math.isfinite and float() raise OverflowError ("int too large to convert to
 float") for such an int; the shared checks compare it with the largest double.
 str() raises ValueError for an int of more than 4300 digits; the messages
-give such a value by errors.value_text.
+give such a value by errors.value_text.  FitCoefficients also refuses a
+coefficient count other than six and a non-finite value.
 """
+
+import math
 
 import pytest
 
@@ -36,6 +39,8 @@ def entry_points(HUGE):
         "probability_interval gamma": lambda: fw.probability_interval(1.0, 1.0, HUGE),
         "beta_from_fit": lambda: fw.beta_from_fit(1.0, 1.0, C, HUGE, 1.0),
         "FitGrid": lambda: fw.FitGrid(1.0, HUGE, 13),
+        "FitCoefficients": lambda: fw.FitCoefficients((0.0, HUGE, 0, 0, 0, 0), 0.0, "refit"),
+        "FitCoefficients._replace": lambda: C._replace(sigma=HUGE),
         "FitCoefficients.from_dict": lambda: fw.FitCoefficients.from_dict(
             {"c": [HUGE, 0, 0, 0, 0, 0], "sigma": 0.0, "source": "refit"}),
         "quantity": lambda: fw.quantity(HUGE, "m"),
@@ -56,6 +61,23 @@ def test_int_beyond_float_range_is_domain_error(call):
     # Each raised a raw OverflowError at 10**400, and a raw ValueError from
     # str() of the value at 10**5000.
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # Each was accepted: pressure_1d then raised a raw IndexError, and
+    # eval_fit(c, 2.0) returned 1.75 from the three terms.
+    pytest.param(lambda: fw.FitCoefficients((1.0, 1.0, 1.0), 0.0, "refit"),
+                 "expected 6 coefficients, got 3", id="three coefficients"),
+    pytest.param(lambda: C._replace(c=C.c[:5]),
+                 "expected 6 coefficients, got 5", id="five by _replace"),
+    pytest.param(lambda: fw.FitCoefficients(C.c, math.nan, "refit"),
+                 "must be finite, got nan", id="nan sigma"),
+    pytest.param(lambda: C._replace(c=(0.0, math.inf, 0, 0, 0, 0)),
+                 "must be finite, got inf", id="inf c1 by _replace"),
+])
+def test_coefficients_check_their_values(call, message):
+    with pytest.raises(DomainError, match=message):
         call()
 
 

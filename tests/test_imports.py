@@ -57,9 +57,9 @@ NUMPY_FREE = {
 SLOW_IMPORTS = ("numpy", "dataclasses", "inspect")
 
 
-def slow_imports_after(code: str) -> set[str]:
-    """Which of SLOW_IMPORTS a fresh interpreter has loaded after running code."""
-    check = f"import sys; print(*(m for m in {SLOW_IMPORTS!r} if m in sys.modules))"
+def slow_imports_after(code: str, modules=SLOW_IMPORTS) -> set[str]:
+    """Which of modules a fresh interpreter has loaded after running code."""
+    check = f"import sys; print(*(m for m in {modules!r} if m in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{check}"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=False,
@@ -77,3 +77,16 @@ def test_array_commands_still_run():
     sweep = ("sweep", "--param", "width", "--from", "1e-10m", "--to", "2e-10m",
              "--steps", "3", "--depth", "13.6eV", "--mass", "me", "--gamma", "0.5")
     assert "numpy" in slow_imports_after(cli_call(*sweep))
+
+
+def test_sweep_table_loads_no_cli():
+    # The sweep as a library call, flagged rows included, needs neither the
+    # CLI nor its argument parser.
+    code = (
+        "import numpy as np\n"
+        "from finwell import CONSTANTS, sweep_table\n"
+        "table = sweep_table('width', np.geomspace(1e-80, 1e-10, 50), gamma=0.5,\n"
+        "                    depth=13.6 * CONSTANTS.electronvolt, mass=CONSTANTS.electron_mass)\n"
+        "assert len(table) == 50 and any(table.flags), table.flags"
+    )
+    assert slow_imports_after(code, ("finwell.cli", "argparse")) == set()

@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -34,8 +35,8 @@ from oracles import (
 )
 
 EPS = 2.0 ** -52
-# 2 a beta from the Taylor band through the sinh/exp switch at 700 up to 1e8,
-# where the oracle's sinh(z) once raised decimal.Overflow
+# 2 a beta from 1e-5 through the sinh/exp switch at 700 up to 1e8, where the
+# oracle's sinh(z) once raised decimal.Overflow
 LARGE_Z = [1e-5, 1e-3, 0.5, 10.0, 200.0, 699.0, 700.0, 701.0, 710.0, 712.0, 1400.0, 1e4, 1e8]
 # (2 a beta, gamma) in the exp(-z) form with z (1 - gamma) small; the first is
 # the 26 m row of a hydrogen-depth sweep at gamma = 1 - 1e-13.
@@ -144,11 +145,43 @@ class TestProbabilityInterval:
         assert probability_interval(1.0, 2.0, 1.0).probability == 1.0
         assert probability_interval(1.0, 2.0, 0.0).probability == 0.0
 
-    def test_zero_beta_is_gamma(self):
-        for gamma in (0.0, 0.25, 0.8, 1.0):
-            assert probability_interval(3.0, 0.0, gamma).probability == pytest.approx(
-                gamma, rel=1e-14
-            )
+    def test_zero_beta_is_gamma(self, hydrogen_scale):
+        # z = 0 exactly: in the scalar call, and in the columns through a fit
+        # of E/V0 = 1, whose bracket 1 - E/V0 is 0.
+        K, V0, m = hydrogen_scale
+        gammas = (0.0, 0.25, 0.8, 1e-310, 1.0 - 2.0 ** -53, 1.0)
+        for gamma in gammas:
+            assert probability_interval(3.0, 0.0, gamma).probability == gamma
+        top = FitCoefficients(c=(1.0, 0, 0, 0, 0, 0), sigma=0.0, source="refit")
+        ones = np.ones(len(gammas))
+        R, out, overflow = probability_columns(
+            ones * K, ones * K, top, ones * m, ones * V0, np.array(gammas))
+        assert not (out | overflow).any()
+        assert R.tolist() == list(gammas)
+
+    def test_subnormal_z_gamma(self, hydrogen_scale):
+        # z = 0.01 with z gamma subnormal and R normal: R was 19 ulp off, from
+        # z gamma + sinh(z gamma) with its low bits lost below the normal range.
+        # Here (z gamma)^2 < 1e-600, so gamma 2 z/(z + sinh z) is R to double
+        # precision.
+        def want(z, gamma):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                zd = Decimal(z)
+                sinh = (zd.exp() - (-zd).exp()) / 2
+                return float(Decimal(gamma) * 2 * zd / (zd + sinh))
+
+        gamma = 3e-308
+        got = probability_interval(1.0, 0.005, gamma).probability
+        assert abs(got - want(0.01, gamma)) <= 2 * math.ulp(want(0.01, gamma))
+        # A zero fit puts beta at 1/K, so 2 a beta is near 0.01 at a = K/200.
+        K, V0, m = hydrogen_scale
+        flat = FitCoefficients(c=(0.0,) * 6, sigma=0.0, source="refit")
+        R, _, _ = probability_columns(
+            np.array([K / 200]), np.array([K]), flat, np.array([m]), np.array([V0]),
+            np.array([gamma]))
+        z = 2.0 * (K / 200) * beta_from_fit(K / 200, K, flat, m, V0)
+        assert abs(R[0] - want(z, gamma)) <= 2 * math.ulp(want(z, gamma))
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(47)
@@ -236,8 +269,9 @@ class TestOverflowSafeForms:
     def test_columns_match_scalar(self, hydrogen_scale):
         # The published fit over a/K = 0.7..2e4 takes the sinh and exp forms.
         # A bracket of 1e-12 (c0 = 1 - 1e-12) puts 2 a beta at 2e-6 a/K, so
-        # one call over a/K = 1..1e10 holds all three forms; every seventh
-        # row there has 2 m V0 overflow, is flagged and must be NaN.
+        # one call over a/K = 1..1e10 spans 2 a beta below 1e-4, from 1e-4 to
+        # 700, and above 700; every seventh row there has 2 m V0 overflow, is
+        # flagged and must be NaN.
         K, V0, m = hydrogen_scale
         rng = np.random.default_rng(5)
         near_one = FitCoefficients(c=(1.0 - 1e-12, 0, 0, 0, 0, 0), sigma=0.0, source="refit")
@@ -252,16 +286,17 @@ class TestOverflowSafeForms:
                 a, K * ones, coeffs, m * big, V0 * big, gamma)
             assert not out.any()
             assert (overflow == flagged).all() and (np.isnan(R) == flagged).all()
-            forms = set()
+            ranges = set()
             for i, (ai, gi) in enumerate(zip(a.tolist(), gamma.tolist())):
                 if flagged[i]:
                     continue
                 beta = beta_from_fit(ai, K, coeffs, m, V0)
-                forms.add((2.0 * ai * beta >= 1e-4) + (2.0 * ai * beta > 700.0))
+                z = 2.0 * ai * beta
+                ranges.add("below 1e-4" if z < 1e-4 else "up to 700" if z <= 700.0 else "above 700")
                 want = probability_interval(ai, beta, gi).probability
                 assert abs(R[i] - want) <= 8 * math.ulp(want), (ai / K, gi)
             assert R[0] == 0.0 and R[1] == 1.0
-        assert forms == {0, 1, 2}  # series, sinh and exp, in the second call
+        assert ranges == {"below 1e-4", "up to 700", "above 700"}  # in the second call
 
     def test_columns_flag_out_of_range(self, hydrogen_scale):
         K, V0, m = hydrogen_scale
