@@ -12,10 +12,11 @@ Every value flag (--width, --depth, --mass, --from, --to, --gamma) takes
 a bare unit means one of it (--mass me), and --gamma has no unit.
 
 Every command accepts --json; JSON and human output carry the same numbers.
-Exit codes: 0 ok, 1 domain error, 2 numerical failure (also a value that
-overflows the float range, or a nonzero one that underflows to 0 in SI
-units, or a sweep --steps too large to allocate), 3 usage, 141 stdout closed
-by its reader (e.g. `finwell sweep ... | head`).
+Exit codes: 0 ok, 1 domain error (also a write to stdout that fails other
+than by a closed pipe, e.g. on a full disk), 2 numerical failure (also a
+value that overflows the float range, or a nonzero one that underflows to 0
+in SI units, or a sweep --steps too large to allocate), 3 usage, 141 stdout
+closed by its reader (e.g. `finwell sweep ... | head`).
 
 Sweep CSV schema (header exactly):
     param,a_m,n,K_m,xi,E_J,E_over_V0,P_N,dEdP_m,R,flags
@@ -55,6 +56,10 @@ EXIT_USAGE = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 CSV_HEADER = [*COLUMNS, "flags"]
+
+# Sweep rows converted and written at a time: small, so that the text of one
+# block stays small next to the table's float64 columns.
+_BLOCK_ROWS = 256
 
 _PARAM_DIMENSION = {
     "width": Dimension.LENGTH,
@@ -228,18 +233,21 @@ def _sweep_rows(
 
 
 def _render(table: SweepTable, out, as_json: bool) -> None:
-    """The sweep as CSV or as the {"rows": [...]} JSON document, row by row.
+    """The sweep as CSV or as the {"rows": [...]} JSON document.
 
-    Both write repr of each float, and empty or null for None.  A row is a
+    Both write repr of each float, and empty or null for NaN.  A row is a
     fixed run of literal text (the separators, and in JSON the ', "name": '
-    keys) with one stream of cell text between each two literals; each row
-    is one "".join over a zip of those streams.  repr runs once per distinct
-    column, not once per cell: a column of one nonzero value (or of None
-    only) is merged as text into the literal before it, a column equal to an
-    earlier one takes a tee'd copy of that column's text stream, and the
-    rest are converted as the rows are written.  Cells are not checked here:
-    sweep.sweep_table refuses a table with a non-finite cell.
+    keys) with one column's cell text between each two literals.  The
+    columns are looked at once per table, as int64 bit patterns with every
+    NaN as one: a column of one pattern is merged as text into the literal
+    before it, and a column equal to an earlier one takes that column's
+    text, so repr runs once per cell of each distinct column.  The rows are
+    then converted, repr'd and written _BLOCK_ROWS at a time, so no more than
+    one block of cells is ever held as Python floats or text.  Cells are not
+    checked here: sweep.sweep_table refuses a table with a non-finite cell
+    that is not empty.
     """
+    import numpy as np
     empty = "null" if as_json else ""
     if as_json:
         leads = [f", {_json(name)}: " for name in CSV_HEADER]
@@ -248,38 +256,45 @@ def _render(table: SweepTable, out, as_json: bool) -> None:
     else:
         leads = [""] + [","] * (len(CSV_HEADER) - 1)
         head, sep, end, tail = ",".join(CSV_HEADER) + "\n", "", "\n", ""
-    literals, sources, distinct = [""], [], []  # literals[k] precedes the k-th stream
+    nan_bits = np.float64(math.nan).view(np.int64)
+
+    def bits(column):  # equal patterns render as equal text
+        return np.where(np.isnan(column), nan_bits, column.view(np.int64))
+
+    literals, sources, distinct = [""], [], []  # literals[k] precedes stream k
     for lead, column in zip(leads, table.columns.values()):
         literals[-1] += lead
-        first = column[0]
-        # Zeros are left out of both shortcuts: 0.0 == -0.0, but their repr differs.
-        if first != 0.0 and column == [first] * len(column):
-            literals[-1] += empty if first is None else repr(first)
+        pattern = bits(column)
+        if (pattern == pattern[0]).all():
+            literals[-1] += empty if pattern[0] == nan_bits else repr(float(column[0]))
             continue
-        if column in distinct and 0.0 not in column:
-            sources.append(distinct.index(column))
-        else:
-            sources.append(len(distinct))
-            distinct.append(column)
+        source = next((k for k, (other, first, _) in enumerate(distinct)
+                       if first == pattern[0] and np.array_equal(pattern, bits(other))),
+                      len(distinct))
+        if source == len(distinct):
+            distinct.append((column, pattern[0], (pattern == nan_bits).any()))
+        sources.append(source)
         literals.append("")
     literals[-1] += leads[-1]
-    literals.append(end)
-    copies = []
-    for k, column in enumerate(distinct):
-        text = ((empty if v is None else repr(v) for v in column) if None in column
-                else map(repr, column))
-        uses = sources.count(k)
-        copies.append(iter(itertools.tee(text, uses) if uses > 1 else (text,)))
-    flag_text = {f: _json(f) if as_json else ";".join(f) for f in ROW_FLAGS.values()}
-    streams = [*(next(copies[k]) for k in sources), map(flag_text.__getitem__, table.flags)]
-    # Always 1 + 2 * len(streams) parts, never 20: CPython 3.11 puts freed
-    # 20-tuples on a free list it never takes them from (up to 2000, 0.4 MB).
-    parts = [itertools.repeat(literals[0])]
-    for stream, literal in zip(streams, literals[1:]):
-        parts += [stream, itertools.repeat(literal)]
-    rows = map("".join, zip(*parts))
-    out.write(head + next(rows, "").removeprefix(sep))
-    out.writelines(rows)
+    shared = {k for k in sources if sources.count(k) > 1}
+    flag_text = [_json(f) if as_json else ";".join(f) for f in ROW_FLAGS]
+    out.write(head)
+    for start in range(0, len(table), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        texts = []
+        for k, (column, _, has_nan) in enumerate(distinct):
+            values = column[rows].tolist()
+            text = ((empty if v != v else repr(v) for v in values) if has_nan
+                    else map(repr, values))
+            texts.append(list(text) if k in shared else text)
+        parts = [itertools.repeat(literals[0])]
+        for k, literal in zip(sources, literals[1:]):
+            parts += [texts[k], itertools.repeat(literal)]
+        parts += [map(flag_text.__getitem__, table.flags[rows].tolist()), itertools.repeat(end)]
+        lines = map("".join, zip(*parts))
+        if not start:
+            out.write(next(lines).removeprefix(sep))
+        out.writelines(lines)
     out.write(tail)
 
 
@@ -300,7 +315,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     coeffs = load_coefficients(args.coeffs) if args.coeffs else PAPER_FIT
     table = _sweep_rows(args, base, start, stop, coeffs)
     _render(table, sys.stdout, args.json)
-    return EXIT_NUMERICAL if all(table.flags) else EXIT_OK
+    return EXIT_NUMERICAL if table.flags.all() else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -372,6 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so the flush at interpreter exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_merge_value_flags(argv))
@@ -379,12 +400,14 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
-        # so that the flush at interpreter exit does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout (e.g. `| head`)
+        _drop_stdout()
         return EXIT_BROKEN_PIPE
+    except OSError as exc:  # any other failed write to stdout, e.g. on a full disk
+        _drop_stdout()
+        print(f"finwell {args.command}: error: cannot write output: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
     except _UsageError as exc:
         print(f"finwell {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -190,9 +190,12 @@ def eval_fit(coeffs: FitCoefficients, n: float) -> float:
 
 
 def dump_coefficients(coeffs: FitCoefficients, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coeffs.to_dict(), fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(coeffs.to_dict(), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write coefficients file: {exc}") from exc
 
 
 def load_coefficients(path: str) -> FitCoefficients:

@@ -4,7 +4,7 @@ with the empty cells and the flags of each row.  Rendering is the caller's.
 
 from __future__ import annotations
 
-import itertools
+import math
 
 from .errors import DomainError, NumericalError, check_columns
 from .fitseries import PAPER_FIT, FitCoefficients
@@ -16,23 +16,22 @@ from .spectrum import ground_states
 COLUMNS = ("param", "a_m", "n", "K_m", "xi", "E_J", "E_over_V0", "P_N", "dEdP_m", "R")
 
 _FLAG_NAMES = ("overflow", "near_pole", "fit_out_of_range")
-# A row's flags, keyed by its value of each mask named in _FLAG_NAMES.
-ROW_FLAGS = {
-    key: tuple(name for name, on in zip(_FLAG_NAMES, key) if on)
-    for key in itertools.product((False, True), repeat=len(_FLAG_NAMES))
-}
+# A row's flag names, indexed by its flag code: bit k of the code sets _FLAG_NAMES[k].
+ROW_FLAGS = tuple(tuple(name for bit, name in enumerate(_FLAG_NAMES) if code >> bit & 1)
+                  for code in range(1 << len(_FLAG_NAMES)))
 
 
 class SweepTable:
-    """Sweep output as columns: one list per name in COLUMNS, None for an empty cell.
+    """Sweep output as columns: one float64 array per name in COLUMNS, NaN
+    in each empty cell and nowhere else.
 
-    flags holds each row's tuple of flag names, one of ROW_FLAGS.values();
-    len(table) is the row count.
+    flags holds each row's flag code, a small int that indexes ROW_FLAGS
+    (0 for a row with no flag); len(table) is the row count.
     """
 
     __slots__ = ("columns", "flags")
 
-    def __init__(self, columns: dict[str, list], flags: list[tuple[str, ...]]) -> None:
+    def __init__(self, columns: dict[str, np.ndarray], flags: np.ndarray) -> None:
         self.columns = columns
         self.flags = flags
 
@@ -84,26 +83,20 @@ def sweep_table(
     K = states.characteristic_length
     p, dedp, near_pole, overflow = pressure_columns(a, K, coeffs, V0, variant)
     no = np.zeros(steps, dtype=bool)
-    R, out_of_range, r_overflow = (
-        (None, no, no) if g is None else probability_columns(a, K, coeffs, m, V0, g))
-    arrays = dict(zip(COLUMNS, (values, a, states.strength, K, states.xi, states.energy,
-                                states.energy_ratio, p, dedp, R)))
-    empty = {"P_N": overflow, "dEdP_m": near_pole | overflow, "R": out_of_range | r_overflow}
-    for name, column in arrays.items():  # before any table exists
-        bad = [] if column is None else np.flatnonzero(~np.isfinite(column) & ~empty.get(name, no))
+    if g is None:  # no R column: every cell of it is empty
+        R, out_of_range, r_overflow, r_empty = np.broadcast_to(math.nan, (steps,)), no, no, ~no
+    else:
+        R, out_of_range, r_overflow = probability_columns(a, K, coeffs, m, V0, g)
+        r_empty = out_of_range | r_overflow
+    columns = dict(zip(COLUMNS, (values, a, states.strength, K, states.xi, states.energy,
+                                 states.energy_ratio, p, dedp, R)))
+    empty = {"P_N": overflow, "dEdP_m": near_pole | overflow, "R": r_empty}
+    for name, column in columns.items():  # before any table exists
+        bad = np.flatnonzero(~np.isfinite(column) & ~empty.get(name, no))
         if len(bad):
             raise NumericalError(f"{name} is not finite at {param} = {values[bad[0]]:.6g}")
-
-    def cells(name: str) -> list:
-        column, blank = arrays[name], empty.get(name, no)
-        if column is None:
-            return [None] * steps
-        if not blank.any():
-            return column.tolist()
-        return [None if e else v for v, e in zip(column.tolist(), blank.tolist())]
-
-    return SweepTable(
-        columns={name: cells(name) for name in arrays},
-        flags=[ROW_FLAGS[k] for k in zip(
-            (overflow | r_overflow).tolist(), near_pole.tolist(), out_of_range.tolist())],
-    )
+    # Each column function puts NaN in the cells it flags, so after the check
+    # above a cell is NaN exactly where it is empty.  Bit k of a row's flag
+    # code is its mask named _FLAG_NAMES[k].
+    masks = np.stack((overflow | r_overflow, near_pole, out_of_range), axis=1)
+    return SweepTable(columns, np.packbits(masks, axis=1, bitorder="little")[:, 0])
