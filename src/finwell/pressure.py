@@ -198,7 +198,8 @@ def expansion_small_width(a: float, K: float, coeffs: FitCoefficients) -> float:
     check_positive(a=a, K=K)
     if coeffs.c[5] == 0.0:
         raise DomainError("small-width expansion needs c5 != 0")
-    dedp = a / 6.0 + (coeffs.c[4] / coeffs.c[5]) * a * a / (45.0 * K)
+    # a * (a/K), not a*a/K: a*a under- or overflows where the term does not.
+    dedp = a / 6.0 + (coeffs.c[4] / coeffs.c[5]) * a * (a / K) / 45.0
     return check_finite(dedp, "small-width expansion", a=a, K=K)
 
 
@@ -220,8 +221,10 @@ def expansion_small_k(
     c = coeffs.c
     if c[1] == 0.0:
         raise DomainError("small-K expansion needs c1 != 0")
-    third = c[2] ** 2 - c[3] ** 2 if variant == "printed" else c[2] ** 2 - c[1] * c[3]
-    dedp = a / 2.0 - K * c[2] / (2.0 * c[1]) + 3.0 * K * K * third / (2.0 * a * c[1] ** 2)
+    third = c[2] * c[2] - (c[3] * c[3] if variant == "printed" else c[1] * c[3])
+    # The ratios K/c1 and K/a first: K*K and a*c1^2 under- or overflow where
+    # the terms do not.
+    dedp = a / 2.0 + (K / c[1]) * (1.5 * (K / a) * (third / c[1]) - 0.5 * c[2])
     return check_finite(dedp, "small-K expansion", a=a, K=K)
 
 
@@ -328,11 +331,13 @@ def critical_width(
     c = coeffs.c
     if not any(c[1:]):
         raise DomainError(f"numeric critical width needs c1..c5 not all 0, got {c[1:]}")
-    # A power-of-two scale moves no root, and with every coefficient below 1
-    # in magnitude no Horner sum over t <= 20 or discriminant leaves the
-    # float range (unscaled, the quadratic's overflows from |c| ~ 1e154).
+    # A power-of-two scale of c1..c5 moves no root, and with each of them
+    # below 1 in magnitude no Horner sum over t <= 20 or discriminant leaves
+    # the float range (unscaled, the quadratic's overflows from |c| ~ 1e154).
+    # c0 is in neither polynomial and keeps its value.
     exponent = math.frexp(max(map(abs, c[1:])))[1]
-    numerator, denominator = _rational_coefficients([math.ldexp(ck, -exponent) for ck in c])
+    numerator, denominator = _rational_coefficients(
+        [c[0], *(math.ldexp(ck, -exponent) for ck in c[1:])])
     zeros = _roots(numerator)
     if not zeros:
         raise NoRoot(f"dE/dP numerator has no root in t = a/K on (0, {_MAX_T}]")

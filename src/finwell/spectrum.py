@@ -22,20 +22,9 @@ from .errors import ConvergenceFailure, DomainError, NoSuchBranch, NumericalErro
 from .errors import FLOAT_MAX, check_positive, check_positive_columns, value_text
 from .units import CONSTANTS
 
-# A root is accepted when its backward error |f|/|f'| is at most
-# ROOT_ULPS_BACKWARD ulps of xi, or when its bracket has shrunk to
-# ROOT_ULPS_BRACKET ulps.
-ROOT_ULPS_BACKWARD = 8.0
-ROOT_ULPS_BRACKET = 4.0
 # Below this strength the ground root is taken from its series, whose first
 # omitted term is 12.3 n^17, far under an ulp of xi; below 1e-8 it rounds to n.
 SERIES_STRENGTH = 1e-3
-# At or below this strength the ground level takes eta = xi*tan(xi), whose
-# condition number in xi, 1 + 2 xi/sin(2 xi), is 2 to 3 there; that of
-# sqrt(n^2 - xi^2) is xi^2/eta^2 ~ 1/n^2, and it rounds to 0 below n ~ 1e-8.
-# Against a decimal root, xi*tan(xi) is within 2 ulp up to n = 1 and the sqrt
-# form within 2 ulp above it; with the switch at 0.1 it was up to 35 ulp off.
-TAN_ETA_STRENGTH = 1.0
 _MAX_ITER = 200
 _HALF_PI = 0.5 * math.pi  # fl(pi/2), the top of every bracket
 
@@ -105,9 +94,9 @@ _PI_TAIL = -2.781813535079891e-08
 
 
 def _branch_offset(n: float, branch: int) -> tuple[float, float, float]:
-    # (b, b_lo, eps) of branch k >= 1: k pi = b + b_lo to about 2^-106
-    # relative, and eps = n - k pi, whose only rounding is the last one where
-    # n is within a factor 2 of k pi (n - b is then exact).
+    # (b, b_lo, eps) of branch k: k pi = b + b_lo to about 2^-106 relative,
+    # and eps = n - k pi, whose only rounding is the last one where n is
+    # within a factor 2 of k pi (n - b is then exact); (0, 0, n) for k = 0.
     if branch > n:  # branch k needs n > k pi > k; refused before k pi can overflow
         raise NoSuchBranch(f"branch exceeds the strength n = {n:.6g}; branch k needs n > k pi")
     b = branch * math.pi
@@ -132,11 +121,16 @@ def _branch_offset(n: float, branch: int) -> tuple[float, float, float]:
     raise NoSuchBranch(f"branch {branch} needs strength n > {b:.6g}, got n = {n:.6g}")
 
 
-# Each root solve is in theta = xi - k pi, b = fl(k pi) and eps = n - k pi:
-# xi sin(xi) - cos(xi) sqrt(n^2 - xi^2) is (-1)^k times
-#     f(theta) = xi sin(theta) - cos(theta) sqrt(eps - theta) sqrt(n + xi),
-# which rises through the root on (0, min(pi/2, eps)) on every branch.  For
-# k = 0 (b = 0, eps = n) it is the xi form, rounded as it.
+# Each root solve is in theta = xi - k pi on the bracket (0, min(pi/2, eps)),
+# with b = fl(k pi) and eps = n - k pi.  On every branch the root has
+# cos(theta) = xi/n, so it is the root of
+#     g(theta) = eps cos(theta) - theta - b sin(theta)^2/(1 + cos(theta)),
+# which is n cos(theta) - xi with n = b + eps and 1 - cos(theta) written so
+# that it does not cancel.  g has no square root and no pole, g(0) = eps > 0,
+# and g' = -((eps + b) sin(theta) + 1) < 0 and g'' = -(eps + b) cos(theta) < 0
+# on the bracket: Newton falls monotonically onto the root from its right,
+# and one step from its left lands right of it.  For k = 0 (b = 0, eps = n)
+# g is n cos(xi) - xi.
 
 
 # On the ground branch xi tan(xi) = eta with xi^2 + eta^2 = n^2 is
@@ -177,63 +171,47 @@ def _ground_start(n, xp):
     return x
 
 
-def _newton_step(theta, xi, gap, n, xp):
-    # The step f/f' of f(theta) above at xi = b + theta and gap = eps - theta
-    # > 0; xp is math for floats, numpy for arrays.  f' > 0 on the bracket,
-    # so the step has the sign of f.
+def _newton_step(theta, b, eps, xp):
+    # The step g/g' of g above; xp is math for floats, numpy for arrays.
+    # g' < 0, so the step is negative left of the root.
     sin, cos = xp.sin(theta), xp.cos(theta)
-    eta = xp.sqrt(gap) * xp.sqrt(n + xi)
-    return (xi * sin - cos * eta) / (sin * (1.0 + eta) + xi * cos * (1.0 + 1.0 / eta))
+    return (theta + b * sin * sin / (1.0 + cos) - eps * cos) / ((eps + b) * sin + 1.0)
 
 
-def _backward_error(xi: float, n: float) -> float:
-    """|f|/|f'| of the pole-free residual in xi: how far xi is from its root."""
-    if xi == n:
-        return 0.0  # f' is infinite where xi meets n
-    return abs(_newton_step(xi, xi, n - xi, n, math))
+def _backward_error(xi: float, n: float, branch: int) -> float:
+    """|g/g'| at xi on the given branch: how far xi is from its root."""
+    b, b_lo, eps = _branch_offset(n, branch)
+    return abs(_newton_step((xi - b) - b_lo, b, eps, math))
 
 
 def _convergence_failure(
-    reason: str, n: float, branch: int, iterations: int, lo: float, hi: float, xi: float
+    reason: str, n: float, branch: int, iterations: int, step: float, xi: float
 ) -> ConvergenceFailure:
     return ConvergenceFailure(
-        f"{reason} for n={n}, branch={branch}: {iterations} iterations, bracket "
-        f"width {hi - lo:.3e}, backward error {_backward_error(xi, n):.3e} at xi={xi!r}"
+        f"{reason} for n={n}, branch={branch}: {iterations} iterations, last step "
+        f"{step:.3e}, backward error {_backward_error(xi, n, branch):.3e} at xi={xi!r}"
     )
 
 
-def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
+def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
     """Root xi of the even-parity condition on the given branch.
 
     One Newton loop serves every branch k, in theta = xi - k*pi with
     eps = n - k*pi.  k*pi is held as two doubles, so eps keeps its digits
-    just above a threshold.  The residual is the pole-free
-    xi*sin(theta) - cos(theta)*sqrt(eps - theta)*sqrt(n + xi) ((-1)^k times
-    xi*sin(xi) - cos(xi)*sqrt(n^2 - xi^2)), kept inside the bracket
-    (0, min(pi/2, eps)) by bisection.  It rises through the one root there
-    on every branch, and no residual is evaluated at a bracket end.  Branch
-    0 starts from a series of its root (in n^2 below n = 0.7, in 1/(n + 1)
-    above), higher branches from acos(k*pi/n) with one trig-free
-    correction.  A root is accepted when its Newton step (the backward
-    error) is at most ROOT_ULPS_BACKWARD ulps of xi or its bracket at most
-    ROOT_ULPS_BRACKET ulps; an accepted Newton point past a bracket end is
-    that end.  Next to theta = eps, where the step in theta misleads, Newton
-    steps in sqrt(eps - theta) instead.  Below SERIES_STRENGTH the ground
-    root is its series in n.  solve_ground_roots takes this loop's plain
-    Newton steps on arrays and hands every row that needs a safeguard back
-    here, and energy_exact takes eta on k >= 1 from this loop's last theta.
+    just above a threshold.  The residual is n*cos(theta) - xi, written
+    with no square root, no pole and no cancellation.  It falls and is
+    concave on the bracket (0, min(pi/2, eps)), so Newton falls onto the
+    root monotonically from its right, and a step from its left lands right
+    of it or is clipped to the bracket top.  Branch 0 starts from a series
+    of its root (in n^2 below n = 0.7, in 1/(n + 1) above), higher branches
+    from acos(k*pi/n) with one trig-free correction.  The Newton point of a
+    step s from theta is accepted when s^2 <= theta*ulp(theta)/2, which
+    leaves it within a quarter ulp of the root (|g''/g'| < 1/theta), or
+    when the clipped point does not move.  Below SERIES_STRENGTH the ground
+    root is its series in n.  solve_ground_roots runs the same loop on
+    arrays.
     """
-    # _gap is energy_exact's, on a branch k >= 1: it returns (xi, u) with
-    # u = sqrt(eps - theta) for eta.  Next to a threshold eps - theta ~
-    # k pi eps^2/2 lies far below an ulp of xi, and the theta that the loop
-    # accepts leaves it few digits, so Newton's method in u, du = step/(2u),
-    # polishes it: the residual is nearly linear in u there and well
-    # conditioned everywhere.  theta follows each step by its change,
-    # -du (2u + du), not by eps - u^2, which would cancel where eps is large.
-    # The polish takes 1 to 5 steps (5 for k near 1e6), so it runs to a step
-    # test, on what is left of the loop's iteration budget.  The flag sits on
-    # this function, not on a private kernel behind it, because that extra
-    # call made every scalar root about 4% slower (CPython 3.11).
+    # _theta is energy_exact's: it returns (xi, theta), as eta = n sin(theta).
     if not 0.0 < n <= FLOAT_MAX:
         raise DomainError(f"strength n must be positive, got {value_text(n)}")
     try:
@@ -244,87 +222,43 @@ def solve_even_root(n: float, branch: int = 0, _gap: bool = False) -> float:
         raise DomainError("branch must be non-negative")  # str() of a huge int raises
     if branch == 0:
         if n < SERIES_STRENGTH:
-            return _small_n_series(n)
+            xi = _small_n_series(n)
+            return (xi, xi) if _theta else xi
         b = b_lo = 0.0
         eps = n
-    else:
-        b, b_lo, eps = _branch_offset(n, branch)
-    lo, hi = 0.0, min(_HALF_PI, eps)
-    # f(0) = -sqrt(eps) sqrt(n + k pi) < 0 and f(eps) = n sin(eps) > 0.  At
-    # hi = fl(pi/2), f(hi) = xi - 6.12e-17 eta, which can be <= 0 only from
-    # n ~ (k + 1/2) 2e15 on; the root then lies under half an ulp above hi,
-    # and the accepted Newton point past hi is hi.
-    if branch == 0:
+        hi = min(_HALF_PI, n)
         x = _ground_start(n, math)
     else:
+        b, b_lo, eps = _branch_offset(n, branch)
+        hi = min(_HALF_PI, eps)
         # cos(theta) = xi/n on every branch, so theta0 = acos(k pi/n), here
         # atan2(r, k pi) with r = n sin(theta0) = sqrt(eps (n + k pi)).  One
         # Newton step on cos(theta) = (k pi + theta)/n from theta0, with
         # sin(theta0) = r/n, gives theta0 r/(r + 1); just above the threshold
-        # that lands near 2 eps, past hi = eps, and the midpoint is taken.
+        # that lands near 2 eps, past hi = eps, and is clipped to it.
         r = math.sqrt(eps) * math.sqrt(n + b)
-        x = math.atan2(r, b) * r / (r + 1.0)
-        if x >= hi:
-            x = 0.5 * hi
+        x = min(math.atan2(r, b) * r / (r + 1.0), hi)
+    # The root can lie above hi = fl(pi/2), under half an ulp, from n ~
+    # (k + 1/2) 2e15 on; Newton's point is then clipped to hi and stays.
     ulp = math.ulp
-    for iterations in range(_MAX_ITER):
-        xi = b + x
-        u2 = eps - x
-        step = _newton_step(x, xi, u2, n, math)
-        if step < 0.0:
-            lo = x
-        else:
-            hi = x
-        newton = x - step
-        inside = lo < newton < hi
-        small = abs(step) <= ROOT_ULPS_BACKWARD * ulp(xi)
-        if (small or not inside) and abs(step) >= 0.5 * u2:
-            # Newton's point in u = sqrt(eps - theta), u -> u + step/(2u), for x
-            # next to eps.  There f ~ sqrt(eps - theta), so f' changes over the
-            # step: the step in theta overshoots past eps, or, from above the
-            # root, is far shorter than the distance to it and can pass the
-            # step test many ulp away.  In u the residual is nearly linear.
-            newton = x - step * (1.0 + 0.25 * step / u2)
-            inside = lo < newton < hi
-        elif small:
-            # An accepted Newton point past a bracket end is that end.
-            theta = newton if inside else hi if newton >= hi else lo
-            break
-        if hi - lo <= ROOT_ULPS_BRACKET * ulp(b + hi):
-            theta = newton if inside else x
-            break
-        x = newton if inside else 0.5 * (lo + hi)
-    else:
-        raise _convergence_failure("root unresolved", n, branch, _MAX_ITER, lo, hi, b + (x + b_lo))
-    xi = b + (theta + b_lo)
-    if not _gap:
-        return xi
-    if theta < eps:
-        u = math.sqrt(eps - theta)
-    else:  # the root is the end eps: the first step from u = 0, where f = n sin(eps)
-        u = math.tan(eps) * math.sqrt(0.5 * n)
-        theta = eps - u * u
-    for _ in range(iterations + 1, _MAX_ITER):
-        du = _newton_step(theta, b + theta, u * u, n, math) / (2.0 * u)
-        theta -= du * (2.0 * u + du)
-        u += du
-        if abs(du) <= 2.0 * math.ulp(u):
-            return xi, u
-    raise _convergence_failure("eta unresolved", n, branch, _MAX_ITER, lo, hi, xi)
+    for _ in range(_MAX_ITER):
+        step = _newton_step(x, b, eps, math)
+        theta = x - step
+        if theta > hi:
+            theta = hi
+        if step * step <= 0.5 * x * ulp(x) or theta == x:
+            xi = b + (theta + b_lo)
+            return (xi, theta) if _theta else xi
+        x = theta
+    raise _convergence_failure("root unresolved", n, branch, _MAX_ITER, step, b + (x + b_lo))
 
 
 def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     """Branch-0 roots xi for an array of strengths, all solved at once.
 
-    The vectorised fast path of solve_even_root's loop with k = 0
-    (theta = xi, eps = n): every row starts from the same series and takes
-    the same plain Newton step, bracket update and step test, and an
-    accepted Newton point past a bracket end is that end, so a row accepted
-    here has the scalar root bit for bit.  A row stays in the batch only
-    while the scalar loop would take that plain step: its Newton point is
-    inside the bracket or accepted, the step is under half of n - xi, and
-    the bracket has not collapsed.  Any other row is solved by
-    solve_even_root itself, with every safeguard.
+    solve_even_root's loop with k = 0 (theta = xi, eps = n) on arrays:
+    every row starts from the same series and takes the same Newton steps,
+    clip and acceptance, so each row has the scalar root bit for bit.
     Below SERIES_STRENGTH the root is the series itself.
     """
     import numpy as np
@@ -333,35 +267,20 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     xi = _ground_start(n, np)  # the root itself below SERIES_STRENGTH
     rows = np.flatnonzero(n >= SERIES_STRENGTH)
     m, x = n[rows], xi[rows]
-    lo = np.zeros_like(m)
     hi = np.minimum(_HALF_PI, m)
     for _ in range(_MAX_ITER):
         if rows.size == 0:
             return xi
-        gap = m - x
-        step = _newton_step(x, x, gap, m, np)
-        below = step < 0.0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        # An accepted Newton point past a bracket end is that end; the clip
-        # leaves inside exactly the points that were strictly inside.
-        newton = np.minimum(np.maximum(x - step, lo), hi)  # np.clip is twice as slow
-        inside = (lo < newton) & (newton < hi)
-        size = np.abs(step)
-        small = size <= ROOT_ULPS_BACKWARD * np.spacing(x)
-        # The rows on which the scalar loop takes the plain Newton point.
-        plain = (inside | small) & (size < 0.5 * gap)
-        done = plain & small
-        xi[rows[done]] = newton[done]
-        keep = plain & ~small & (hi - lo > ROOT_ULPS_BRACKET * np.spacing(hi))
-        for i in rows[~(done | keep)].tolist():
-            xi[i] = solve_even_root(float(n[i]))
-        x = newton[keep]
-        rows, m, lo, hi = rows[keep], m[keep], lo[keep], hi[keep]
+        step = _newton_step(x, 0.0, m, np)
+        theta = np.minimum(x - step, hi)
+        done = (step * step <= 0.5 * x * np.spacing(x)) | (theta == x)
+        xi[rows[done]] = theta[done]
+        keep = ~done
+        rows, m, hi, x, step = rows[keep], m[keep], hi[keep], theta[keep], step[keep]
     if rows.size:
         raise _convergence_failure(
             f"{rows.size} ground roots unresolved, the first", float(m[0]), 0,
-            _MAX_ITER, float(lo[0]), float(hi[0]), float(x[0]),
+            _MAX_ITER, float(step[0]), float(x[0]),
         )
     return xi
 
@@ -374,24 +293,15 @@ def energy_ratio(n: float, branch: int = 0) -> float:
 def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
     """Fully solved bound state for a physical well configuration.
 
-    xi is solve_even_root's.  On a branch k >= 1, eta comes from the gap
-    u = sqrt(eps - theta), eps = n - k*pi and theta = xi - k*pi, which the
-    same solve takes from its last theta and refines by Newton's method in
-    u, as eta = u*sqrt(n + xi): next to a threshold, where eta ~ k*pi*eps,
-    it keeps its digits.  On the ground branch eta is xi*tan(xi) up to
-    n = TAN_ETA_STRENGTH and sqrt(n - xi)*sqrt(n + xi) above.
+    xi is solve_even_root's, and eta = n*sin(theta) at the same solve's
+    theta = xi - k*pi: at the root cos(theta) = xi/n, so that is
+    sqrt(n^2 - xi^2) with no cancellation, on every branch.  It keeps its
+    digits in a shallow well, where eta ~ n^2, and next to a threshold,
+    where eta ~ k*pi*eps.
     """
-    strength = well_strength(cfg)
-    n = strength.strength
-    if branch:
-        xi, u = solve_even_root(n, branch, True)
-        eta = u * math.sqrt(n + xi)
-    else:
-        xi = solve_even_root(n, branch)
-        if n <= TAN_ETA_STRENGTH:
-            eta = xi * math.tan(xi)
-        else:
-            eta = math.sqrt(n - xi) * math.sqrt(n + xi)  # no overflow of n*n
+    n = well_strength(cfg).strength
+    xi, theta = solve_even_root(n, branch, True)
+    eta = n * math.sin(theta)
     a = cfg.half_width
     ratio = _ratio(xi, n)
     return BoundState(

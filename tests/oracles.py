@@ -3,8 +3,9 @@
 Deliberately primitive implementations, sharing no code with the package:
 plain bisection, recursive adaptive Simpson, central differences, decimal
 arithmetic where doubles would overflow or cancel, exact rational least
-squares and exact rational power series.  These are
-the reference against which production closed forms are validated; keep them
+squares, exact rational power series, and exact rational sums of the fitted
+series, the pressure series and both dE/dP expansions.  These are the
+reference against which production closed forms are validated; keep them
 boring.
 """
 
@@ -375,3 +376,41 @@ def smallest_root_oracle(
         else:
             a, v_a = mid, v_mid
     return float(b)
+
+
+def _exact_sum(terms: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    # (sum, sum of magnitudes) of exact terms.
+    return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
+
+
+def fit_series_oracle(c: Sequence[float], n: float) -> tuple[Fraction, Fraction]:
+    """(value, sum of |terms|) of sum_i c_i / n^i, exact in Fractions."""
+    u = 1 / Fraction(n)
+    return _exact_sum([Fraction(ck) * u**i for i, ck in enumerate(c)])
+
+
+def pressure_oracle(
+    a: float, K: float, c: Sequence[float], V0: float
+) -> tuple[Fraction, Fraction]:
+    """(value, sum of |terms|) of V0 sum_{i=1..5} i c_i K^i / a^(i+1), exact."""
+    a, K, V0 = Fraction(a), Fraction(K), Fraction(V0)
+    return _exact_sum([V0 * i * Fraction(c[i]) * K**i / a ** (i + 1) for i in range(1, 6)])
+
+
+def small_k_oracle(
+    a: float, K: float, c: Sequence[float], variant: str
+) -> tuple[Fraction, Fraction]:
+    """(value, sum of |terms|) of a/2 - K c2/(2 c1) + 3 K^2 (c2^2 - x)/(2 a c1^2),
+    x = c3^2 (printed) or c1 c3 (consistent), exact; the last term counts as
+    its two parts, so that their cancellation is not charged to the sum."""
+    a, K = Fraction(a), Fraction(K)
+    c = [Fraction(ck) for ck in c]
+    x = c[3] ** 2 if variant == "printed" else c[1] * c[3]
+    scale = 3 * K**2 / (2 * a * c[1] ** 2)
+    return _exact_sum([a / 2, -K * c[2] / (2 * c[1]), scale * c[2] ** 2, -scale * x])
+
+
+def small_width_oracle(a: float, K: float, c: Sequence[float]) -> tuple[Fraction, Fraction]:
+    """(value, sum of |terms|) of a/6 + (1/45)(c4/c5) a^2/K, exact."""
+    a, K = Fraction(a), Fraction(K)
+    return _exact_sum([a / 6, Fraction(c[4]) * a**2 / (45 * Fraction(c[5]) * K)])

@@ -28,7 +28,14 @@ from finwell import (
 )
 from finwell.fitseries import refit
 
-from oracles import central_difference, smallest_root_oracle
+from oracles import (
+    central_difference,
+    fit_series_oracle,
+    pressure_oracle,
+    small_k_oracle,
+    small_width_oracle,
+    smallest_root_oracle,
+)
 
 C = PAPER_FIT.c
 EPS = 2.0 ** -52
@@ -291,6 +298,11 @@ class TestSmallWidthExpansion:
         with pytest.raises(DomainError):
             expansion_small_width(1.0, 1.0, make_coeffs((0, 1, 1, 1, 1, 0)))
 
+    def test_tiny_width(self):
+        # a*a underflowed: 1.67e-201 where the exact value is 9.94e-202.
+        got = expansion_small_width(1e-200, 1e-200, PAPER_FIT)
+        assert_accurate(got, small_width_oracle(1e-200, 1e-200, C), SMALL_WIDTH_EPS)
+
 
 class TestSmallKExpansion:
     def test_zero_k_gives_half_width(self):
@@ -319,6 +331,30 @@ class TestSmallKExpansion:
     def test_requires_c1(self):
         with pytest.raises(DomainError):
             expansion_small_k(1.0, 0.1, make_coeffs((0, 0, 1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("variant", ["consistent", "printed"])
+    def test_tiny_lengths(self, variant):
+        # K*K underflowed to 0, so the dominant third term vanished and the
+        # result was -6.2e-299 where the exact value is +2.4e-296.
+        got = expansion_small_k(1e-300, 1e-300, PAPER_FIT, variant)
+        assert_accurate(got, small_k_oracle(1e-300, 1e-300, C, variant), SMALL_K_EPS)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-321])
+    def test_zero_k_at_a_subnormal_width(self, a):
+        # 2*a*c1^2 underflowed to 0: a raw ZeroDivisionError, not a/2.
+        for variant in ("consistent", "printed"):
+            assert expansion_small_k(a, 0.0, PAPER_FIT, variant) == a / 2
+
+    def test_huge_coefficients(self):
+        # c1^2 raised a raw OverflowError from c1 = 1e200 (and c2^2, c3^2
+        # from about 1.3e154).
+        got = expansion_small_k(1.0, 1.0, make_coeffs((0, 1e200, 1, 1, 1, 1)))
+        assert_accurate(got, small_k_oracle(1.0, 1.0, (0, 1e200, 1, 1, 1, 1), "consistent"),
+                        SMALL_K_EPS)
+        for c, variant in [((0, 1, 1e200, 1, 1, 1), "consistent"),
+                           ((0, 1, 1, 1e200, 1, 1), "printed")]:
+            with pytest.raises(NumericalError, match="small-K expansion overflows"):
+                expansion_small_k(1.0, 1.0, make_coeffs(c), variant)
 
 
 class TestCriticalWidth:
@@ -409,6 +445,16 @@ class TestCriticalWidth:
                 base, rel=1e-12
             )
 
+    def test_c0_is_not_scaled(self):
+        # The power-of-two scale once took in c0, which neither polynomial
+        # uses: c0 = 1 against c1 = 1e-310 raised a raw OverflowError from
+        # math.ldexp.  c0 moves no root.
+        with pytest.raises(NoRoot):
+            critical_width(1.0, make_coeffs((1.0, 1e-310, 0, 0, 0, 0)), "numeric")
+        for c0 in (0.0, 1e300, -1e-300):
+            shifted = make_coeffs((c0, *C[1:]))
+            assert critical_width(1.0, shifted, "numeric") == critical_width(1.0, PAPER_FIT, "numeric")
+
     def test_no_root(self):
         with pytest.raises(NoRoot):
             critical_width(1.0, make_coeffs((0, 0, 0, 0, 0, 1.0)), "numeric")
@@ -443,6 +489,78 @@ class TestClassifyResponse:
         report = classify_response(a0, K, PAPER_FIT)
         assert report.outcome is Response.PUSHED_DEEPER
         assert report.at_boundary
+
+
+# Accuracy bounds, in eps times the sum of the magnitudes of the exact terms
+# (README's accuracy table).  Each is the rounding bound of the formula as
+# written: eval_fit's degree-5 Horner sum (10 roundings) plus the rounding
+# of 1/n (up to 5 more, in u^5); pressure_1d's u = K/a, the scaled
+# coefficients, a degree-4 Horner sum and three products; the small-K
+# expansion's ratios K/c1, K/a and third/c1, its products and sums; the
+# small-width expansion's five products and quotients and one sum.
+EVAL_FIT_EPS = 8
+PRESSURE_1D_EPS = 9
+SMALL_K_EPS = 5
+SMALL_WIDTH_EPS = 3
+
+# Coefficient sets for the accuracy properties: the published one, a refit,
+# and sets of signed coefficients log-uniform in magnitude on [1e-3, 1e3].
+coefficient_sets = st.one_of(
+    st.sampled_from([PAPER_FIT, refit()]),
+    st.lists(
+        st.tuples(st.booleans(), st.floats(math.log(1e-3), math.log(1e3))),
+        min_size=6, max_size=6,
+    ).map(lambda cs: make_coeffs(-math.exp(x) if neg else math.exp(x) for neg, x in cs)),
+)
+
+
+def assert_accurate(got, exact, bound):
+    value, size = exact
+    assert abs(Fraction(got) - value) <= bound * Fraction(EPS) * size, (got, float(value))
+
+
+class TestAccuracy:
+    """Each scalar formula against its exact value in Fractions, on a log scale."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_uniform(1e-60, sys.float_info.max), coefficient_sets)
+    def test_eval_fit(self, n, coeffs):
+        assert_accurate(eval_fit(coeffs, n), fit_series_oracle(coeffs.c, n), EVAL_FIT_EPS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_uniform(1e-60, 1e60), log_uniform(1e-60, 1e60), log_uniform(1e-60, 1e60),
+           coefficient_sets)
+    def test_pressure_1d(self, a, K, V0, coeffs):
+        # Within 1e-60..1e60 no intermediate of P underflows while P does
+        # not (see CHANGES.md for outside it); u^5 may overflow.
+        try:
+            got = pressure_1d(a, K, coeffs, V0)
+        except NumericalError:
+            assume(False)
+        assert_accurate(got, pressure_oracle(a, K, coeffs.c, V0), PRESSURE_1D_EPS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_uniform(1e-300, 1e300), log_uniform(1e-12, 1e2), coefficient_sets,
+           st.sampled_from(["consistent", "printed"]))
+    @example(1e-300, 1.0, PAPER_FIT, "consistent")  # K*K underflowed: -6.2e-299, not +2.4e-296
+    def test_small_k(self, a, k_over_a, coeffs, variant):
+        K = a * k_over_a
+        try:
+            got = expansion_small_k(a, K, coeffs, variant)
+        except NumericalError:
+            assume(False)
+        assert_accurate(got, small_k_oracle(a, K, coeffs.c, variant), SMALL_K_EPS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_uniform(1e-300, sys.float_info.max), log_uniform(1e-300, sys.float_info.max),
+           coefficient_sets)
+    @example(1e-200, 1e-200, PAPER_FIT)  # a*a underflowed: 1.67e-201, not 9.94e-202
+    def test_small_width(self, a, K, coeffs):
+        try:
+            got = expansion_small_width(a, K, coeffs)
+        except NumericalError:
+            assume(False)
+        assert_accurate(got, small_width_oracle(a, K, coeffs.c), SMALL_WIDTH_EPS)
 
 
 class TestFloatRange:

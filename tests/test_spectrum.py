@@ -315,17 +315,19 @@ class TestGroundStart:
         assert [spectrum._ground_start(ni, math) for ni in n.tolist()] == x.tolist()
 
     @pytest.mark.parametrize("lo, hi, bound, branches", [
-        pytest.param(1e-3, 0.6, 1.6, False, id="0.001-0.6-1.6"),
-        pytest.param(0.1, 1e4, 2.0, False, id="0.1-10000.0-2.0"),
-        pytest.param(1.0, 12.0, 3.0, False, id="1.0-12.0-3.0"),
-        pytest.param(1.5 * math.pi, 3e3, 2.7, True, id="branches"),
+        pytest.param(1e-3, 0.6, 1.26, False, id="0.001-0.6-1.6"),
+        pytest.param(0.1, 1e4, 1.53, False, id="0.1-10000.0-2.0"),
+        pytest.param(1.0, 12.0, 2.3, False, id="1.0-12.0-3.0"),
+        pytest.param(1.5 * math.pi, 3e3, 2.6, True, id="branches"),
     ])
     def test_newton_evaluations_per_root(self, monkeypatch, lo, hi, bound, branches):
         # Means on these draws from the start min(pi/2 n/(n+1), n/sqrt(1+n)):
-        # 10.1, 3.31 and 3.52; from the series start 1.44, 1.88 and 2.80.
-        # Higher branches, k uniform on 1..(n - pi/2)/pi as in the benchmark's
-        # draw: 4.20 from the bracket midpoint, 2.53 from acos(k pi/n)
-        # corrected once.
+        # 10.1, 3.31 and 3.52; from the series start 1.44, 1.88 and 2.80,
+        # and 1.15, 1.39 and 2.09 on the residual n cos(theta) - xi with its
+        # step-squared acceptance.  Higher branches, k uniform on
+        # 1..(n - pi/2)/pi as in the benchmark's draw: 4.20 from the bracket
+        # midpoint, 2.53 from acos(k pi/n) corrected once, 2.36 from that
+        # start on n cos(theta) - xi.  Each bound is about its mean plus 10%.
         step, calls = spectrum._newton_step, []
         monkeypatch.setattr(spectrum, "_newton_step", lambda *args: calls.append(1) or step(*args))
         rng = np.random.default_rng(21)
@@ -402,47 +404,41 @@ class TestBranchThreshold:
 class TestConvergenceDiagnostics:
     """A ConvergenceFailure says how far the solver got."""
 
-    def check_message(self, exc, n, iterations, width_max):
+    def check_message(self, exc, n, branch, iterations, step_max):
         match = re.search(
-            r"(\d+) iterations, bracket width (\S+), backward error (\S+) at xi=(\S+)$",
+            r"(\d+) iterations, last step (\S+), backward error (\S+) at xi=(\S+)$",
             str(exc.value),
         )
         assert match, str(exc.value)
         assert int(match[1]) == iterations
-        assert 0.0 < float(match[2]) <= width_max
+        assert 0.0 < abs(float(match[2])) <= step_max
         xi = float(match[4])
-        assert float(match[3]) == pytest.approx(spectrum._backward_error(xi, n), rel=1e-3)
+        want = spectrum._backward_error(xi, n, branch)
+        assert float(match[3]) == pytest.approx(want, rel=1e-3)
 
-    @pytest.mark.parametrize("n, branch", [(2.0, 0), (50.0, 0), (20.0, 3), (1e3, 7)])
+    @pytest.mark.parametrize("n, branch", [(2.0, 0), (5.0, 0), (20.0, 3), (1e3, 7)])
     def test_scalar(self, monkeypatch, n, branch):
         monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceFailure, match=f"n={n}, branch={branch}") as exc:
             solve_even_root(n, branch)
-        self.check_message(exc, n, 1, 0.5 * math.pi)
+        self.check_message(exc, n, branch, 1, 0.5 * math.pi)
 
-    def test_eta_polish(self, monkeypatch):
-        # The polish of u = sqrt(eps - theta) for eta runs on the root loop's
-        # iteration budget: with just enough budget for the root, eta fails
-        # with the same diagnostics.
-        cfg = unit_well(math.pi + 1e-9)
+    def test_energy_exact_on_a_higher_branch(self, monkeypatch):
+        # energy_exact takes theta from the root solve, so a root that is not
+        # resolved within the budget fails energy_exact with the same message.
+        cfg = unit_well(3 * math.pi + 1.0)
         n = well_strength(cfg).strength
-        for budget in range(1, spectrum._MAX_ITER):
-            monkeypatch.setattr(spectrum, "_MAX_ITER", budget)
-            try:
-                solve_even_root(n, 1)
-                break
-            except ConvergenceFailure:
-                pass
-        with pytest.raises(ConvergenceFailure, match=f"eta unresolved for n={n}, branch=1") as exc:
-            energy_exact(cfg, 1)
-        self.check_message(exc, n, budget, 0.5 * math.pi)
+        monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceFailure, match=f"root unresolved for n={n}, branch=3") as exc:
+            energy_exact(cfg, 3)
+        self.check_message(exc, n, 3, 1, 0.5 * math.pi)
 
     def test_batched(self, monkeypatch):
         monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceFailure, match="2 ground roots unresolved") as exc:
-            solve_ground_roots(np.array([1e-4, 2.0, 50.0, 1e5]))
+            solve_ground_roots(np.array([1e-4, 2.0, 5.0, 1e5]))
         assert "n=2.0, branch=0" in str(exc.value)
-        self.check_message(exc, 2.0, 1, 0.5 * math.pi)
+        self.check_message(exc, 2.0, 0, 1, 0.5 * math.pi)
 
 
 class TestBatchedRoots:
@@ -454,39 +450,29 @@ class TestBatchedRoots:
         n = np.exp(np.array(logs))
         assert solve_ground_roots(n).tolist() == [solve_even_root(ni) for ni in n.tolist()]
 
-    def handed_off(self, monkeypatch, n):
-        # The strengths solve_ground_roots hands to solve_even_root, after
-        # checking its roots against the scalar solver's.
-        calls = []
-        monkeypatch.setattr(spectrum, "solve_even_root",
-                            lambda ni: calls.append(ni) or solve_even_root(ni))
-        xi = solve_ground_roots(n)
-        assert xi.tolist() == [solve_even_root(ni) for ni in n.tolist()]
-        return calls
+    def assert_bit_equal(self, n):
+        assert solve_ground_roots(n).tolist() == [solve_even_root(ni) for ni in n.tolist()]
 
-    def test_hand_offs(self, monkeypatch):
-        # Rows leave the plain Newton batch only where the scalar loop takes
-        # a safeguard (bisection, the step in sqrt(n - xi), a collapsed
-        # bracket): none on the benchmark's sweep grid, in the log-uniform
-        # draw, or from n = 1e15 up, where the root is within ulps of pi/2.
+    def test_hand_offs(self):
+        # The batch and the scalar loop agree bit for bit on the benchmark's
+        # sweep grid, in the log-uniform draw, and from n = 1e15 up, where
+        # the root is within ulps of pi/2.
         rng = np.random.default_rng(0)
-        loguniform = np.exp(rng.uniform(math.log(1e-3), math.log(1e12), 20000))
-        assert self.handed_off(monkeypatch, np.geomspace(0.09, 110.0, 3000)) == []
-        assert self.handed_off(monkeypatch, loguniform) == []
-        assert self.handed_off(monkeypatch, np.geomspace(1e15, 1e300, 100001)) == []
-        assert self.handed_off(monkeypatch, np.geomspace(1e15, 1e17, 200001)) == []
+        self.assert_bit_equal(np.geomspace(0.09, 110.0, 3000))
+        self.assert_bit_equal(np.exp(rng.uniform(math.log(1e-3), math.log(1e12), 20000)))
+        self.assert_bit_equal(np.geomspace(1e15, 1e300, 100001))
+        self.assert_bit_equal(np.geomspace(1e15, 1e17, 200001))
 
     @pytest.mark.parametrize("fraction", [0.5, 0.999999])
     def test_poor_start_hands_off_bit_equal(self, monkeypatch, fraction):
         # From a start of the bracket midpoint, or just under its top, both
-        # solvers need the bisection and the step in sqrt(n - xi); the batch
-        # hands those rows to the scalar loop.
+        # solvers take more steps and clip more often; they still agree.
         def start(n, xp):
             top = min(n, 0.5 * math.pi) if xp is math else np.minimum(n, 0.5 * math.pi)
             return fraction * top
 
         monkeypatch.setattr(spectrum, "_ground_start", start)
-        assert len(self.handed_off(monkeypatch, np.geomspace(1e-3, 1e300, 20001))) > 1000
+        self.assert_bit_equal(np.geomspace(1e-3, 1e300, 20001))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_bad_strength(self, bad):
@@ -550,17 +536,18 @@ class TestEnergyExact:
     ])
     def test_eta_against_decimal_oracle(self, hydrogen_scale, n, branch):
         # sqrt(n*n - xi*xi) was 3e5 ulp off near n = 1e-3, 1.6e11 ulp just
-        # above a branch threshold, and inf from n = 1.34e154.  Where the
-        # ground level takes eta = xi tan(xi), and on every higher branch, the
-        # reference is the true eta of the decimal root, not sqrt(n^2 - xi^2)
-        # at the rounded xi (7e-5 off the true eta at n = pi + 1e-6).
+        # above a branch threshold, and inf from n = 1.34e154.  Up to
+        # n = 1e12, and on every higher branch, the reference is the true eta
+        # of the decimal root, not sqrt(n^2 - xi^2) at the rounded xi (7e-5
+        # off the true eta at n = pi + 1e-6); above, where xi is within ulps
+        # of pi/2, it is sqrt(n^2 - xi^2) in decimal.
         K, V0, m = hydrogen_scale
         cfg = WellConfig(n * K, V0, m)
         state = energy_exact(cfg, branch)
         strength = well_strength(cfg).strength
         if branch:
             want = branch_root_eta_oracle(strength, branch)[1]
-        elif strength <= spectrum.TAN_ETA_STRENGTH:
+        elif strength <= 1e12:
             want = ground_root_eta_oracle(strength)[1]
         else:
             want = eta_oracle(strength, state.xi)
@@ -597,6 +584,17 @@ class TestEnergyExact:
         want = ground_root_eta_oracle(n)[1]
         state = energy_exact(cfg)
         assert abs(state.eta - want) <= 3 * math.ulp(want), (n, state.eta, want)
+
+    @settings(max_examples=300)
+    @given(st.floats(math.log(1e12), math.log(1.7e308)))
+    def test_huge_well_eta_property(self, log_n):
+        # From n = 1e12 on xi is within ulps of pi/2 and eta = n sin(xi);
+        # the reference is sqrt(n^2 - xi^2) in decimal at the solver's xi.
+        cfg = unit_well(math.exp(log_n))
+        n = well_strength(cfg).strength
+        state = energy_exact(cfg)
+        want = eta_oracle(n, state.xi)
+        assert abs(state.eta - want) <= 2 * math.ulp(want), (n, state.eta, want)
 
     @settings(max_examples=300)
     @given(st.floats(math.log(1e-12), math.log(1e12)))
