@@ -125,14 +125,16 @@ def fit_inverse_poly(
     <p_k, r>/|p_k|^2 (math.fsum inner products), and the monomial coefficients
     sum b_k p_k come from the same recurrence.  |p_k| is R_kk of the
     Vandermonde QR, so |p_k|^2 <= (eps*m)^2 * m (lstsq's default rcond against
-    |p_0|^2 = m) raises SingularSystem.  sigma is the RMS residual.
+    |p_0|^2 = m) raises SingularSystem.  sigma is the RMS residual, taken
+    from r after its last update: y - sum b_k p_k at the samples, with no
+    second evaluation of the series.
     """
     m = len(points)
     if m < 2 * N_COEFFS:
         raise DomainError(f"need at least {2 * N_COEFFS} points, got {m}")
     ns = [float(n) for n, _ in points]
     ys = [float(y) for _, y in points]
-    if not all(n > 0.0 for n in ns):
+    if not all(map((0.0).__lt__, ns)):  # 0 < n, NaN refused
         raise DomainError("sample strengths must be positive")
     us = [1.0 / n for n in ns]
     if len(set(us)) != m:
@@ -154,14 +156,14 @@ def fit_inverse_poly(
             raise SingularSystem(f"design matrix rank {k} < {N_COEFFS}")
         b = math.fsum(map(mul, p, r)) / norm
         c = [ci + b * ai for ci, ai in zip(c, a)]
+        r = [ri - b * pi for ri, pi in zip(r, p)]
         if k == N_COEFFS - 1:
             break
-        r = [ri - b * pi for ri, pi in zip(r, p)]
         alpha, beta = math.fsum(map(mul, us, pp)) / norm, norm / norm_prev
         p_prev, p = p, [(u - alpha) * pi - beta * qi for u, pi, qi in zip(us, p, p_prev)]
         a_prev, a = a, [s - alpha * ai - beta * qi for s, ai, qi in zip([0.0, *a], a, a_prev)]
         norm_prev = norm
-    sigma = math.sqrt(math.fsum((_horner(c, u) - y) ** 2 for u, y in zip(us, ys)) / m)
+    sigma = math.sqrt(math.fsum(map(mul, r, r)) / m)
     return FitCoefficients(c=tuple(c), sigma=sigma, source="refit", grid=grid)
 
 

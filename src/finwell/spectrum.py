@@ -204,12 +204,12 @@ def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
     root monotonically from its right, and a step from its left lands right
     of it or is clipped to the bracket top.  Branch 0 starts from a series
     of its root (in n^2 below n = 0.7, in 1/(n + 1) above), higher branches
-    from acos(k*pi/n) with one trig-free correction.  The Newton point of a
-    step s from theta is accepted when s^2 <= theta*ulp(theta)/2, which
-    leaves it within a quarter ulp of the root (|g''/g'| < 1/theta), or
-    when the clipped point does not move.  Below SERIES_STRENGTH the ground
-    root is its series in n.  solve_ground_roots runs the same loop on
-    arrays.
+    from acos(k*pi/n) with one trig-free Halley correction, clipped to the
+    bracket top.  The Newton point of a step s from theta is accepted when
+    s^2 <= theta*ulp(theta)/2, which leaves it within a quarter ulp of the
+    root (|g''/g'| < 1/theta), or when the clipped point does not move.
+    Below SERIES_STRENGTH the ground root is its series in n.
+    solve_ground_roots runs the same loop on arrays.
     """
     # _theta is energy_exact's: it returns (xi, theta), as eta = n sin(theta).
     if not 0.0 < n <= FLOAT_MAX:
@@ -226,18 +226,27 @@ def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
             return (xi, xi) if _theta else xi
         b = b_lo = 0.0
         eps = n
-        hi = min(_HALF_PI, n)
+        hi = n if n < _HALF_PI else _HALF_PI  # min(pi/2, n) without a call
         x = _ground_start(n, math)
     else:
         b, b_lo, eps = _branch_offset(n, branch)
-        hi = min(_HALF_PI, eps)
+        hi = eps if eps < _HALF_PI else _HALF_PI
         # cos(theta) = xi/n on every branch, so theta0 = acos(k pi/n), here
-        # atan2(r, k pi) with r = n sin(theta0) = sqrt(eps (n + k pi)).  One
-        # Newton step on cos(theta) = (k pi + theta)/n from theta0, with
-        # sin(theta0) = r/n, gives theta0 r/(r + 1); just above the threshold
-        # that lands near 2 eps, past hi = eps, and is clipped to it.
+        # atan2(r, k pi) with r = n sin(theta0) = sqrt(eps (n + k pi)).  At
+        # theta0, h = n cos(theta) - k pi - theta is -theta0, h' = -(r + 1)
+        # and h'' = -k pi, so a Halley step needs no more trig.  It gives
+        # theta0 (r - q)/((r + 1) - q), q = theta0 k pi/(2 (r + 1)), with
+        # the ratio formed first so that no intermediate overflows.  As
+        # theta0 <= tan(theta0) = r/(k pi), q <= r/(2 (r + 1)) < 1/2 and
+        # r - q > r/2 > 0, so the start is positive; past hi (as just above
+        # the threshold, where it lands near eps) it is clipped to hi.
         r = math.sqrt(eps) * math.sqrt(n + b)
-        x = min(math.atan2(r, b) * r / (r + 1.0), hi)
+        t = math.atan2(r, b)
+        s = r + 1.0
+        q = 0.5 * t * b / s
+        x = t * ((r - q) / (s - q))
+        if x > hi:
+            x = hi
     # The root can lie above hi = fl(pi/2), under half an ulp, from n ~
     # (k + 1/2) 2e15 on; Newton's point is then clipped to hi and stays.
     ulp = math.ulp
