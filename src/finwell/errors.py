@@ -5,7 +5,10 @@ covers invalid or out-of-range inputs, ``NumericalError`` covers failures
 of the numerics themselves.  ``check_positive`` is the shared domain check
 for quantities that must be positive and finite, ``check_positive_columns``
 the same check on arrays, ``check_columns`` the shape check of every array
-entry point, and ``check_finite`` the range check on a result.
+entry point, and ``check_finite`` the range check on a result.  Each takes
+the names of its values as one space-separated string, then the values by
+position, as in ``check_positive("a K V0", a, K, V0)``: a value that passes
+costs no dict and no split, only a refused one has its name looked up.
 ``value_text`` is the text of a refused value in every domain message.
 """
 
@@ -74,40 +77,51 @@ def value_text(value: object) -> str:
         return f"{sign} integer of {abs(value).bit_length()} bits"
 
 
-def check_positive(**values: float) -> None:
-    """Raise DomainError naming the first value that is not positive and finite."""
-    for name, value in values.items():
+def check_positive(names: str, *values: float) -> None:
+    """Raise DomainError naming the first value that is not positive and finite.
+
+    names: the values' names, space-separated, in the order of values.
+    """
+    for value in values:
         if not 0.0 < value <= FLOAT_MAX:
+            # Every earlier value passed, so the first one equal to this is it.
+            name = names.split()[values.index(value)]
             raise DomainError(f"{name} must be positive and finite, got {value_text(value)}")
 
 
-def check_finite(value: float, what: str, **at: float) -> float:
-    """value, or NumericalError "<what> overflows at <name> = <value>, ..."."""
+def check_finite(value: float, what: str, names: str, *at: float) -> float:
+    """value, or NumericalError "<what> overflows at <name> = <value>, ...".
+
+    names as in check_positive, one per value of at.
+    """
     if math.isfinite(value):
         return value
-    where = ", ".join(f"{name} = {x:.6g}" for name, x in at.items())
+    where = ", ".join(f"{name} = {x:.6g}" for name, x in zip(names.split(), at))
     raise NumericalError(f"{what} overflows at {where}")
 
 
-def check_columns(**columns: np.ndarray) -> None:
-    """Raise DomainError unless every column is a 1-D numpy array as long as the first."""
+def check_columns(names: str, *columns: np.ndarray) -> None:
+    """Raise DomainError unless every column is a 1-D numpy array as long as the first.
+
+    names as in check_positive.
+    """
     import numpy as np
-    first = next(iter(columns))
-    for name, column in columns.items():
+    names = names.split()
+    for name, column in zip(names, columns):
         if not (isinstance(column, np.ndarray) and column.ndim == 1):
             shape = getattr(column, "shape", None)
             got = type(column).__name__ if shape is None else f"shape {shape}"
             raise DomainError(f"{name} must be a 1-D array, got {got}")
-        if len(column) != len(columns[first]):
+        if len(column) != len(columns[0]):
             raise DomainError(
-                f"{name} has {len(column)} rows where {first} has {len(columns[first])}")
+                f"{name} has {len(column)} rows where {names[0]} has {len(columns[0])}")
 
 
-def check_positive_columns(**columns: np.ndarray) -> None:
+def check_positive_columns(names: str, *columns: np.ndarray) -> None:
     """check_columns, then check_positive on every row, reporting the first offending one."""
     import numpy as np
-    check_columns(**columns)
-    bad = [~(np.isfinite(v) & (v > 0.0)) for v in columns.values()]
+    check_columns(names, *columns)
+    bad = [~(np.isfinite(v) & (v > 0.0)) for v in columns]
     rows = np.flatnonzero(np.logical_or.reduce(bad))
     if rows.size:
-        check_positive(**{name: values[rows[0]] for name, values in columns.items()})
+        check_positive(names, *(values[rows[0]] for values in columns))

@@ -188,7 +188,8 @@ def eval_fit(coeffs: FitCoefficients, n: float) -> float:
     """
     if not 0.0 < n <= FLOAT_MAX:
         raise DomainError(f"strength n must be positive, got {value_text(n)}")
-    return check_finite(_horner(coeffs.c, 1.0 / n), "fitted series", n=n)
+    n = float(n)  # a numpy scalar would warn on overflow
+    return check_finite(_horner(coeffs.c, 1.0 / n), "fitted series", "n", n)
 
 
 def dump_coefficients(coeffs: FitCoefficients, path: str) -> None:

@@ -72,50 +72,68 @@ def pressure_1d(a: float, K: float, coeffs: FitCoefficients, V0: float) -> float
     analysis of E = V0 * sum c_i (K/a)^i forces it.  Raises NumericalError
     when P leaves the float range (a far below K).
     """
-    check_positive(a=a, K=K, V0=V0)
+    check_positive("a K V0", a, K, V0)
     a, K, V0 = float(a), float(K), float(V0)  # a numpy scalar would warn on overflow
-    return check_finite(_pressure(a, K, coeffs.c, V0), "pressure", **{"a/K": a / K})
+    return check_finite(_pressure(a, K, coeffs.c, V0), "pressure", "a/K", a / K)
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in ("printed", "consistent"):
-        raise DomainError(f"variant must be 'printed' or 'consistent', got {variant!r}")
+def _variant_error(variant: str) -> DomainError:
+    return DomainError(f"variant must be 'printed' or 'consistent', got {variant!r}")
 
 
 def _rational_coefficients(c, variant: str = "consistent") -> tuple[tuple, tuple]:
-    # Ascending coefficients in t = a/K of the dE/dP numerator and denominator.
-    lead = 2.0 * c[1] if variant == "printed" else c[1]
+    # Ascending coefficients in t = a/K of the dE/dP numerator and denominator;
+    # DomainError for a variant that is neither form.
+    if variant == "consistent":
+        lead = c[1]
+    elif variant == "printed":
+        lead = 2.0 * c[1]
+    else:
+        raise _variant_error(variant)
     return (
         (5.0 * c[5], 4.0 * c[4], 3.0 * c[3], 2.0 * c[2], c[1]),
         (15.0 * c[5], 10.0 * c[4], 6.0 * c[3], 3.0 * c[2], lead),
     )
 
 
+def _sum2(x0, x1, x2, x3, x4):
+    # x0 + x1 + x2 + x3 + x4 by Sum2 (Ogita, Rump and Oishi 2005), left to
+    # right: each addition's exact error, by TwoSum, is summed apart and added
+    # last.  The error starts as 0.0 + e1, as a loop from error = 0.0 does, so
+    # that signed zeros come out as in that form.  Floats or arrays.
+    s = x0 + x1
+    b = s - x0
+    e = 0.0 + ((x0 - (s - b)) + (x1 - b))
+    t = s + x2
+    b = t - s
+    e = e + ((s - (t - b)) + (x2 - b))
+    s = t + x3
+    b = s - t
+    e = e + ((t - (s - b)) + (x3 - b))
+    t = s + x4
+    b = t - s
+    e = e + ((s - (t - b)) + (x4 - b))
+    return t + e
+
+
 def _rational_sums(t, c, variant: str):
     # (numerator, denominator, near_pole) of dE/dP in t = a/K; floats or arrays.
     # Powers by multiplication: numpy's ** may round differently from libm.
-    # Each sum is Sum2 (Ogita, Rump and Oishi 2005): the exact error of every
-    # addition, by TwoSum, is summed apart and added last.  That is as accurate
-    # as summing in twice the precision; a plain sum is 3e-7 off at 1e-9 from
-    # the pole.  A term or sum that overflows leaves num or den non-finite.
-    # The pole rule: den is 0, or below POLE_RTOL times one of its terms.
-    _check_variant(variant)
+    # Each sum is one _sum2 over the five terms, constant term first.  That is
+    # as accurate as summing in twice the precision; a plain sum is 3e-7 off
+    # at 1e-9 from the pole.  A term or sum that overflows leaves num or den
+    # non-finite.  The pole rule: den is 0, or below POLE_RTOL times one of
+    # its terms.
+    (n0, n1, n2, n3, n4), (d0, d1, d2, d3, d4) = _rational_coefficients(c, variant)
     t2 = t * t
     t3, t4 = t2 * t, t2 * t2
-    sums = []
-    for k0, k1, k2, k3, k4 in _rational_coefficients(c, variant):
-        terms = (k0, k1 * t, k2 * t2, k3 * t3, k4 * t4)
-        total, error = k0, 0.0
-        for term in terms[1:]:
-            s = total + term
-            back = s - total
-            error = error + ((total - (s - back)) + (term - back))
-            total = s
-        sums.append(total + error)
-    num, den = sums
-    near_pole = den == 0.0
-    for term in terms:  # the denominator's, built last
-        near_pole = near_pole | (abs(den) < POLE_RTOL * abs(term))
+    num = _sum2(n0, n1 * t, n2 * t2, n3 * t3, n4 * t4)
+    d1, d2, d3, d4 = d1 * t, d2 * t2, d3 * t3, d4 * t4
+    den = _sum2(d0, d1, d2, d3, d4)
+    size = abs(den)
+    near_pole = ((den == 0.0) | (size < POLE_RTOL * abs(d0)) | (size < POLE_RTOL * abs(d1))
+                 | (size < POLE_RTOL * abs(d2)) | (size < POLE_RTOL * abs(d3))
+                 | (size < POLE_RTOL * abs(d4)))
     return num, den, near_pole
 
 
@@ -123,7 +141,7 @@ def _small_width_zero(c, K: float) -> float | None:
     # a0 = -7.5 (c5/c4) K, the zero of the small-width expansion; None if c4 = 0.
     if c[4] == 0.0:
         return None
-    return check_finite(-7.5 * (c[5] / c[4]) * K, "critical width -7.5 (c5/c4) K", K=K)
+    return check_finite(-7.5 * (c[5] / c[4]) * K, "critical width -7.5 (c5/c4) K", "K", K)
 
 
 def _rational_parts(
@@ -152,7 +170,7 @@ def denergy_dpressure(
     below POLE_RTOL times its largest term, and NumericalError where the
     numerator, the denominator or dE/dP itself leaves the float range.
     """
-    check_positive(a=a, K=K)
+    check_positive("a K", a, K)
     a, K = float(a), float(K)  # a numpy scalar would warn on overflow
     num, den = _rational_parts(a, K, coeffs, variant)
     # The quotient first: a * num overflows for very wide wells (from a/K ~
@@ -175,7 +193,7 @@ def pressure_columns(
     instead of raising, and both values are NaN.
     """
     import numpy as np
-    check_positive_columns(a=a, K=K, V0=V0)
+    check_positive_columns("a K V0", a, K, V0)
     t = a / K
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Rows that overflow or sit on the pole are flagged below.
@@ -195,12 +213,13 @@ def expansion_small_width(a: float, K: float, coeffs: FitCoefficients) -> float:
 
     Raises NumericalError when it leaves the float range.
     """
-    check_positive(a=a, K=K)
+    check_positive("a K", a, K)
+    a, K = float(a), float(K)  # a numpy scalar would warn on overflow
     if coeffs.c[5] == 0.0:
         raise DomainError("small-width expansion needs c5 != 0")
     # a * (a/K), not a*a/K: a*a under- or overflows where the term does not.
     dedp = a / 6.0 + (coeffs.c[4] / coeffs.c[5]) * a * (a / K) / 45.0
-    return check_finite(dedp, "small-width expansion", a=a, K=K)
+    return check_finite(dedp, "small-width expansion", "a K", a, K)
 
 
 def expansion_small_k(
@@ -214,18 +233,23 @@ def expansion_small_k(
     K = 0 is allowed: it is the exact deep-well limit a/2.  Raises
     NumericalError when the expansion leaves the float range.
     """
-    check_positive(a=a)
+    check_positive("a", a)
     if not 0.0 <= K <= FLOAT_MAX:
         raise DomainError(f"K must be non-negative and finite, got {value_text(K)}")
-    _check_variant(variant)
+    a, K = float(a), float(K)  # a numpy scalar would warn on overflow
     c = coeffs.c
+    if variant == "consistent":
+        third = c[2] * c[2] - c[1] * c[3]
+    elif variant == "printed":
+        third = c[2] * c[2] - c[3] * c[3]
+    else:
+        raise _variant_error(variant)
     if c[1] == 0.0:
         raise DomainError("small-K expansion needs c1 != 0")
-    third = c[2] * c[2] - (c[3] * c[3] if variant == "printed" else c[1] * c[3])
     # The ratios K/c1 and K/a first: K*K and a*c1^2 under- or overflow where
     # the terms do not.
     dedp = a / 2.0 + (K / c[1]) * (1.5 * (K / a) * (third / c[1]) - 0.5 * c[2])
-    return check_finite(dedp, "small-K expansion", a=a, K=K)
+    return check_finite(dedp, "small-K expansion", "a K", a, K)
 
 
 def _polish(coeffs, lo: float, hi: float, f_lo: float) -> float:
@@ -315,16 +339,13 @@ def critical_width(
     paper and numeric widths disagree for the published coefficients; both
     are reported, neither is silently preferred.
     """
-    check_positive(K=K)
+    check_positive("K", K)
+    K = float(K)  # a numpy scalar would warn on overflow
     a0_paper = _small_width_zero(coeffs.c, K)
     if method == "paper":
         if a0_paper is None:
             raise DomainError("paper-method critical width needs c4 != 0")
-        return CriticalWidthReport(
-            a0_paper=a0_paper,
-            a0_numeric=None,
-            pole_location=None,
-        )
+        return CriticalWidthReport(a0_paper, None, None)
     if method != "numeric":
         raise DomainError(f"method must be 'paper' or 'numeric', got {method!r}")
 
@@ -343,9 +364,9 @@ def critical_width(
         raise NoRoot(f"dE/dP numerator has no root in t = a/K on (0, {_MAX_T}]")
     poles = _roots(denominator)
     return CriticalWidthReport(
-        a0_paper=a0_paper,
-        a0_numeric=check_finite(zeros[0] * K, "numeric critical width", K=K),
-        pole_location=check_finite(poles[0] * K, "pole location", K=K) if poles else None,
+        a0_paper,
+        check_finite(zeros[0] * K, "numeric critical width", "K", K),
+        check_finite(poles[0] * K, "pole location", "K", K) if poles else None,
     )
 
 
@@ -356,7 +377,8 @@ def classify_response(a: float, K: float, coeffs: FitCoefficients) -> ResponseRe
     boundary flag set, since the published criterion only treats the strict
     inequality.  Raises NumericalError where a0 leaves the float range.
     """
-    check_positive(a=a, K=K)
+    check_positive("a K", a, K)
+    a, K = float(a), float(K)  # a numpy scalar would warn on overflow
     a0 = _small_width_zero(coeffs.c, K)
     if a0 is None:
         raise DomainError("classification needs c4 != 0")
@@ -365,7 +387,7 @@ def classify_response(a: float, K: float, coeffs: FitCoefficients) -> ResponseRe
         outcome = Response.IONIZES
     else:
         outcome = Response.PUSHED_DEEPER
-    return ResponseReport(outcome=outcome, at_boundary=at_boundary, critical_half_width=a0)
+    return ResponseReport(outcome, at_boundary, a0)
 
 
 def pressure_profile(
@@ -381,10 +403,4 @@ def pressure_profile(
         except PoleSingularity:
             values.append(math.nan)
             near_pole = True
-    return PressureProfile(
-        half_width=a,
-        pressure=pressure,
-        dedp=values[0],
-        dedp_printed=values[1],
-        near_pole=near_pole,
-    )
+    return PressureProfile(a, pressure, values[0], values[1], near_pole)

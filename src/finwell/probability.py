@@ -90,7 +90,8 @@ def beta_from_fit(
     Raises FitOutOfRange when the bracket goes negative, i.e. the series was
     evaluated where it extrapolates to E > V0.
     """
-    check_positive(a=a, K=K, m=m, V0=V0)
+    check_positive("a K m V0", a, K, m, V0)
+    a, K, m, V0 = float(a), float(K), float(m), float(V0)  # a numpy scalar would warn on overflow
     bracket = 1.0 - eval_fit(coeffs, a / K)
     if bracket < 0.0:
         raise FitOutOfRange(
@@ -109,6 +110,7 @@ def _well_z(a: float, beta: float) -> float:
     if not 0.0 <= beta <= FLOAT_MAX:
         raise DomainError(
             f"decay constant must be non-negative and finite, got {value_text(beta)}")
+    a, beta = float(a), float(beta)  # a numpy scalar would warn on overflow
     z = 2.0 * a * beta
     if z == math.inf:
         raise NumericalError(f"2 a beta overflows at a = {a:.6g} m, beta = {beta:.6g} 1/m")
@@ -123,7 +125,7 @@ def _check_gamma(gamma: float) -> None:
 def probability_interval(a: float, beta: float, gamma: float) -> ProbabilityResult:
     """Closed-form probability of |x| <= gamma*a."""
     _check_gamma(gamma)
-    return ProbabilityResult(probability=_r(_well_z(a, beta), gamma, math), gamma=gamma)
+    return ProbabilityResult(_r(_well_z(a, beta), gamma, math), gamma)
 
 
 def probability_columns(
@@ -140,10 +142,10 @@ def probability_columns(
     flagged or not.
     """
     import numpy as np
-    check_columns(a=a, gamma=gamma)
-    check_positive_columns(a=a, K=K, m=m, V0=V0)
+    check_columns("a gamma", a, gamma)
+    check_positive_columns("a K m V0", a, K, m, V0)
     n = a / K
-    check_positive_columns(n=n)
+    check_positive_columns("n", n)
     bad = np.flatnonzero(~((0.0 <= gamma) & (gamma <= 1.0)))
     if bad.size:
         _check_gamma(gamma[bad[0]])

@@ -35,8 +35,8 @@ class WellConfig(namedtuple("WellConfig", "half_width depth mass")):
     __slots__ = ()
 
     def __new__(cls, half_width: float, depth: float, mass: float) -> WellConfig:
-        check_positive(half_width=half_width, depth=depth, mass=mass)
-        return super().__new__(cls, half_width, depth, mass)
+        check_positive("half_width depth mass", half_width, depth, mass)
+        return super().__new__(cls, float(half_width), float(depth), float(mass))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
@@ -82,7 +82,7 @@ def well_strength(cfg: WellConfig) -> WellStrength:
     n, K = _strength(a, momentum)
     if not 0.0 < n < math.inf:
         raise _out_of_float_range("n = a sqrt(2 m V0)/hbar", a, m, V0)
-    return WellStrength(strength=n, characteristic_length=K)
+    return WellStrength(n, K)
 
 
 # pi = math.pi + _PI_LO to about 2^-107 relative, and math.pi = _PI_HEAD +
@@ -97,7 +97,9 @@ def _branch_offset(n: float, branch: int) -> tuple[float, float, float]:
     # (b, b_lo, eps) of branch k: k pi = b + b_lo to about 2^-106 relative,
     # and eps = n - k pi, whose only rounding is the last one where n is
     # within a factor 2 of k pi (n - b is then exact); (0, 0, n) for k = 0.
-    if branch > n:  # branch k needs n > k pi > k; refused before k pi can overflow
+    # Branch k needs n > k pi > k; refused before k pi can overflow.  float(n):
+    # a numpy scalar n would overflow converting a huge k.
+    if branch > float(n):
         raise NoSuchBranch(f"branch exceeds the strength n = {n:.6g}; branch k needs n > k pi")
     b = branch * math.pi
     if b + _HALF_PI > b:
@@ -272,7 +274,7 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     """
     import numpy as np
     n = np.asarray(n, dtype=float)
-    check_positive_columns(n=n)
+    check_positive_columns("n", n)
     xi = _ground_start(n, np)  # the root itself below SERIES_STRENGTH
     rows = np.flatnonzero(n >= SERIES_STRENGTH)
     m, x = n[rows], xi[rows]
@@ -313,15 +315,9 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
     eta = n * math.sin(theta)
     a = cfg.half_width
     ratio = _ratio(xi, n)
-    return BoundState(
-        branch=index(branch),  # solve_even_root refuses a non-integer branch
-        xi=xi,
-        eta=eta,
-        alpha=xi / a,
-        beta=eta / a,
-        energy=ratio * cfg.depth,
-        energy_ratio=ratio,
-    )
+    # branch, xi, eta, alpha, beta, energy, energy_ratio; solve_even_root
+    # refuses a non-integer branch.
+    return BoundState(index(branch), xi, eta, xi / a, eta / a, ratio * cfg.depth, ratio)
 
 
 def ground_states(
@@ -333,7 +329,7 @@ def ground_states(
     domain checks and formulas, with one batched root solve.
     """
     import numpy as np
-    check_positive_columns(half_width=half_width, depth=depth, mass=mass)
+    check_positive_columns("half_width depth mass", half_width, depth, mass)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         # 2 m V0 or n leaving the float range is raised below.
         momentum = np.sqrt(2.0 * mass * depth)

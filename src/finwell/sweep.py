@@ -72,7 +72,7 @@ def sweep_table(
         if np.ndim(value):
             raise DomainError(f"fixed {name} must be one number, got shape {np.shape(value)}")
     values = np.asarray(values, dtype=float)
-    check_columns(values=values)
+    check_columns("values", values)
     if not values.size:
         raise DomainError("a sweep needs at least one value")
     steps = values.size

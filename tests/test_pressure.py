@@ -11,6 +11,7 @@ from finwell import (
     DomainError,
     FinwellError,
     FitCoefficients,
+    FitGrid,
     NoRoot,
     NumericalError,
     PAPER_FIT,
@@ -27,6 +28,7 @@ from finwell import (
     pressure_profile,
 )
 from finwell.fitseries import refit
+from finwell.pressure import POLE_RTOL, _rational_sums
 
 from oracles import (
     central_difference,
@@ -254,6 +256,109 @@ class TestPressureColumns:
         p, dedp, near, overflow = pressure_columns(ones, ones, coeffs, ones)
         assert overflow.tolist() == [True] and not near.any()
         assert math.isnan(p[0]) and math.isnan(dedp[0])
+
+
+def loop_rational_sums(t, c, variant):
+    """(numerator, denominator, near_pole) of dE/dP in t = a/K: Sum2 as a loop
+    over each polynomial's terms, written apart from the library."""
+    lead = 2.0 * c[1] if variant == "printed" else c[1]
+    polys = ((5.0 * c[5], 4.0 * c[4], 3.0 * c[3], 2.0 * c[2], c[1]),
+             (15.0 * c[5], 10.0 * c[4], 6.0 * c[3], 3.0 * c[2], lead))
+    t2 = t * t
+    powers = (1.0, t, t2, t2 * t, t2 * t2)
+    sums = []
+    for poly in polys:
+        terms = [poly[0]] + [k * x for k, x in zip(poly[1:], powers[1:])]
+        total, error = terms[0], 0.0
+        for term in terms[1:]:
+            s = total + term
+            back = s - total
+            error = error + ((total - (s - back)) + (term - back))
+            total = s
+        sums.append(total + error)
+    num, den = sums
+    near_pole = den == 0.0
+    for term in terms:  # the denominator's
+        near_pole = near_pole | (abs(den) < POLE_RTOL * abs(term))
+    return num, den, near_pole
+
+
+def float_bits(x):
+    return np.float64(x).view(np.uint64).item()
+
+
+class TestRationalSums:
+    """_rational_sums is bit-equal to the loop form, for floats and arrays."""
+
+    FITS = [PAPER_FIT, refit(), refit(FitGrid(1.5, 10.0, 16))]
+
+    @staticmethod
+    def draws(coeffs, variant, size):
+        # Seeded log-uniform t on [1e-150, 1e150], which overflows the terms
+        # from about 1e77 up, plus the rows at and next to the pole.
+        rng = np.random.default_rng(31)
+        c = coeffs.c
+        lead = 2.0 * c[1] if variant == "printed" else c[1]
+        pole = smallest_root_oracle((15.0 * c[5], 10.0 * c[4], 6.0 * c[3], 3.0 * c[2], lead),
+                                    0.0, 20.0)
+        near = pole * (1.0 + np.array([-1e-9, -1e-12, -EPS, 0.0, EPS, 1e-12, 1e-9]))
+        fixed = [0.0, 5e-324, 1e-300, 1.3e77, 1e100, 1.7976931348623157e308]
+        return np.concatenate([np.exp(rng.uniform(math.log(1e-150), math.log(1e150), size)),
+                               near, fixed])
+
+    @pytest.mark.parametrize("variant", ["consistent", "printed"])
+    @pytest.mark.parametrize("coeffs", FITS, ids=["paper", "refit", "refit-1.5"])
+    def test_arrays(self, coeffs, variant):
+        t = self.draws(coeffs, variant, 20000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _rational_sums(t, coeffs.c, variant)
+            want = loop_rational_sums(t, coeffs.c, variant)
+        assert want[2].any() and not np.isfinite(want[1]).all()  # pole and overflow rows
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
+
+    @pytest.mark.parametrize("variant", ["consistent", "printed"])
+    @pytest.mark.parametrize("coeffs", FITS, ids=["paper", "refit", "refit-1.5"])
+    def test_floats(self, coeffs, variant):
+        for t in self.draws(coeffs, variant, 2000).tolist():
+            num, den, near_pole = _rational_sums(t, coeffs.c, variant)
+            want = loop_rational_sums(t, coeffs.c, variant)
+            assert (float_bits(num), float_bits(den)) == (float_bits(want[0]), float_bits(want[1]))
+            assert type(near_pole) is bool and near_pole == want[2]
+
+    def test_signed_zeros(self):
+        # With c = -0.0 throughout every term is -0.0, and a plain sum would
+        # be -0.0; Sum2 gives +0.0, as the loop does.
+        coeffs = make_coeffs((0.0, -0.0, -0.0, -0.0, -0.0, -0.0))
+        for t in (0.0, 1.0):
+            got = _rational_sums(t, coeffs.c, "consistent")
+            assert [float_bits(x) for x in got[:2]] == [
+                float_bits(x) for x in loop_rational_sums(t, coeffs.c, "consistent")[:2]]
+            assert got[2]
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_pole_rule_reads_every_term(self, k):
+        # At t = 1 the denominator's terms are 15 c5, 10 c4, 6 c3, 3 c2 and c1.
+        # Term k is 2 and two others are -1 and -(1 - 1.5e-12): den is about
+        # 1.5e-12, below POLE_RTOL times term k alone.
+        terms = [0.0] * 5
+        others = [j for j in range(5) if j != k]
+        terms[k], terms[others[0]], terms[others[1]] = 2.0, -1.0, -(1.0 - 1.5e-12)
+        c = (0.0, terms[4], terms[3] / 3, terms[2] / 6, terms[1] / 10, terms[0] / 15)
+        got = _rational_sums(1.0, c, "consistent")
+        assert got == loop_rational_sums(1.0, c, "consistent")
+        assert 1.0 < abs(got[1]) / POLE_RTOL < 2.0 and got[2]
+
+    @pytest.mark.parametrize("call", [
+        lambda: denergy_dpressure(1.0, 1.0, PAPER_FIT, "extrapolated"),
+        lambda: pressure_columns(np.ones(1), np.ones(1), PAPER_FIT, np.ones(1), "extrapolated"),
+        lambda: expansion_small_k(1.0, 0.5, PAPER_FIT, "extrapolated"),
+    ], ids=["scalar", "columns", "small-k"])
+    def test_variant_message(self, call):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == "variant must be 'printed' or 'consistent', got 'extrapolated'"
 
 
 class TestSmallWidthExpansion:

@@ -123,3 +123,80 @@ def test_checked_messages():
         fw.FitGrid(1.0, 10.0, 11)
     with pytest.raises(fw.DomainError, match=r"^quantity value must be finite, got inf$"):
         fw.Quantity(math.inf, fw.Dimension.LENGTH)
+
+
+# Records built by position: each field holds the value that defines it.
+# The wells span the ground branch and branch 1, shallow to deep.
+FIELD_WELLS = [fw.hydrogen_well(), fw.WellConfig(2e-9, 5e-19, 9.1e-31),
+               fw.WellConfig(3e-11, 8e-18, 1.7e-27)]
+
+
+@pytest.mark.parametrize("cfg", FIELD_WELLS, ids=["hydrogen", "wide", "heavy"])
+def test_well_strength_fields(cfg):
+    momentum = math.sqrt(2.0 * cfg.mass * cfg.depth)
+    strength = fw.well_strength(cfg)
+    assert strength.strength == cfg.half_width * momentum / fw.CONSTANTS.hbar
+    assert strength.characteristic_length == fw.CONSTANTS.hbar / momentum
+
+
+@pytest.mark.parametrize("branch", [0, 1])
+@pytest.mark.parametrize("cfg", FIELD_WELLS[1:], ids=["wide", "heavy"])
+def test_bound_state_fields(cfg, branch):
+    n = fw.well_strength(cfg).strength
+    state = fw.energy_exact(cfg, branch)
+    a = cfg.half_width
+    assert state.branch == branch
+    assert state.xi == fw.solve_even_root(n, branch)
+    assert math.isclose(state.eta, math.sqrt(n * n - state.xi ** 2), rel_tol=1e-12)
+    assert state.alpha == state.xi / a
+    assert state.beta == state.eta / a
+    assert state.energy_ratio == (state.xi / n) ** 2
+    assert state.energy == state.energy_ratio * cfg.depth
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0, 40.0])
+def test_pressure_profile_fields(t):
+    K, V0 = 5.29e-11, 2.18e-18
+    a = t * K
+    profile = fw.pressure_profile(a, K, fw.PAPER_FIT, V0)
+    assert profile == (a, fw.pressure_1d(a, K, fw.PAPER_FIT, V0),
+                       fw.denergy_dpressure(a, K, fw.PAPER_FIT, "consistent"),
+                       fw.denergy_dpressure(a, K, fw.PAPER_FIT, "printed"), False)
+    assert profile.dedp != profile.dedp_printed
+
+
+@pytest.mark.parametrize("side", [0.5, 1.0, 2.0])
+def test_response_report_fields(side):
+    K = 5.29e-11
+    a0 = fw.critical_width(K, fw.PAPER_FIT).a0_paper
+    report = fw.classify_response(side * a0, K, fw.PAPER_FIT)
+    assert report.critical_half_width == a0
+    assert report.at_boundary is (side == 1.0)
+    want = fw.Response.IONIZES if side < 1.0 else fw.Response.PUSHED_DEEPER
+    assert report.outcome is want
+
+
+def test_critical_width_report_fields():
+    K = 5.29e-11
+    c = fw.PAPER_FIT.c
+    assert fw.critical_width(K, fw.PAPER_FIT) == (-7.5 * (c[5] / c[4]) * K, None, None)
+    numeric = fw.critical_width(K, fw.PAPER_FIT, "numeric")
+    assert numeric.a0_paper == -7.5 * (c[5] / c[4]) * K
+    # The numerator's root, not the denominator's (which is the pole).
+    for width, poly in ((numeric.a0_numeric, (5 * c[5], 4 * c[4], 3 * c[3], 2 * c[2], c[1])),
+                        (numeric.pole_location, (15 * c[5], 10 * c[4], 6 * c[3], 3 * c[2], c[1]))):
+        t = width / K
+        value = sum(pk * t ** k for k, pk in enumerate(poly))
+        assert abs(value) <= 1e-12 * sum(abs(pk) * t ** k for k, pk in enumerate(poly))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
+def test_probability_result_fields(gamma):
+    a, beta = 1e-10, 4e9
+    result = fw.probability_interval(a, beta, gamma)
+    assert result.gamma == gamma
+    z = 2.0 * a * beta
+    want = gamma * (1.0 + (math.sinh(z * gamma) / (z * gamma) if gamma else 1.0)) / (
+        1.0 + math.sinh(z) / z)
+    assert math.isclose(result.probability, want, rel_tol=1e-14)
+    assert result.probability != gamma or gamma == 0.0
