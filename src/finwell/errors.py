@@ -2,14 +2,15 @@
 
 Two families matter for callers (and for CLI exit codes): ``DomainError``
 covers invalid or out-of-range inputs, ``NumericalError`` covers failures
-of the numerics themselves.  ``check_positive`` is the shared domain check
-for quantities that must be positive and finite, ``check_positive_columns``
-the same check on arrays, ``check_columns`` the shape check of every array
-entry point, and ``check_finite`` the range check on a result.  Each takes
-the names of its values as one space-separated string, then the values by
-position, as in ``check_positive("a K V0", a, K, V0)``: a value that passes
-costs no dict and no split, only a refused one has its name looked up.
-``value_text`` is the text of a refused value in every domain message.
+of the numerics themselves.  The range rule of a scalar input lives here
+alone: ``check_positive``, ``check_non_negative`` and ``check_real`` refuse a
+value that is not positive, non-negative or finite, and return the values as
+Python floats, as in ``a, K, V0 = check_positive("a K V0", a, K, V0)``.
+``check_positive_columns`` is the positive check on arrays, ``check_columns``
+the shape check of every array entry point, and ``check_finite`` the range
+check on a result.  Each takes the names of its values as one space-separated
+string, then the values by position: a value that passes costs no dict and no
+split.  ``value_text`` is the text of a refused value in every domain message.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from __future__ import annotations
 import math
 import sys
 
-# The largest double.  The scalar input checks compare with it (0 < x <=
-# FLOAT_MAX) in place of math.isfinite: the comparison refuses NaN and the
-# infinities as well, and also an int beyond the float range, for which
-# math.isfinite raises OverflowError.
 FLOAT_MAX = sys.float_info.max
 
 
@@ -77,16 +74,38 @@ def value_text(value: object) -> str:
         return f"{sign} integer of {abs(value).bit_length()} bits"
 
 
-def check_positive(names: str, *values: float) -> None:
-    """Raise DomainError naming the first value that is not positive and finite.
+def _as_float(value: float) -> float:
+    # float(value) of a real number.  math.ldexp(x, 0) refuses a str
+    # (TypeError) that float() would parse; an int beyond the float range, for
+    # which it raises OverflowError, gives inf, and is refused as inf is.
+    try:
+        return math.ldexp(value, 0)
+    except OverflowError:
+        return math.inf
 
-    names: the values' names, space-separated, in the order of values.
-    """
-    for value in values:
-        if not 0.0 < value <= FLOAT_MAX:
-            # Every earlier value passed, so the first one equal to this is it.
-            name = names.split()[values.index(value)]
-            raise DomainError(f"{name} must be positive and finite, got {value_text(value)}")
+
+def _range_check(low: float, rule: str):
+    # A check of the rule low <= x <= FLOAT_MAX, named "<rule>" in its message.
+    def check(names: str, *values: float) -> tuple[float, ...]:
+        """The values as floats, or DomainError naming the first out of range."""
+        for x in values:
+            if type(x) is not float or not low <= x <= FLOAT_MAX:
+                break
+        else:
+            return values  # Python floats, each in range
+        # Converted, then compared: a float32 compared with FLOAT_MAX warns on the cast.
+        floats = tuple(map(_as_float, values))
+        for i, x in enumerate(floats):
+            if not low <= x <= FLOAT_MAX:
+                name = names.split()[i]
+                raise DomainError(f"{name} must be {rule}, got {value_text(values[i])}")
+        return floats
+    return check
+
+
+check_positive = _range_check(5e-324, "positive and finite")  # the least positive double
+check_non_negative = _range_check(0.0, "non-negative and finite")
+check_real = _range_check(-FLOAT_MAX, "finite")
 
 
 def check_finite(value: float, what: str, names: str, *at: float) -> float:

@@ -25,8 +25,8 @@ import math
 from collections import namedtuple
 from operator import index, mul
 
-from .errors import FLOAT_MAX, DomainError, NumericalError, SingularSystem, check_finite
-from .errors import value_text
+from .errors import DomainError, NumericalError, SingularSystem, check_finite, check_positive
+from .errors import check_real, value_text
 from .spectrum import energy_ratio
 
 N_COEFFS = 6
@@ -45,12 +45,10 @@ class FitGrid(namedtuple("FitGrid", "n_start n_stop n_count")):
         if not (1.0 <= n_start < n_stop):
             raise DomainError(
                 f"need 1 <= n_start < n_stop, got [{value_text(n_start)}, {value_text(n_stop)}]")
-        if not n_stop <= FLOAT_MAX:
-            raise DomainError(f"n_stop must be finite, got {value_text(n_stop)}")
+        # n_count too: the step (n_stop - n_start)/(n_count - 1) needs its float.
+        n_start, n_stop, _ = check_real("n_start n_stop n_count", n_start, n_stop, n_count)
         if n_count < 2 * N_COEFFS:
             raise DomainError(f"n_count must be at least {2 * N_COEFFS}, got {value_text(n_count)}")
-        if not n_count <= FLOAT_MAX:  # its step (n_stop - n_start)/(n_count - 1) would overflow
-            raise DomainError(f"n_count must be within the float range, got {value_text(n_count)}")
         return super().__new__(cls, n_start, n_stop, n_count)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
@@ -79,10 +77,8 @@ class FitCoefficients(namedtuple("FitCoefficients", "c sigma source grid", defau
         c = tuple(c)
         if len(c) != N_COEFFS:
             raise DomainError(f"expected {N_COEFFS} coefficients, got {len(c)}")
-        for x in (*c, sigma):
-            if not -FLOAT_MAX <= x <= FLOAT_MAX:
-                raise DomainError(f"coefficients and sigma must be finite, got {value_text(x)}")
-        return super().__new__(cls, tuple(map(float, c)), float(sigma), source, grid)
+        *c, sigma = check_real("c0 c1 c2 c3 c4 c5 sigma", *c, sigma)
+        return super().__new__(cls, tuple(c), sigma, source, grid)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
@@ -186,9 +182,7 @@ def eval_fit(coeffs: FitCoefficients, n: float) -> float:
     Raises NumericalError when the series leaves the float range (n far
     below 1).
     """
-    if not 0.0 < n <= FLOAT_MAX:
-        raise DomainError(f"strength n must be positive, got {value_text(n)}")
-    n = float(n)  # a numpy scalar would warn on overflow
+    (n,) = check_positive("n", n)
     return check_finite(_horner(coeffs.c, 1.0 / n), "fitted series", "n", n)
 
 

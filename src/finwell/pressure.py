@@ -30,7 +30,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainError, NoRoot, NumericalError, PoleSingularity
-from .errors import FLOAT_MAX, check_finite, check_positive, check_positive_columns, value_text
+from .errors import check_finite, check_non_negative, check_positive, check_positive_columns
 from .fitseries import FitCoefficients, _horner
 
 POLE_RTOL = 1e-12          # |denominator| below this times its largest term -> pole
@@ -72,8 +72,7 @@ def pressure_1d(a: float, K: float, coeffs: FitCoefficients, V0: float) -> float
     analysis of E = V0 * sum c_i (K/a)^i forces it.  Raises NumericalError
     when P leaves the float range (a far below K).
     """
-    check_positive("a K V0", a, K, V0)
-    a, K, V0 = float(a), float(K), float(V0)  # a numpy scalar would warn on overflow
+    a, K, V0 = check_positive("a K V0", a, K, V0)
     return check_finite(_pressure(a, K, coeffs.c, V0), "pressure", "a/K", a / K)
 
 
@@ -170,8 +169,7 @@ def denergy_dpressure(
     below POLE_RTOL times its largest term, and NumericalError where the
     numerator, the denominator or dE/dP itself leaves the float range.
     """
-    check_positive("a K", a, K)
-    a, K = float(a), float(K)  # a numpy scalar would warn on overflow
+    a, K = check_positive("a K", a, K)
     num, den = _rational_parts(a, K, coeffs, variant)
     # The quotient first: a * num overflows for very wide wells (from a/K ~
     # 1e62 at K = 1), although dE/dP ~ a/2 does not.
@@ -213,8 +211,7 @@ def expansion_small_width(a: float, K: float, coeffs: FitCoefficients) -> float:
 
     Raises NumericalError when it leaves the float range.
     """
-    check_positive("a K", a, K)
-    a, K = float(a), float(K)  # a numpy scalar would warn on overflow
+    a, K = check_positive("a K", a, K)
     if coeffs.c[5] == 0.0:
         raise DomainError("small-width expansion needs c5 != 0")
     # a * (a/K), not a*a/K: a*a under- or overflows where the term does not.
@@ -233,10 +230,8 @@ def expansion_small_k(
     K = 0 is allowed: it is the exact deep-well limit a/2.  Raises
     NumericalError when the expansion leaves the float range.
     """
-    check_positive("a", a)
-    if not 0.0 <= K <= FLOAT_MAX:
-        raise DomainError(f"K must be non-negative and finite, got {value_text(K)}")
-    a, K = float(a), float(K)  # a numpy scalar would warn on overflow
+    (a,) = check_positive("a", a)
+    (K,) = check_non_negative("K", K)
     c = coeffs.c
     if variant == "consistent":
         third = c[2] * c[2] - c[1] * c[3]
@@ -339,8 +334,7 @@ def critical_width(
     paper and numeric widths disagree for the published coefficients; both
     are reported, neither is silently preferred.
     """
-    check_positive("K", K)
-    K = float(K)  # a numpy scalar would warn on overflow
+    (K,) = check_positive("K", K)
     a0_paper = _small_width_zero(coeffs.c, K)
     if method == "paper":
         if a0_paper is None:
@@ -377,8 +371,7 @@ def classify_response(a: float, K: float, coeffs: FitCoefficients) -> ResponseRe
     boundary flag set, since the published criterion only treats the strict
     inequality.  Raises NumericalError where a0 leaves the float range.
     """
-    check_positive("a K", a, K)
-    a, K = float(a), float(K)  # a numpy scalar would warn on overflow
+    a, K = check_positive("a K", a, K)
     a0 = _small_width_zero(coeffs.c, K)
     if a0 is None:
         raise DomainError("classification needs c4 != 0")
@@ -394,6 +387,7 @@ def pressure_profile(
     a: float, K: float, coeffs: FitCoefficients, V0: float
 ) -> PressureProfile:
     """P and both dE/dP variants at one half-width; poles become NaN + flag."""
+    a, K, V0 = check_positive("a K V0", a, K, V0)
     pressure = pressure_1d(a, K, coeffs, V0)
     near_pole = False
     values = []

@@ -31,9 +31,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError, FitOutOfRange, NumericalError
-from .errors import FLOAT_MAX, check_columns, check_positive, check_positive_columns, value_text
-from .fitseries import FitCoefficients, _horner, eval_fit
+from .errors import DomainError, FitOutOfRange, NumericalError, check_finite, value_text
+from .errors import check_columns, check_non_negative, check_positive, check_positive_columns
+from .fitseries import FitCoefficients, _horner
 from .pressure import _rational_parts, pressure_1d
 from .spectrum import WellConfig, well_strength
 from .units import CONSTANTS
@@ -82,39 +82,33 @@ def _r(z, gamma, xp):
     return xp.minimum(r, gamma)
 
 
+def _fit_beta(c, n, m, V0, xp):
+    # The fit's bracket 1 - sum c_i n^-i (its 1 - E/V0) and beta = sqrt(2 m V0
+    # bracket)/hbar, NaN where the bracket is negative (the fit predicts E >
+    # V0).  xp is math for floats, numpy for arrays.
+    bracket = 1.0 - _horner(c, 1.0 / n)
+    if xp is math and bracket < 0.0:
+        return bracket, math.nan
+    return bracket, xp.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar
+
+
 def beta_from_fit(
     a: float, K: float, coeffs: FitCoefficients, m: float, V0: float
 ) -> float:
     """beta from the fitted energy: sqrt((2m/hbar^2) V0 [1 - sum c_i (K/a)^i]).
 
     Raises FitOutOfRange when the bracket goes negative, i.e. the series was
-    evaluated where it extrapolates to E > V0.
+    evaluated where it extrapolates to E > V0, NumericalError where it or beta overflows.
     """
-    check_positive("a K m V0", a, K, m, V0)
-    a, K, m, V0 = float(a), float(K), float(m), float(V0)  # a numpy scalar would warn on overflow
-    bracket = 1.0 - eval_fit(coeffs, a / K)
+    a, K, m, V0 = check_positive("a K m V0", a, K, m, V0)
+    (n,) = check_positive("n", a / K)
+    bracket, beta = _fit_beta(coeffs.c, n, m, V0, math)
+    check_finite(bracket, "fitted series", "n", n)
     if bracket < 0.0:
-        raise FitOutOfRange(
-            f"fitted E/V0 exceeds 1 at a/K = {a / K:.6g} (bracket {bracket:.3e})"
-        )
-    beta = math.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar
+        raise FitOutOfRange(f"fitted E/V0 exceeds 1 at a/K = {n:.6g} (bracket {bracket:.3e})")
     if not math.isfinite(beta):  # 2 m V0 overflows for large finite m and V0
         raise NumericalError(f"beta overflows at m = {m:.6g} kg, V0 = {V0:.6g} J")
     return beta
-
-
-def _well_z(a: float, beta: float) -> float:
-    """z = 2 a beta, after the domain checks on a and beta."""
-    if not 0.0 < a <= FLOAT_MAX:
-        raise DomainError(f"half-width must be positive and finite, got {value_text(a)}")
-    if not 0.0 <= beta <= FLOAT_MAX:
-        raise DomainError(
-            f"decay constant must be non-negative and finite, got {value_text(beta)}")
-    a, beta = float(a), float(beta)  # a numpy scalar would warn on overflow
-    z = 2.0 * a * beta
-    if z == math.inf:
-        raise NumericalError(f"2 a beta overflows at a = {a:.6g} m, beta = {beta:.6g} 1/m")
-    return z
 
 
 def _check_gamma(gamma: float) -> None:
@@ -125,7 +119,12 @@ def _check_gamma(gamma: float) -> None:
 def probability_interval(a: float, beta: float, gamma: float) -> ProbabilityResult:
     """Closed-form probability of |x| <= gamma*a."""
     _check_gamma(gamma)
-    return ProbabilityResult(_r(_well_z(a, beta), gamma, math), gamma)
+    (a,) = check_positive("a", a)
+    beta, gamma = check_non_negative("beta gamma", beta, gamma)  # gamma as a float
+    z = 2.0 * a * beta
+    if z == math.inf:
+        raise NumericalError(f"2 a beta overflows at a = {a:.6g} m, beta = {beta:.6g} 1/m")
+    return ProbabilityResult(_r(z, gamma, math), gamma)
 
 
 def probability_columns(
@@ -152,9 +151,9 @@ def probability_columns(
     with np.errstate(over="ignore", invalid="ignore"):
         # An overflowing series is flagged below; a form that overflows
         # outside its band of z is not selected there.
-        bracket = 1.0 - _horner(coeffs.c, 1.0 / n)
+        bracket, beta = _fit_beta(coeffs.c, n, m, V0, np)
         out_of_range = bracket < 0.0
-        z = 2.0 * a * (np.sqrt(2.0 * m * V0 * bracket) / CONSTANTS.hbar)
+        z = 2.0 * a * beta
         overflow = ~(out_of_range | np.isfinite(z))
         flagged = out_of_range | overflow
         R = np.where(flagged, math.nan, _r(z, gamma, np))
@@ -183,6 +182,7 @@ def probability_pressure_derivative(
     denergy_dpressure does; propagates FitOutOfRange from beta_from_fit.
     """
     _check_gamma(gamma)
+    (gamma,) = check_non_negative("gamma", gamma)  # as a float
     K = well_strength(cfg).characteristic_length
     a, m, V0 = cfg.half_width, cfg.mass, cfg.depth
     _, den = _rational_parts(a, K, coeffs, "consistent")  # raises where dP/da = 0

@@ -19,7 +19,7 @@ from collections import namedtuple
 from operator import index
 
 from .errors import ConvergenceFailure, DomainError, NoSuchBranch, NumericalError
-from .errors import FLOAT_MAX, check_positive, check_positive_columns, value_text
+from .errors import check_positive, check_positive_columns
 from .units import CONSTANTS
 
 # Below this strength the ground root is taken from its series, whose first
@@ -35,8 +35,8 @@ class WellConfig(namedtuple("WellConfig", "half_width depth mass")):
     __slots__ = ()
 
     def __new__(cls, half_width: float, depth: float, mass: float) -> WellConfig:
-        check_positive("half_width depth mass", half_width, depth, mass)
-        return super().__new__(cls, float(half_width), float(depth), float(mass))
+        fields = check_positive("half_width depth mass", half_width, depth, mass)
+        return super().__new__(cls, *fields)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
@@ -62,12 +62,6 @@ def _strength(a, momentum):
     return a * momentum / CONSTANTS.hbar, CONSTANTS.hbar / momentum
 
 
-def _out_of_float_range(quantity: str, a: float, m: float, V0: float) -> NumericalError:
-    return NumericalError(
-        f"{quantity} leaves the float range at a = {a:.6g} m, m = {m:.6g} kg, V0 = {V0:.6g} J"
-    )
-
-
 def _ratio(xi, n):
     # E/V0 = (xi/n)^2; floats or arrays.
     return (xi / n) ** 2
@@ -77,12 +71,14 @@ def well_strength(cfg: WellConfig) -> WellStrength:
     """Strength n = a*sqrt(2mV0)/hbar and length scale K = hbar/sqrt(2mV0)."""
     a, m, V0 = cfg.half_width, cfg.mass, cfg.depth
     momentum = math.sqrt(2.0 * m * V0)  # sqrt(2mV0) [kg m/s]
-    if not 0.0 < momentum < math.inf:
-        raise _out_of_float_range("2 m V0", a, m, V0)
-    n, K = _strength(a, momentum)
-    if not 0.0 < n < math.inf:
-        raise _out_of_float_range("n = a sqrt(2 m V0)/hbar", a, m, V0)
-    return WellStrength(n, K)
+    quantity = "2 m V0"
+    if 0.0 < momentum < math.inf:
+        n, K = _strength(a, momentum)
+        if 0.0 < n < math.inf:
+            return WellStrength(n, K)
+        quantity = "n = a sqrt(2 m V0)/hbar"
+    raise NumericalError(
+        f"{quantity} leaves the float range at a = {a:.6g} m, m = {m:.6g} kg, V0 = {V0:.6g} J")
 
 
 # pi = math.pi + _PI_LO to about 2^-107 relative, and math.pi = _PI_HEAD +
@@ -97,9 +93,8 @@ def _branch_offset(n: float, branch: int) -> tuple[float, float, float]:
     # (b, b_lo, eps) of branch k: k pi = b + b_lo to about 2^-106 relative,
     # and eps = n - k pi, whose only rounding is the last one where n is
     # within a factor 2 of k pi (n - b is then exact); (0, 0, n) for k = 0.
-    # Branch k needs n > k pi > k; refused before k pi can overflow.  float(n):
-    # a numpy scalar n would overflow converting a huge k.
-    if branch > float(n):
+    # Branch k needs n > k pi > k; refused before k pi can overflow.
+    if branch > n:
         raise NoSuchBranch(f"branch exceeds the strength n = {n:.6g}; branch k needs n > k pi")
     b = branch * math.pi
     if b + _HALF_PI > b:
@@ -213,9 +208,9 @@ def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
     Below SERIES_STRENGTH the ground root is its series in n.
     solve_ground_roots runs the same loop on arrays.
     """
-    # _theta is energy_exact's: it returns (xi, theta), as eta = n sin(theta).
-    if not 0.0 < n <= FLOAT_MAX:
-        raise DomainError(f"strength n must be positive, got {value_text(n)}")
+    # _theta is for energy_exact and energy_ratio: it returns (n, xi, theta),
+    # n as the float checked here, and theta as eta = n sin(theta).
+    (n,) = check_positive("n", n)
     try:
         branch = index(branch)
     except TypeError:
@@ -225,7 +220,7 @@ def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
     if branch == 0:
         if n < SERIES_STRENGTH:
             xi = _small_n_series(n)
-            return (xi, xi) if _theta else xi
+            return (n, xi, xi) if _theta else xi
         b = b_lo = 0.0
         eps = n
         hi = n if n < _HALF_PI else _HALF_PI  # min(pi/2, n) without a call
@@ -259,7 +254,7 @@ def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
             theta = hi
         if step * step <= 0.5 * x * ulp(x) or theta == x:
             xi = b + (theta + b_lo)
-            return (xi, theta) if _theta else xi
+            return (n, xi, theta) if _theta else xi
         x = theta
     raise _convergence_failure("root unresolved", n, branch, _MAX_ITER, step, b + (x + b_lo))
 
@@ -298,7 +293,8 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
 
 def energy_ratio(n: float, branch: int = 0) -> float:
     """E/V0 for the given strength and branch."""
-    return _ratio(solve_even_root(n, branch), n)
+    n, xi, _ = solve_even_root(n, branch, True)
+    return _ratio(xi, n)
 
 
 def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
@@ -311,7 +307,7 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
     where eta ~ k*pi*eps.
     """
     n = well_strength(cfg).strength
-    xi, theta = solve_even_root(n, branch, True)
+    _, xi, theta = solve_even_root(n, branch, True)
     eta = n * math.sin(theta)
     a = cfg.half_width
     ratio = _ratio(xi, n)
@@ -326,19 +322,18 @@ def ground_states(
     """Branch-0 n, K, xi and E for equal-length arrays of well parameters.
 
     The array counterpart of well_strength plus energy_exact: the same
-    domain checks and formulas, with one batched root solve.
+    domain checks and formulas, with one batched root solve.  The first row
+    whose 2 m V0 or n leaves the float range raises well_strength's error.
     """
     import numpy as np
     check_positive_columns("half_width depth mass", half_width, depth, mass)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        # 2 m V0 or n leaving the float range is raised below.
+        # A row where 2 m V0 leaves the float range has n = 0 or inf too.
         momentum = np.sqrt(2.0 * mass * depth)
         n, K = _strength(half_width, momentum)
-    for quantity, x in (("2 m V0", momentum), ("n = a sqrt(2 m V0)/hbar", n)):
-        bad = np.flatnonzero(~((0.0 < x) & (x < math.inf)))
-        if bad.size:
-            i = bad[0]
-            raise _out_of_float_range(quantity, half_width[i], mass[i], depth[i])
+    rows = np.flatnonzero(~(np.isfinite(n) & (n > 0.0)))
+    if rows.size:
+        well_strength(WellConfig(*(x[rows[0]] for x in (half_width, depth, mass))))
     xi = solve_ground_roots(n)
     ratio = _ratio(xi, n)
     return GroundStates(

@@ -22,8 +22,7 @@ import re
 from collections import namedtuple
 from enum import Enum
 
-from .errors import FLOAT_MAX, DomainError, MalformedNumber, NumericalError, UnknownUnit
-from .errors import value_text
+from .errors import MalformedNumber, NumericalError, UnknownUnit, check_real
 
 
 # Fixed constants table; values are pinned, never user-mutable.
@@ -69,9 +68,7 @@ class Quantity(namedtuple("Quantity", "value dimension")):
     __slots__ = ()
 
     def __new__(cls, value: float, dimension: Dimension) -> Quantity:
-        if not abs(value) <= FLOAT_MAX:
-            raise DomainError(f"quantity value must be finite, got {value_text(value)}")
-        return super().__new__(cls, value, dimension)
+        return super().__new__(cls, *check_real("value", value), dimension)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
@@ -113,6 +110,6 @@ def parse_quantity(text: str) -> Quantity:
 def quantity(value: float, unit: str) -> Quantity:
     """Construct a Quantity from a value expressed in ``unit``."""
     dim, factor = _lookup_unit(unit)
-    # An int beyond the float range cannot be scaled; Quantity refuses it unscaled.
-    return Quantity(value * factor if abs(value) <= FLOAT_MAX else value, dim)
+    (value,) = check_real("value", value)
+    return Quantity(value * factor, dim)
 

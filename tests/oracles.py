@@ -214,9 +214,13 @@ def interval_probability_oracle(z: float, gamma: float) -> float:
 
     A power of e below decimal's range underflows to 0, so this does not
     overflow for any double z > 0; the bracketed differences, taken first,
-    vanish where z is tiny rather than swallow the 2 z terms."""
+    vanish where z is tiny rather than swallow the 2 z terms.  The
+    differences are about 2 z g and 2 z, between terms near 1, so they
+    cancel about -log10(z g) digits: 60 more than those are kept."""
     with localcontext() as ctx:
-        ctx.prec = 60
+        # log10 of z and of g apart: z g can underflow as a double.
+        tiny = math.log10(z) + (math.log10(gamma) if gamma > 0.0 else 0.0)
+        ctx.prec = 60 + max(0, -math.floor(tiny))
         zd, g = Decimal(z), Decimal(gamma)
         num = 2 * zd * g * (-zd).exp() + ((zd * (g - 1)).exp() - (-zd * (g + 1)).exp())
         return float(num / (2 * zd * (-zd).exp() + (1 - (-2 * zd).exp())))

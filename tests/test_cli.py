@@ -341,7 +341,7 @@ class TestFit:
         code, out, err = run(capsys, ["fit", "--grid", "1:10:1" + "0" * 400])
         assert code == 1
         assert out == ""
-        assert err.startswith("finwell fit: domain error: n_count must be within the float range")
+        assert err.startswith("finwell fit: domain error: n_count must be finite, got 1000")
 
     def test_malformed_grid_usage_error(self, capsys):
         code, _, _ = run(capsys, ["fit", "--grid", "1:10"])
@@ -646,7 +646,7 @@ class TestSweep:
         code, out, err = run(capsys, self.width_args() + ["--gamma", "0.5", "--coeffs", str(path)])
         assert code == 1
         assert out == ""
-        assert "domain error: coefficients and sigma must be finite" in err
+        assert "domain error: c1 must be finite, got nan" in err
 
     @pytest.mark.parametrize("bound", ["--from", "--to"])
     def test_bound_of_wrong_dimension(self, capsys, bound):

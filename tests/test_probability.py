@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finwell import (
@@ -28,6 +28,7 @@ from finwell import (
 )
 
 from finwell.fitseries import refit
+from finwell.probability import _EXP_Z
 from oracles import (
     adaptive_simpson,
     interval_probability_oracle,
@@ -41,6 +42,14 @@ LARGE_Z = [1e-5, 1e-3, 0.5, 10.0, 200.0, 699.0, 700.0, 701.0, 710.0, 712.0, 1400
 # (2 a beta, gamma) in the exp(-z) form with z (1 - gamma) small; the first is
 # the 26 m row of a hydrogen-depth sweep at gamma = 1 - 1e-13.
 EXP_NEAR_ONE = [(982965040428.7626, 0.9999999999999), (1e4, 0.999999), (1e6, 0.99999)]
+
+
+# R against the decimal oracle, in eps times s, where s is the size of the
+# exponent whose rounding R inherits: max(1, z gamma) in the sinhc form (z
+# gamma is rounded), max(1, z (1 - gamma)) in the exp(-z) form above z = 700,
+# and relative to R or, below the normal range, to the least normal double
+# (README's accuracy table).
+INTERVAL_EPS = 4
 
 
 def z_rtol(z: float) -> float:
@@ -261,6 +270,20 @@ class TestOverflowSafeForms:
         want = interval_probability_oracle(z, gamma)
         got = probability_interval(0.5, z, gamma).probability
         assert abs(got - want) <= 8 * EPS * max(1.0, z * (1.0 - gamma)) * want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-300.0, 8.0).map(lambda e: 10.0 ** e), st.floats(0.0, 1.0))
+    # The oracle was wrong next to z = 1e-60 and where z gamma is tiny; the
+    # third R is subnormal, the fourth takes the exp(-z) form next to gamma = 1.
+    @example(1e-60, 0.45)
+    @example(3.8245654635182275e-67, 4.701984665765007e-300)
+    @example(738.7487369724677, 0.04092295522029982)
+    @example(1e8, 1.0 - 1e-13)
+    def test_interval_accuracy(self, z, gamma):
+        got = probability_interval(0.5, z, gamma).probability  # 2 a beta is z exactly
+        want = interval_probability_oracle(z, gamma)
+        s = max(1.0, z * gamma) if z <= _EXP_Z else max(1.0, z * (1.0 - gamma))
+        assert abs(got - want) <= INTERVAL_EPS * EPS * s * max(want, sys.float_info.min)
 
     def test_published_overflow_case(self):
         r = probability_interval(1.0, 356.0, 0.5).probability

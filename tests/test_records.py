@@ -121,7 +121,7 @@ def test_checked_messages():
         fw.WellConfig(half_width=-1.0, depth=1.0, mass=1.0)
     with pytest.raises(fw.DomainError, match=r"^n_count must be at least 12, got 11$"):
         fw.FitGrid(1.0, 10.0, 11)
-    with pytest.raises(fw.DomainError, match=r"^quantity value must be finite, got inf$"):
+    with pytest.raises(fw.DomainError, match=r"^value must be finite, got inf$"):
         fw.Quantity(math.inf, fw.Dimension.LENGTH)
 
 

@@ -109,6 +109,36 @@ class TestWellStrength:
         with pytest.raises(NumericalError, match=named):
             ground_states(np.ones(2), np.array([1e-18, depth]), np.array([1e-30, mass]))
 
+    # (half_width, depth, mass) of a well whose 2 m V0 or n leaves the float
+    # range, and the quantity named.
+    OUT_OF_RANGE = {
+        "2 m V0 overflows": ((1.0, 1e300, 1e300), "2 m V0"),
+        "2 m V0 underflows": ((1.0, 1e-300, 1e-300), "2 m V0"),
+        "n overflows": ((1e300, 1e-18, 1e-30), "n = a sqrt(2 m V0)/hbar"),
+        "n underflows": ((1e-320, 1e-18, 1e-30), "n = a sqrt(2 m V0)/hbar"),
+    }
+
+    @pytest.mark.parametrize("well, quantity", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_ground_states_raise_what_well_strength_raises(self, well, quantity):
+        with pytest.raises(NumericalError) as scalar:
+            well_strength(WellConfig(*well))
+        assert str(scalar.value).startswith(f"{quantity} leaves the float range at a = ")
+        # The bad well is row 1, after a good one.
+        columns = [np.array([good, bad]) for good, bad in zip((1e-10, 1e-18, 1e-30), well)]
+        with pytest.raises(NumericalError) as batch:
+            ground_states(*columns)
+        assert type(batch.value) is type(scalar.value)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_ground_states_name_the_first_offending_row(self):
+        # Row 0's n underflows and row 1's 2 m V0 overflows.  Row 1's 2 m V0
+        # was named, as every row's 2 m V0 was checked before any row's n.
+        with pytest.raises(NumericalError) as info:
+            ground_states(np.array([1e-320, 1.0]), np.array([1e-18, 1e300]),
+                          np.array([1e-30, 1e300]))
+        assert str(info.value) == ("n = a sqrt(2 m V0)/hbar leaves the float range at "
+                                   "a = 9.99989e-321 m, m = 1e-30 kg, V0 = 1e-18 J")
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--width", "1m", "--depth", "1e300J", "--mass", "1e300kg"],
         ["sweep", "--param", "mass", "--from", "1e300kg", "--to", "1e301kg", "--steps", "2",
