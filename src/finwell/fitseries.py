@@ -42,11 +42,10 @@ class FitGrid(namedtuple("FitGrid", "n_start n_stop n_count")):
             n_count = index(n_count)
         except TypeError:
             raise DomainError(f"n_count must be an integer, got {n_count!r}") from None
-        if not (1.0 <= n_start < n_stop):
-            raise DomainError(
-                f"need 1 <= n_start < n_stop, got [{value_text(n_start)}, {value_text(n_stop)}]")
         # n_count too: the step (n_stop - n_start)/(n_count - 1) needs its float.
         n_start, n_stop, _ = check_real("n_start n_stop n_count", n_start, n_stop, n_count)
+        if not (1.0 <= n_start < n_stop):
+            raise DomainError(f"need 1 <= n_start < n_stop, got [{n_start}, {n_stop}]")
         if n_count < 2 * N_COEFFS:
             raise DomainError(f"n_count must be at least {2 * N_COEFFS}, got {value_text(n_count)}")
         return super().__new__(cls, n_start, n_stop, n_count)

@@ -146,8 +146,9 @@ def _small_width_zero(c, K: float) -> float | None:
 def _rational_parts(
     a: float, K: float, coeffs: FitCoefficients, variant: str
 ) -> tuple[float, float]:
-    # (numerator, denominator) of dE/dP in t = a/K; NumericalError where
-    # either leaves the float range, PoleSingularity where a/K is on the pole.
+    # (dE/dP, its denominator in t = a/K) at a and K that passed the check;
+    # NumericalError where the numerator, the denominator or dE/dP leaves the
+    # float range, PoleSingularity where a/K is on the pole.
     num, den, near_pole = _rational_sums(a / K, coeffs.c, variant)
     if not (math.isfinite(num) and math.isfinite(den)):
         raise NumericalError(f"dE/dP overflows at a/K = {a / K:.6g}")
@@ -155,7 +156,12 @@ def _rational_parts(
         raise PoleSingularity(
             f"dE/dP denominator vanishes near a/K = {a / K:.6g} ({variant} form)"
         )
-    return num, den
+    # The quotient first: a * num overflows for very wide wells (from a/K ~
+    # 1e62 at K = 1), although dE/dP ~ a/2 does not.
+    dedp = 0.5 * a * (num / den)
+    if math.isinf(dedp):
+        raise NumericalError(f"dE/dP overflows at a/K = {a / K:.6g}")
+    return dedp, den
 
 
 def denergy_dpressure(
@@ -170,13 +176,7 @@ def denergy_dpressure(
     numerator, the denominator or dE/dP itself leaves the float range.
     """
     a, K = check_positive("a K", a, K)
-    num, den = _rational_parts(a, K, coeffs, variant)
-    # The quotient first: a * num overflows for very wide wells (from a/K ~
-    # 1e62 at K = 1), although dE/dP ~ a/2 does not.
-    dedp = 0.5 * a * (num / den)
-    if math.isinf(dedp):
-        raise NumericalError(f"dE/dP overflows at a/K = {a / K:.6g}")
-    return dedp
+    return _rational_parts(a, K, coeffs, variant)[0]
 
 
 def pressure_columns(
@@ -393,7 +393,7 @@ def pressure_profile(
     values = []
     for variant in ("consistent", "printed"):
         try:
-            values.append(denergy_dpressure(a, K, coeffs, variant))
+            values.append(_rational_parts(a, K, coeffs, variant)[0])
         except PoleSingularity:
             values.append(math.nan)
             near_pole = True

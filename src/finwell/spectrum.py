@@ -332,8 +332,10 @@ def ground_states(
         momentum = np.sqrt(2.0 * mass * depth)
         n, K = _strength(half_width, momentum)
     rows = np.flatnonzero(~(np.isfinite(n) & (n > 0.0)))
-    if rows.size:
-        well_strength(WellConfig(*(x[rows[0]] for x in (half_width, depth, mass))))
+    if rows.size:  # well_strength raises for the row, or this does
+        i = rows[0]
+        well_strength(WellConfig(half_width[i], depth[i], mass[i]))
+        raise NumericalError(f"n = {n[i]} leaves the float range in row {i}")
     xi = solve_ground_roots(n)
     ratio = _ratio(xi, n)
     return GroundStates(

@@ -197,6 +197,9 @@ def test_fit_grid_stores_floats(dtype):
     assert [type(x) for x in grid] == [float, float, int]
     assert grid == (1.5, 10.0, 16)
     assert fw.refit(grid) == fw.refit(fw.FitGrid(1.5, 10.0, 16))
+    # A bound beyond the narrow type's range, next to a narrow one: the
+    # ordering compared them before both were floats, casting 1e5 to float16.
+    assert fw.FitGrid(dtype(1.5), 1e5, 16) == (1.5, 1e5, 16)
 
 
 # The exact text of the shared checks.  A refused value is named by its

@@ -139,6 +139,13 @@ class TestWellStrength:
         assert str(info.value) == ("n = a sqrt(2 m V0)/hbar leaves the float range at "
                                    "a = 9.99989e-321 m, m = 1e-30 kg, V0 = 1e-18 J")
 
+    def test_ground_states_raise_where_well_strength_does_not(self, monkeypatch):
+        # Should the scalar and array forms ever disagree on a row, the row
+        # is still refused with well_strength's error type, and named.
+        monkeypatch.setattr(spectrum, "well_strength", lambda cfg: None)
+        with pytest.raises(NumericalError, match=r"^n = inf leaves the float range in row 1$"):
+            ground_states(np.array([1e-10, 1e300]), np.full(2, 1e-18), np.full(2, 1e-30))
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--width", "1m", "--depth", "1e300J", "--mass", "1e300kg"],
         ["sweep", "--param", "mass", "--from", "1e300kg", "--to", "1e301kg", "--steps", "2",
