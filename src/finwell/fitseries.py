@@ -23,11 +23,12 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from operator import index, mul
 
 from .errors import DomainError, NumericalError, SingularSystem, check_finite, check_positive
 from .errors import check_real, value_text
-from .spectrum import energy_ratio
+from .spectrum import _even_root, _ratio
 
 N_COEFFS = 6
 
@@ -106,7 +107,14 @@ PAPER_FIT = FitCoefficients(
 
 def sample_energies(grid: FitGrid) -> list[tuple[float, float]]:
     """(n, E/V0) pairs for the ground branch over the grid."""
-    return [(n, energy_ratio(n)) for n in grid.points()]
+    return list(zip(*_samples(grid)))
+
+
+def _samples(grid: FitGrid) -> tuple[list[float], list[float]]:
+    # The grid's n and E/V0 on the ground branch.  Its points are floats >= 1
+    # that FitGrid has checked, so none is checked again.
+    ns = grid.points()
+    return ns, [_ratio(_even_root(n, 0)[0], n) for n in ns]
 
 
 def fit_inverse_poly(
@@ -122,49 +130,60 @@ def fit_inverse_poly(
     Vandermonde QR, so |p_k|^2 <= (eps*m)^2 * m (lstsq's default rcond against
     |p_0|^2 = m) raises SingularSystem.  sigma is the RMS residual, taken
     from r after its last update: y - sum b_k p_k at the samples, with no
-    second evaluation of the series.
+    second evaluation of the series.  Each n must be positive and finite and
+    each E/V0 finite (DomainError), and (1/n)^10 and (E/V0)^2 in the float
+    range (NumericalError).  refit runs the same fit on its grid's samples,
+    which FitGrid has checked.
     """
     m = len(points)
     if m < 2 * N_COEFFS:
         raise DomainError(f"need at least {2 * N_COEFFS} points, got {m}")
-    ns = [float(n) for n, _ in points]
-    ys = [float(y) for _, y in points]
-    if not all(map((0.0).__lt__, ns)):  # 0 < n, NaN refused
-        raise DomainError("sample strengths must be positive")
+    ns = check_positive("n " * m, *(n for n, _ in points))
+    ys = check_real("E/V0 " * m, *(y for _, y in points))
     us = [1.0 / n for n in ns]
-    if len(set(us)) != m:
-        raise DomainError("sample points must have distinct n values (and distinct 1/n)")
     # |p_k(u)| <= max(u)^k bounds every inner product; math.prod gives inf where ** raises.
     u5 = math.prod([max(us)] * 5)
     if not math.isfinite(m * u5 * u5 + sum(map(mul, ys, ys))):
         raise NumericalError("sample points leave the float range: (E/V0)^2 and (1/n)^10 must be finite")
+    return _fit(us, ys, grid)
 
+
+def refit(grid: FitGrid = DEFAULT_GRID) -> FitCoefficients:
+    """Sample the exact solver on the grid and fit; records grid provenance."""
+    ns, ys = _samples(grid)
+    return _fit([1.0 / n for n in ns], ys, grid)
+
+
+def _fit(us: list[float], ys: Sequence[float], grid: FitGrid | None) -> FitCoefficients:
+    # The fit of fit_inverse_poly and refit: E/V0 ys at u = 1/n, every u and y
+    # a float that has passed their checks.
+    m = len(us)
+    if len(set(us)) != m:
+        raise DomainError("sample points must have distinct n values (and distinct 1/n)")
     tol = (math.ulp(1.0) * m) ** 2 * m
     b, alpha = math.fsum(ys) / m, math.fsum(us) / m  # k = 0 in closed form: p_0 = 1, |p_0|^2 = m
     p_prev, p, norm_prev, r = [1.0] * m, [u - alpha for u in us], m, [y - b for y in ys]
-    zeros = [0.0] * (N_COEFFS - 2)
-    a_prev, a, c = [1.0, 0.0, *zeros], [-alpha, 1.0, *zeros], [b, 0.0, *zeros]  # of p_0, p_1 and the fit
+    # Ascending monomial coefficients of p_{k-1}, p_k and the fit so far, no
+    # more entries than their degree needs: the zeros that pad them in an
+    # update change no sum.
+    a_prev, a, c = [1.0], [-alpha, 1.0], [b]
     for k in range(1, N_COEFFS):
         pp = list(map(mul, p, p))
         norm = math.fsum(pp)
         if norm <= tol:
             raise SingularSystem(f"design matrix rank {k} < {N_COEFFS}")
         b = math.fsum(map(mul, p, r)) / norm
-        c = [ci + b * ai for ci, ai in zip(c, a)]
+        c = [ci + b * ai for ci, ai in zip([*c, 0.0], a)]
         r = [ri - b * pi for ri, pi in zip(r, p)]
         if k == N_COEFFS - 1:
             break
         alpha, beta = math.fsum(map(mul, us, pp)) / norm, norm / norm_prev
         p_prev, p = p, [(u - alpha) * pi - beta * qi for u, pi, qi in zip(us, p, p_prev)]
-        a_prev, a = a, [s - alpha * ai - beta * qi for s, ai, qi in zip([0.0, *a], a, a_prev)]
+        a_prev, a = a, [s - alpha * ai - beta * qi
+                        for s, ai, qi in zip([0.0, *a], [*a, 0.0], [*a_prev, 0.0, 0.0])]
         norm_prev = norm
     sigma = math.sqrt(math.fsum(map(mul, r, r)) / m)
-    return FitCoefficients(c=tuple(c), sigma=sigma, source="refit", grid=grid)
-
-
-def refit(grid: FitGrid = DEFAULT_GRID) -> FitCoefficients:
-    """Sample the exact solver on the grid and fit; records grid provenance."""
-    return fit_inverse_poly(sample_energies(grid), grid=grid)
+    return FitCoefficients(c=c, sigma=sigma, source="refit", grid=grid)
 
 
 def _horner(coeffs, x):

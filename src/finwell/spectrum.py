@@ -25,7 +25,8 @@ from .units import CONSTANTS
 # Below this strength the ground root is taken from its series, whose first
 # omitted term is 12.3 n^17, far under an ulp of xi; below 1e-8 it rounds to n.
 SERIES_STRENGTH = 1e-3
-_MAX_ITER = 200
+# Newton's budget, made once: a range() per scalar solve cost it about 60 ns.
+_ITERATIONS = range(200)
 _HALF_PI = 0.5 * math.pi  # fl(pi/2), the top of every bracket
 
 
@@ -190,7 +191,7 @@ def _convergence_failure(
     )
 
 
-def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
+def solve_even_root(n: float, branch: int = 0) -> float:
     """Root xi of the even-parity condition on the given branch.
 
     One Newton loop serves every branch k, in theta = xi - k*pi with
@@ -205,12 +206,20 @@ def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
     bracket top.  The Newton point of a step s from theta is accepted when
     s^2 <= theta*ulp(theta)/2, which leaves it within a quarter ulp of the
     root (|g''/g'| < 1/theta), or when the clipped point does not move.
-    Below SERIES_STRENGTH the ground root is its series in n.
+    Below SERIES_STRENGTH the ground root is its series in n.  n is
+    checked once, here, and the private core _even_root checks the branch
+    and runs the loop.  energy_ratio checks n as this does, energy_exact
+    takes well_strength's n, and fitseries' samples take a FitGrid's
+    checked points; each calls the core with no second check.
     solve_ground_roots runs the same loop on arrays.
     """
-    # _theta is for energy_exact and energy_ratio: it returns (n, xi, theta),
-    # n as the float checked here, and theta as eta = n sin(theta).
     (n,) = check_positive("n", n)
+    return _even_root(n, branch)[0]
+
+
+def _even_root(n: float, branch: int) -> tuple[float, float]:
+    # (xi, theta) on the branch, for a float n in (0, inf) that the caller
+    # has checked; eta = n sin(theta).
     try:
         branch = index(branch)
     except TypeError:
@@ -220,7 +229,7 @@ def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
     if branch == 0:
         if n < SERIES_STRENGTH:
             xi = _small_n_series(n)
-            return (n, xi, xi) if _theta else xi
+            return xi, xi
         b = b_lo = 0.0
         eps = n
         hi = n if n < _HALF_PI else _HALF_PI  # min(pi/2, n) without a call
@@ -247,16 +256,16 @@ def solve_even_root(n: float, branch: int = 0, _theta: bool = False) -> float:
     # The root can lie above hi = fl(pi/2), under half an ulp, from n ~
     # (k + 1/2) 2e15 on; Newton's point is then clipped to hi and stays.
     ulp = math.ulp
-    for _ in range(_MAX_ITER):
+    for _ in _ITERATIONS:
         step = _newton_step(x, b, eps, math)
         theta = x - step
         if theta > hi:
             theta = hi
         if step * step <= 0.5 * x * ulp(x) or theta == x:
-            xi = b + (theta + b_lo)
-            return (n, xi, theta) if _theta else xi
+            return b + (theta + b_lo), theta
         x = theta
-    raise _convergence_failure("root unresolved", n, branch, _MAX_ITER, step, b + (x + b_lo))
+    raise _convergence_failure(
+        "root unresolved", n, branch, len(_ITERATIONS), step, b + (x + b_lo))
 
 
 def solve_ground_roots(n: np.ndarray) -> np.ndarray:
@@ -274,7 +283,7 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(n >= SERIES_STRENGTH)
     m, x = n[rows], xi[rows]
     hi = np.minimum(_HALF_PI, m)
-    for _ in range(_MAX_ITER):
+    for _ in _ITERATIONS:
         if rows.size == 0:
             return xi
         step = _newton_step(x, 0.0, m, np)
@@ -286,15 +295,15 @@ def solve_ground_roots(n: np.ndarray) -> np.ndarray:
     if rows.size:
         raise _convergence_failure(
             f"{rows.size} ground roots unresolved, the first", float(m[0]), 0,
-            _MAX_ITER, float(step[0]), float(x[0]),
+            len(_ITERATIONS), float(step[0]), float(x[0]),
         )
     return xi
 
 
 def energy_ratio(n: float, branch: int = 0) -> float:
     """E/V0 for the given strength and branch."""
-    n, xi, _ = solve_even_root(n, branch, True)
-    return _ratio(xi, n)
+    (n,) = check_positive("n", n)
+    return _ratio(_even_root(n, branch)[0], n)
 
 
 def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
@@ -307,11 +316,11 @@ def energy_exact(cfg: WellConfig, branch: int = 0) -> BoundState:
     where eta ~ k*pi*eps.
     """
     n = well_strength(cfg).strength
-    _, xi, theta = solve_even_root(n, branch, True)
+    xi, theta = _even_root(n, branch)
     eta = n * math.sin(theta)
     a = cfg.half_width
     ratio = _ratio(xi, n)
-    # branch, xi, eta, alpha, beta, energy, energy_ratio; solve_even_root
+    # branch, xi, eta, alpha, beta, energy, energy_ratio; _even_root
     # refuses a non-integer branch.
     return BoundState(index(branch), xi, eta, xi / a, eta / a, ratio * cfg.depth, ratio)
 

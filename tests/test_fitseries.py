@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from finwell import (
     DEFAULT_GRID,
     DomainError,
+    FinwellError,
     FitCoefficients,
     FitGrid,
     NumericalError,
@@ -24,6 +25,7 @@ from finwell import (
     refit,
     sample_energies,
 )
+from finwell import fitseries, spectrum
 
 from oracles import refit_oracle, refit_rms_oracle
 
@@ -209,16 +211,25 @@ class TestFitInversePoly:
         (0, 5e-324, 0.5, NumericalError),
         (0, 1e-31, 0.5, NumericalError),
         (0, 1e-70, 0.5, NumericalError),
-        (4, 3.0, math.nan, NumericalError),
-        (4, 3.0, math.inf, NumericalError),
+        (4, 3.0, math.nan, DomainError),
+        (4, 3.0, math.inf, DomainError),
+        (0, math.inf, 0.5, DomainError),
     ])
     def test_samples_outside_the_float_range(self, k, n, y, error):
         # lstsq raised LinAlgError for the first two, SingularSystem for the
         # third (its rank test is relative to the 1e155 entry) and returned nan
-        # for the last two.
+        # for the next two.  A non-finite E/V0 or n is refused as an input, as
+        # a non-finite input is everywhere else; an infinite n was fitted as
+        # a sample at 1/n = 0.
         points = [(1.0 + 0.5 * i, 0.5) for i in range(12)]
         points[k] = (n, y)
         with pytest.raises(error):
+            fit_inverse_poly(points)
+
+    def test_str_points_are_refused(self):
+        # float() parsed them, and the fit went ahead.
+        points = [(str(1.0 + 0.5 * i), str(0.5 - 0.01 * i)) for i in range(12)]
+        with pytest.raises(TypeError):
             fit_inverse_poly(points)
 
     def test_default_grid_near_exact_least_squares(self):
@@ -245,6 +256,33 @@ class TestFitInversePoly:
         fitted = fit_inverse_poly(points)
         assert all(math.isfinite(ck) for ck in fitted.c)
         assert_sigma_near_exact(points, fitted)
+
+    @pytest.mark.parametrize("grid", [
+        *ORACLE_GRIDS,
+        FitGrid(1.0, 1e300, 13), FitGrid(1.0, 1.0000000000001, 13), FitGrid(1.0, 1e16, 13),
+        FitGrid(1e15, 1e15 + 1, 13),  # its points coincide
+    ], ids=lambda g: f"{g.n_start:.17g}:{g.n_stop:.17g}:{g.n_count}")
+    def test_refit_is_the_public_fit_of_its_samples(self, grid):
+        # refit skips the checks its grid has passed, and nothing else: the
+        # same bits, or the same error.
+        def outcome(fit):
+            try:
+                got = fit()
+            except FinwellError as exc:
+                return type(exc), str(exc)
+            return [x.hex() for x in (*got.c, got.sigma)], got.source, got.grid
+
+        assert outcome(lambda: refit(grid)) == outcome(
+            lambda: fit_inverse_poly(sample_energies(grid), grid))
+
+    def test_refit_needs_no_public_entry_point(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("refit went through a checking entry point")
+
+        monkeypatch.setattr(spectrum, "solve_even_root", refuse)
+        monkeypatch.setattr(spectrum, "energy_ratio", refuse)
+        monkeypatch.setattr(fitseries, "fit_inverse_poly", refuse)
+        assert refit(ORACLE_GRIDS[4]).grid == ORACLE_GRIDS[4]
 
     @settings(max_examples=150)
     @given(

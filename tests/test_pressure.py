@@ -67,14 +67,22 @@ def rational_polys(c):
     )
 
 
+# The numeric critical width and pole against the exact smallest root t
+# (README's accuracy table): SMALLEST_ROOT_U u sum|p_i t^i| / |p'(t)|, with
+# u = eps/2, the Horner rounding bound of the root.
+SMALLEST_ROOT_U = 8
+
+
 def assert_smallest_root(got, poly):
-    """got is the smallest root of poly in (0, 20], to the Horner rounding
-    bound 8 u sum|p_i t^i| / |p'(t)| of the exact root t."""
+    """got is the smallest root of poly in (0, 20], to SMALLEST_ROOT_U, or
+    None where poly has no root there."""
     want = smallest_root_oracle(poly, 0.0, 20.0)
-    assert want is not None, poly
+    if want is None:
+        assert got is None, (got, poly)
+        return
     size = sum(abs(pk) * want**k for k, pk in enumerate(poly))
     slope = sum(k * pk * want ** (k - 1) for k, pk in enumerate(poly) if k)
-    assert abs(got - want) <= 8 * EPS / 2 * size / abs(slope), (got, want)
+    assert abs(got - want) <= SMALLEST_ROOT_U * EPS / 2 * size / abs(slope), (got, want)
 
 
 def log_uniform(lo, hi):
@@ -511,15 +519,18 @@ class TestCriticalWidth:
         # One pair at relative separation down to 1e-6; each other positive
         # root a factor 4 or more from every root, so the extremum between
         # two roots stands clear of the Horner rounding.  All roots below 18,
-        # clear of the interval end 20.
+        # clear of the interval end 20.  The pole is the smallest root of the
+        # same fit's denominator, or None where it has none in (0, 20].
         roots = [r1, r1 * (1.0 + separation)] + [r if up else -r for r, up in others]
         for i in (2, 3):
             if roots[i] > 0.0:
                 near = [q for j, q in enumerate(roots) if j != i and q > 0.0]
                 assume(all(max(roots[i] / q, q / roots[i]) >= 4.0 for q in near))
         coeffs = quartic_fit(roots)
-        assert_smallest_root(critical_width(1.0, coeffs, "numeric").a0_numeric,
-                             rational_polys(coeffs.c)[0])
+        report = critical_width(1.0, coeffs, "numeric")
+        numer, denom = rational_polys(coeffs.c)
+        assert_smallest_root(report.a0_numeric, numer)
+        assert_smallest_root(report.pole_location, denom)
 
     @pytest.mark.parametrize(
         "c", [(0.0,) * 6, (0.0, 1.0, math.nan, 0.0, 0.0, -1.0), (0.0, math.inf, 0.0, 0.0, 0.0, -1.0)]

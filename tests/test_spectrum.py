@@ -478,7 +478,7 @@ class TestConvergenceDiagnostics:
     # does so only on its branches 305 to 317.
     @pytest.mark.parametrize("n, branch", [(2.0, 0), (5.0, 0), (20.0, 3), (1e3, 310)])
     def test_scalar(self, monkeypatch, n, branch):
-        monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
+        monkeypatch.setattr(spectrum, "_ITERATIONS", range(1))
         with pytest.raises(ConvergenceFailure, match=f"n={n}, branch={branch}") as exc:
             solve_even_root(n, branch)
         self.check_message(exc, n, branch, 1, 0.5 * math.pi)
@@ -488,13 +488,13 @@ class TestConvergenceDiagnostics:
         # resolved within the budget fails energy_exact with the same message.
         cfg = unit_well(3 * math.pi + 1.0)
         n = well_strength(cfg).strength
-        monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
+        monkeypatch.setattr(spectrum, "_ITERATIONS", range(1))
         with pytest.raises(ConvergenceFailure, match=f"root unresolved for n={n}, branch=3") as exc:
             energy_exact(cfg, 3)
         self.check_message(exc, n, 3, 1, 0.5 * math.pi)
 
     def test_batched(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
+        monkeypatch.setattr(spectrum, "_ITERATIONS", range(1))
         with pytest.raises(ConvergenceFailure, match="2 ground roots unresolved") as exc:
             solve_ground_roots(np.array([1e-4, 2.0, 5.0, 1e5]))
         assert "n=2.0, branch=0" in str(exc.value)
